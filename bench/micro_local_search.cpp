@@ -1,23 +1,19 @@
 // Local-search throughput microbench: the hill-climb / KL hot path.
 //
 // Measures moves/second and passes/second of sweep-mode hill climbing and a
-// capped KL refinement across mesh sizes and part counts, plus the parallel
-// batch engine's thread scaling on a large mesh, emitting JSON so the
-// BENCH_local_search.json trajectory can track the boundary-driven
+// capped KL refinement across mesh sizes and part counts, emitting JSON so
+// the BENCH_local_search.json trajectory can track the boundary-driven
 // refinement work:
-//   ./bench/micro_local_search [--seconds=1.0] [--threads=1,2,4,8] [--quick]
-//       > local_search.json
+//   ./bench/micro_local_search [--seconds=1.0] [--quick] > local_search.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/kl.hpp"
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/hill_climb.hpp"
@@ -45,7 +41,6 @@ struct Case {
 struct Row {
   std::string name;
   Case c;
-  int threads = 1;  ///< pool width for hill_climb_parallel rows; 1 = serial
   int reps = 0;
   std::int64_t moves = 0;
   std::int64_t passes = 0;
@@ -119,54 +114,6 @@ Row bench_hill_climb(const Graph& g, const Case& c, HillClimbMode mode,
   return row;
 }
 
-std::vector<int> parse_thread_list(const std::string& spec) {
-  std::vector<int> out;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      const int t = std::stoi(item);
-      if (t >= 1) out.push_back(t);
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "ignoring bad thread count '%s'\n", item.c_str());
-    }
-  }
-  if (out.empty()) out = {1, 2, 4, 8};
-  return out;
-}
-
-/// The parallel batch engine at a given pool width.  The serial-baseline row
-/// for the speedup ratio is the threads=1 entry (which exercises the
-/// bit-identical kFrontier fallback); the pool is constructed outside the
-/// timed region, matching the long-lived service pool it models.
-Row bench_parallel(const Graph& g, const Case& c, int threads, double budget) {
-  Row row;
-  row.name = "hill_climb_parallel";
-  row.c = c;
-  row.threads = threads;
-  const Assignment start = start_assignment(g, c.k, c.start, case_salt(c));
-  Executor pool(threads);
-  HillClimbOptions opt;
-  opt.fitness = {c.objective, 1.0};
-  opt.mode = HillClimbMode::kParallelFrontier;
-  opt.executor = &pool;
-  opt.max_passes = 50;
-
-  double elapsed = 0.0;
-  while (elapsed < budget || row.reps == 0) {
-    PartitionState state(g, start, c.k);
-    WallTimer timer;
-    const HillClimbResult res = hill_climb(state, opt);
-    elapsed += timer.seconds();
-    row.moves += res.moves;
-    row.passes += res.passes;
-    row.final_fitness = state.fitness(opt.fitness);
-    ++row.reps;
-  }
-  row.seconds = elapsed;
-  return row;
-}
-
 /// KL with a per-pass move cap (full KL is quadratic in |V| and would drown
 /// the bench); reported as moves applied per second of refinement.
 Row bench_kl(const Graph& g, const Case& c, double budget) {
@@ -202,16 +149,14 @@ void emit_json(const std::vector<Row>& rows) {
     const Row& r = rows[i];
     std::printf(
         "    {\"name\": \"%s\", \"rows\": %d, \"cols\": %d, \"k\": %d, "
-        "\"objective\": \"%s\", \"start\": \"%s\", \"threads\": %d, "
-        "\"reps\": %d, "
+        "\"objective\": \"%s\", \"start\": \"%s\", \"reps\": %d, "
         "\"moves\": %lld, \"passes\": %lld, \"seconds\": %.4f, "
         "\"moves_per_sec\": %.1f, \"passes_per_sec\": %.1f, "
         "\"final_fitness\": %.6f}%s\n",
         r.name.c_str(), static_cast<int>(r.c.rows), static_cast<int>(r.c.cols),
         static_cast<int>(r.c.k),
         r.c.objective == Objective::kTotalComm ? "total_comm" : "worst_comm",
-        r.c.start == StartKind::kPerturbed ? "perturbed" : "random", r.threads,
-        r.reps,
+        r.c.start == StartKind::kPerturbed ? "perturbed" : "random", r.reps,
         static_cast<long long>(r.moves), static_cast<long long>(r.passes),
         r.seconds, r.moves_per_sec(), r.passes_per_sec(), r.final_fitness,
         i + 1 < rows.size() ? "," : "");
@@ -225,8 +170,6 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const bool quick = args.flag("quick") || quick_mode_enabled();
   const double budget = args.real("seconds", quick ? 0.1 : 1.0);
-  const std::vector<int> thread_list =
-      parse_thread_list(args.str("threads", "1,2,4,8"));
 
   std::vector<Case> cases = {
       {32, 32, 4, Objective::kTotalComm, StartKind::kRandom},
@@ -251,24 +194,6 @@ int main(int argc, char** argv) {
     if (c.rows <= 32) rows.push_back(bench_kl(g, c, budget));
   }
 
-  // Thread scaling of the parallel batch engine on a mesh big enough to
-  // shard (a fat random-start boundary): serial frontier baseline first,
-  // then hill_climb_parallel at each requested pool width (threads=1 is the
-  // bit-identical serial fallback — its moves/sec IS the overhead-free
-  // baseline for the speedup ratio).
-  const std::vector<Case> parallel_cases =
-      quick ? std::vector<Case>{
-                  {64, 64, 16, Objective::kTotalComm, StartKind::kRandom}}
-            : std::vector<Case>{
-                  {512, 512, 16, Objective::kTotalComm, StartKind::kRandom},
-                  {512, 512, 16, Objective::kTotalComm, StartKind::kPerturbed}};
-  for (const Case& c : parallel_cases) {
-    const Graph g = make_grid(c.rows, c.cols);
-    rows.push_back(bench_hill_climb(g, c, HillClimbMode::kFrontier, budget));
-    for (const int t : thread_list) {
-      rows.push_back(bench_parallel(g, c, t, budget));
-    }
-  }
   emit_json(rows);
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/executor.hpp"
 
 namespace gapart {
 
@@ -170,143 +169,6 @@ HillClimbResult climb_frontier(PartitionState& state,
   return result;
 }
 
-/// Per-thread connectivity scratch for parallel scoring.  Pool workers are
-/// persistent (Executor spawns them once), so thread_local reuse across
-/// rounds and climbs is allocation-free after warmup; resized when the part
-/// count differs.  Safe because one thread scores one claimed range at a
-/// time — the executor never interleaves another task mid-range.
-ConnectivityScratch& thread_scratch(std::size_t num_parts) {
-  static thread_local ConnectivityScratch scratch;
-  if (scratch.size() != num_parts) scratch.resize(num_parts);
-  return scratch;
-}
-
-/// Parallel frontier climb: kFrontier's worklist processed in batch rounds.
-/// Each round
-///   1. scores every worklist vertex in parallel against the FROZEN state
-///      (best_move_with into per-thread scratches; the state is only read),
-///   2. serially applies the non-conflicting subset in ascending worklist
-///      order via apply_candidate_batch — closed-neighbourhood conflicts are
-///      deferred to the next round, part-coupled gains re-validated with the
-///      serial kernel (the batch-seam re-validation), so every applied move
-///      improves fitness by more than min_gain and the climb stays monotone,
-///   3. rebuilds the worklist from the movers, their neighbours, and the
-///      deferrals — the same membership rule as kFrontier.
-/// A round's scored array is indexed by worklist position, so the outcome is
-/// independent of thread count and scheduling (for any threads >= 2; one
-/// thread delegates to climb_frontier and is bit-identical to serial).  The
-/// full-boundary verification-round discipline is kFrontier's, so the
-/// fixed-point class is preserved.  Termination: a deferral requires an
-/// earlier applied move in the same round, so a round either applies a move
-/// (bounded by monotone fitness and min_gain > 0) or drains the worklist.
-HillClimbResult climb_parallel_frontier(PartitionState& state,
-                                        const FitnessParams& params,
-                                        const HillClimbOptions& options) {
-  if (options.executor == nullptr || options.executor->num_threads() <= 1) {
-    return climb_frontier(state, params, options);
-  }
-  Executor& pool = *options.executor;
-  HillClimbResult result;
-  const Graph& g = state.graph();
-  const bool seeded = !options.seed_vertices.empty();
-  const auto k = static_cast<std::size_t>(state.num_parts());
-
-  EpochFlags& queued = state.visit_scratch();
-  // Both sources are already ascending (sorted copies), so round 1's apply
-  // order matches the serial frontier's first pass.
-  std::vector<VertexId> current =
-      seeded ? state.filter_boundary(options.seed_vertices)
-             : state.boundary_vertices();
-  for (const VertexId v : current) queued.set(v);
-
-  std::vector<CandidateMove> scored;
-  std::vector<CandidateMove> applied;
-  std::vector<VertexId> deferred;
-  std::vector<VertexId> next;
-
-  bool full_pass = !seeded;  // current covers the entire boundary
-  int full_rounds = seeded ? 0 : 1;  // an unseeded seed pass is round 1
-  bool moved_since_full_pass = false;
-  while (!cancelled(options)) {
-    int moves_this_pass = 0;
-    if (!current.empty()) {
-      ++result.passes;
-      ++result.batch_rounds;
-      result.batch_candidates += static_cast<std::int64_t>(current.size());
-
-      // Clean the lazy max-cut cache before fanning out: under kWorstComm
-      // the scorers read it through fitness(), and a dirty cache would make
-      // that read a write (racy).  No moves happen between here and apply.
-      state.max_part_cut();
-      scored.assign(current.size(), CandidateMove{});
-      pool.parallel_for(
-          current.size(), options.parallel_grain,
-          [&](std::size_t begin, std::size_t end) {
-            ConnectivityScratch& scratch = thread_scratch(k);
-            for (std::size_t i = begin; i < end; ++i) {
-              const VertexId v = current[i];
-              if (!state.is_boundary(v)) continue;  // leave scored[i].v = -1
-              const BestMove best =
-                  state.best_move_with(scratch, v, params, options.min_gain);
-              scored[i] = CandidateMove{v, best.to, best.gain};
-            }
-          });
-      for (const CandidateMove& c : scored) result.examined += c.v >= 0;
-
-      for (const VertexId v : current) queued.reset(v);
-      applied.clear();
-      deferred.clear();
-      const BatchApplyStats stats = state.apply_candidate_batch(
-          scored, params, options.min_gain, &applied, &deferred);
-      moves_this_pass = stats.applied;
-      result.moves += stats.applied;
-      result.fitness_gain += stats.fitness_gain;
-      result.batch_deferred += stats.deferred;
-      result.batch_revalidated += stats.revalidated;
-      result.examined += stats.revalidated;  // each is one more kernel probe
-
-      // Next worklist: movers, their disturbed neighbours, and this round's
-      // deferrals (a deferral need not be adjacent to any mover — two
-      // candidates can clash through a shared neighbour — so it must be
-      // re-enqueued explicitly).  Deduplicated via the queued flags,
-      // ascending for a deterministic apply order next round.
-      const auto enqueue = [&](VertexId u) {
-        if (!queued.test(u) && state.is_boundary(u)) {
-          queued.set(u);
-          next.push_back(u);
-        }
-      };
-      for (const CandidateMove& m : applied) {
-        enqueue(m.v);
-        for (const VertexId u : g.neighbors(m.v)) enqueue(u);
-      }
-      for (const VertexId v : deferred) enqueue(v);
-    }
-    if (full_pass && moves_this_pass == 0) break;  // verified fixed point
-    moved_since_full_pass |= moves_this_pass > 0;
-
-    if (!next.empty()) {
-      std::sort(next.begin(), next.end());
-      current.swap(next);
-      next.clear();
-      full_pass = false;
-    } else if (options.verify_fixed_point &&
-               (moved_since_full_pass || full_rounds == 0) &&
-               full_rounds < options.max_passes) {
-      // Drained: same verification-round rule as climb_frontier.
-      current = state.boundary_vertices();
-      for (const VertexId v : current) queued.set(v);
-      full_pass = true;
-      ++full_rounds;
-      ++result.verify_rounds;
-      moved_since_full_pass = false;
-    } else {
-      break;
-    }
-  }
-  return result;
-}
-
 HillClimbResult climb_impl(PartitionState& state, const FitnessParams& params,
                            const HillClimbOptions& options,
                            const EvalContext* eval) {
@@ -318,9 +180,6 @@ HillClimbResult climb_impl(PartitionState& state, const FitnessParams& params,
       break;
     case HillClimbMode::kFrontier:
       result = climb_frontier(state, params, options);
-      break;
-    case HillClimbMode::kParallelFrontier:
-      result = climb_parallel_frontier(state, params, options);
       break;
   }
   if (eval != nullptr) eval->count_delta(result.moves);

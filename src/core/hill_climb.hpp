@@ -33,20 +33,9 @@
 
 namespace gapart {
 
-class Executor;
-
 enum class HillClimbMode {
   kSweep,     ///< Paper §3.6: full ascending vertex scan per pass.
   kFrontier,  ///< Boundary worklist; revisit only changed neighbourhoods.
-  /// kFrontier's worklist driven in batch rounds: each round scores the
-  /// whole worklist in parallel on an Executor (per-thread scratches against
-  /// the frozen state), then serially applies the non-conflicting subset via
-  /// PartitionState::apply_candidate_batch and re-validates gains at batch
-  /// seams.  Same worklist membership and verification-round discipline as
-  /// kFrontier — same fixed-point class — though possibly via a different
-  /// move order.  Falls back to kFrontier (bit-identical) when
-  /// options.executor is null or has one thread.
-  kParallelFrontier,
 };
 
 struct HillClimbOptions {
@@ -78,18 +67,8 @@ struct HillClimbOptions {
   /// likely-zero-gain bucket (vertices whose best move was just taken).
   /// Both buckets stay ascending, so runs are deterministic, and worklist
   /// membership and the verification rounds are unchanged — same fixed-point
-  /// class, different move order.  Ignored by kSweep and kParallelFrontier
-  /// (batch rounds score the whole worklist at once, so intra-round order
-  /// only affects the serial apply, which is already ascending).
+  /// class, different move order.  Ignored by kSweep.
   bool gain_ordered = false;
-  /// kParallelFrontier only: the pool that scores batch rounds.  Null (or a
-  /// single-threaded pool) falls back to the serial kFrontier climb,
-  /// bit-identically.  Non-owning; must outlive the climb.
-  Executor* executor = nullptr;
-  /// kParallelFrontier only: consecutive worklist entries one pool thread
-  /// scores per claim (0 = let the executor choose).  The result does not
-  /// depend on it — scores land indexed by worklist position.
-  std::size_t parallel_grain = 0;
   /// Cooperative cancellation, checked at pass/round boundaries: when it
   /// reads true the climb stops early and returns the (monotone) progress
   /// made so far.  Non-owning; null means never cancelled.  Used by the
@@ -107,14 +86,6 @@ struct HillClimbResult {
   /// kFrontier: full-boundary verification rounds run after a seeded or
   /// cascaded worklist drained (0 in kSweep).
   int verify_rounds = 0;
-  /// kParallelFrontier only (0 elsewhere, and when the climb fell back to
-  /// the serial path): batch scoring rounds, candidates scored across all
-  /// rounds, candidates deferred at batch seams (closed-neighbourhood
-  /// conflicts), and part-coupled candidates re-validated serially.
-  int batch_rounds = 0;
-  std::int64_t batch_candidates = 0;
-  std::int64_t batch_deferred = 0;
-  std::int64_t batch_revalidated = 0;
 };
 
 /// Climbs `state` to a local optimum (or until max_passes).  Monotone:

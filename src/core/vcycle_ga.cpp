@@ -222,12 +222,6 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     hc.verify_fixed_point = true;
     hc.seed_vertices = state.boundary_vertices();
     hc.cancel = options.cancel;
-    if (executor != nullptr && executor->num_threads() > 1 &&
-        lg.num_vertices() >=
-            static_cast<VertexId>(options.parallel_refine_min_vertices)) {
-      hc.mode = HillClimbMode::kParallelFrontier;
-      hc.executor = executor;
-    }
     const HillClimbResult climb = hill_climb(eval, state, hc);
     report.climb_moves = climb.moves;
     report.fitness_after = state.fitness(params);

@@ -18,8 +18,7 @@
 //   uncoarsen each prolongation seeds a frontier repair climb
 //             (hill_climb_from machinery) from the projected boundary: the
 //             cascade costs O(boundary damage), and the verification rounds
-//             restore the sweep fixed-point class.  Large levels shard the
-//             climb over the Executor (kParallelFrontier).
+//             restore the sweep fixed-point class.
 //
 // Evolution depth is adaptive (Preen & Smith's multilevel GA observation):
 // ascending GAs stop as soon as a level's relative improvement falls below
@@ -112,9 +111,6 @@ struct VcycleGaOptions {
   int refine_verify_passes = 4;
   double refine_min_gain = 1e-9;
   bool refine_gain_ordered = true;
-  /// Levels at least this large shard the climb over the Executor
-  /// (HillClimbMode::kParallelFrontier); smaller levels stay serial.
-  VertexId parallel_refine_min_vertices = 1 << 16;
 
   /// Cooperative cancellation, checked between levels and threaded into the
   /// climbs: progress made so far is kept (monotone).  Non-owning.

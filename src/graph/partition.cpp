@@ -156,8 +156,6 @@ PartitionState::PartitionState(const Graph& g, Assignment a, PartId num_parts)
 
   conn_.resize(static_cast<std::size_t>(num_parts_));
   visit_flags_.resize(n);
-  batch_touched_.resize(n);
-  part_touched_.resize(static_cast<std::size_t>(num_parts_));
 }
 
 double PartitionState::max_part_cut() const {
@@ -321,7 +319,6 @@ void PartitionState::rebind_grown(const Graph& grown,
 
   g_ = &grown;
   visit_flags_.grow(sz_new);
-  batch_touched_.grow(sz_new);
 
   // Re-add the damage set's cut contributions and boundary state from the
   // grown graph.  A neighbour of a new vertex, and either endpoint of a
@@ -362,14 +359,13 @@ void PartitionState::rebind_grown(const Graph& grown,
   max_cut_dirty_ = false;
 }
 
-double PartitionState::scan_connectivity(ConnectivityScratch& conn,
-                                         VertexId v) const {
+double PartitionState::scan_connectivity(VertexId v) const {
   const auto nbrs = g_->neighbors(v);
   const auto wgts = g_->edge_weights(v);
-  conn.begin();
+  conn_.begin();
   double wdeg = 0.0;
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    conn.add(assign_[static_cast<std::size_t>(nbrs[i])], wgts[i]);
+    conn_.add(assign_[static_cast<std::size_t>(nbrs[i])], wgts[i]);
     wdeg += wgts[i];
   }
   return wdeg;
@@ -390,12 +386,11 @@ PartitionState::ScanGainContext PartitionState::make_scan_context(
   return ctx;
 }
 
-double PartitionState::gain_from_scan(const ConnectivityScratch& conn,
-                                      const ScanGainContext& ctx, PartId to,
+double PartitionState::gain_from_scan(const ScanGainContext& ctx, PartId to,
                                       double others_max,
                                       const FitnessParams& params) const {
-  const double cf = conn[ctx.from];
-  const double ct = conn[to];
+  const double cf = conn_[ctx.from];
+  const double ct = conn_[to];
 
   const double wt = part_weight_[static_cast<std::size_t>(to)];
   const double new_imb =
@@ -419,20 +414,12 @@ double PartitionState::gain_from_scan(const ConnectivityScratch& conn,
 
 BestMove PartitionState::best_move(VertexId v, const FitnessParams& params,
                                    double min_gain) const {
-  return best_move_with(conn_, v, params, min_gain);
-}
-
-BestMove PartitionState::best_move_with(ConnectivityScratch& scratch,
-                                        VertexId v,
-                                        const FitnessParams& params,
-                                        double min_gain) const {
   GAPART_ASSERT(v >= 0 && v < g_->num_vertices());
-  GAPART_ASSERT(scratch.size() == static_cast<std::size_t>(num_parts_));
   BestMove best;
   if (!is_boundary(v)) return best;
 
   const PartId from = assign_[static_cast<std::size_t>(v)];
-  const double wdeg = scan_connectivity(scratch, v);
+  const double wdeg = scan_connectivity(v);
 
   // Under kWorstComm every candidate needs max C(q) over q not in
   // {from, to}: precompute the top-2 cuts over q != from once (floored at 0,
@@ -461,10 +448,10 @@ BestMove PartitionState::best_move_with(ConnectivityScratch& scratch,
   // order-independent and deterministic.
   const ScanGainContext ctx = make_scan_context(v, from, wdeg, params);
   double best_gain = min_gain;
-  for (const PartId to : scratch.touched()) {
+  for (const PartId to : conn_.touched()) {
     if (to == from) continue;
     const double others = to == top1_part ? top2 : top1;
-    const double gain = gain_from_scan(scratch, ctx, to, others, params);
+    const double gain = gain_from_scan(ctx, to, others, params);
     ++best.candidates;
     if (gain > best_gain ||
         (gain == best_gain && best.to >= 0 && to < best.to)) {
@@ -483,7 +470,7 @@ double PartitionState::move_gain(VertexId v, PartId to,
   const PartId from = assign_[static_cast<std::size_t>(v)];
   if (from == to) return 0.0;
 
-  const double wdeg = scan_connectivity(conn_, v);
+  const double wdeg = scan_connectivity(v);
   double others_max = 0.0;
   if (params.objective == Objective::kWorstComm) {
     for (PartId q = 0; q < num_parts_; ++q) {
@@ -492,85 +479,8 @@ double PartitionState::move_gain(VertexId v, PartId to,
           std::max(others_max, part_cut_[static_cast<std::size_t>(q)]);
     }
   }
-  return gain_from_scan(conn_, make_scan_context(v, from, wdeg, params), to,
+  return gain_from_scan(make_scan_context(v, from, wdeg, params), to,
                         others_max, params);
-}
-
-BatchApplyStats PartitionState::apply_candidate_batch(
-    std::span<const CandidateMove> candidates, const FitnessParams& params,
-    double min_gain, std::vector<CandidateMove>* applied,
-    std::vector<VertexId>* deferred) {
-  BatchApplyStats stats;
-  batch_touched_.clear();
-  part_touched_.clear();
-  bool any_applied = false;
-
-  for (const CandidateMove& c : candidates) {
-    if (c.to < 0) continue;  // scorer found nothing above min_gain
-    const VertexId v = c.v;
-    GAPART_ASSERT(v >= 0 && v < g_->num_vertices());
-    GAPART_ASSERT(c.to < num_parts_);
-
-    // Closed-neighbourhood conflict: an applied move m marked N[m] ∪ {m};
-    // candidate v is stale iff N[v] ∪ {v} hits a mark — exactly
-    // (N[v] ∪ {v}) ∩ (N[m] ∪ {m}) ≠ ∅, i.e. the scan-time connectivity of v
-    // saw a part assignment that has since changed (or v itself moved).
-    bool dirty = batch_touched_.test(v);
-    if (!dirty) {
-      for (const VertexId u : g_->neighbors(v)) {
-        if (batch_touched_.test(u)) {
-          dirty = true;
-          break;
-        }
-      }
-    }
-    if (dirty) {
-      ++stats.deferred;
-      if (deferred) deferred->push_back(v);
-      continue;
-    }
-
-    // v's neighbourhood is untouched, so its part is still the scan-time one
-    // and a scorer-produced candidate never targets it; skip defensively for
-    // caller-constructed batches.
-    const PartId from = assign_[static_cast<std::size_t>(v)];
-    if (from == c.to) continue;
-
-    // Part coupling: the frozen gain folded in the from/to part weights (and
-    // under kWorstComm the global max cut, which ANY applied move can shift).
-    // With both parts untouched and — under kWorstComm — no move applied yet,
-    // the frozen gain is exact: its imbalance delta reads only the from/to
-    // weights and its cut delta only v's neighbour parts, all unchanged.
-    const bool parts_clean = !part_touched_.test(from) &&
-                             !part_touched_.test(c.to);
-    const bool exact =
-        parts_clean &&
-        (params.objective == Objective::kTotalComm || !any_applied);
-
-    PartId to = c.to;
-    double gain = c.gain;
-    if (!exact) {
-      ++stats.revalidated;
-      const BestMove re = best_move(v, params, min_gain);
-      if (re.to < 0) {
-        ++stats.rejected;
-        continue;
-      }
-      to = re.to;
-      gain = re.gain;
-    }
-
-    move(v, to);
-    any_applied = true;
-    ++stats.applied;
-    stats.fitness_gain += gain;
-    batch_touched_.set(v);
-    for (const VertexId u : g_->neighbors(v)) batch_touched_.set(u);
-    part_touched_.set(from);
-    part_touched_.set(to);
-    if (applied) applied->push_back(CandidateMove{v, to, gain});
-  }
-  return stats;
 }
 
 std::vector<VertexId> PartitionState::boundary_vertices() const {
@@ -595,7 +505,7 @@ std::vector<VertexId> PartitionState::filter_boundary(
 
 std::vector<PartId> PartitionState::neighbor_parts(VertexId v) const {
   const PartId from = assign_[static_cast<std::size_t>(v)];
-  scan_connectivity(conn_, v);
+  scan_connectivity(v);
   std::vector<PartId> out;
   for (const PartId p : conn_.touched()) {
     if (p != from) out.push_back(p);

@@ -81,23 +81,6 @@ struct BestMove {
   int candidates = 0;  ///< Adjacent parts the kernel evaluated.
 };
 
-/// One scored boundary move: produced by a (possibly parallel) scoring pass
-/// against a frozen state, consumed by PartitionState::apply_candidate_batch.
-struct CandidateMove {
-  VertexId v = -1;
-  PartId to = -1;     ///< -1 marks "no move found" — skipped by the apply.
-  double gain = 0.0;  ///< Gain against the state the candidate was scored on.
-};
-
-/// Outcome accounting for one apply_candidate_batch() round.
-struct BatchApplyStats {
-  int applied = 0;      ///< Moves executed through the delta move path.
-  int deferred = 0;     ///< Closed-neighbourhood conflicts, pushed to `deferred`.
-  int revalidated = 0;  ///< Part-coupled candidates rescored serially.
-  int rejected = 0;     ///< Revalidated candidates that fell to/below min_gain.
-  double fitness_gain = 0.0;  ///< Exact fitness improvement of the batch.
-};
-
 /// A mutable partition with incrementally maintained metrics and boundary.
 ///
 /// This is the refinement engine under hill climbing (§3.6), Kernighan–Lin,
@@ -175,38 +158,6 @@ class PartitionState {
   BestMove best_move(VertexId v, const FitnessParams& params,
                      double min_gain = 0.0) const;
 
-  /// best_move() scanning into a caller-owned scratch (sized to num_parts())
-  /// instead of the state's shared one — what lets parallel scorers run
-  /// concurrently against one const state, each with a per-thread scratch.
-  /// Under kWorstComm the lazy max-cut cache must be clean before fanning out
-  /// (call max_part_cut() once, serially); with that established the call is
-  /// a pure read of the state.
-  BestMove best_move_with(ConnectivityScratch& scratch, VertexId v,
-                          const FitnessParams& params,
-                          double min_gain = 0.0) const;
-
-  /// Applies one conflict-screened batch of candidates scored against the
-  /// current (frozen) state, in candidate order:
-  ///   * A candidate whose closed neighbourhood intersects an already-applied
-  ///     move's closed neighbourhood is DEFERRED (its scan-time connectivity
-  ///     is stale) — appended to `deferred` for the caller's next worklist.
-  ///   * A candidate whose source/destination part weights couple with an
-  ///     applied move (either part touched; under kWorstComm any applied move,
-  ///     since the max-cut term couples every part) is REVALIDATED with the
-  ///     serial gain kernel and applied only if still above `min_gain`.
-  ///   * Everything else is provably exact under the frozen scores (the gain
-  ///     delta reads only the candidate's neighbour parts and its own from/to
-  ///     weights) and is applied as scored.
-  /// Only moves with exact-or-revalidated gain > min_gain are applied, so the
-  /// batch is monotone: fitness_gain is their exact total fitness delta.
-  /// Applied moves (with charged gains) are appended to `applied` when
-  /// non-null.  O(sum over candidates of deg) plus O(deg + k) per
-  /// revalidation.
-  BatchApplyStats apply_candidate_batch(
-      std::span<const CandidateMove> candidates, const FitnessParams& params,
-      double min_gain, std::vector<CandidateMove>* applied,
-      std::vector<VertexId>* deferred);
-
   /// Fitness delta that move(v, to) would produce, without applying it.
   /// Thin wrapper over the gain kernel; O(deg(v) + num_parts).
   double move_gain(VertexId v, PartId to, const FitnessParams& params) const;
@@ -273,19 +224,17 @@ class PartitionState {
     double base_fitness = 0.0;
   };
 
-  /// One pass over neighbors(v): fills `conn` with per-part edge weight and
-  /// returns v's weighted degree.  Parameterised on the scratch so parallel
-  /// scorers can bring their own (best_move_with); serial paths pass conn_.
-  double scan_connectivity(ConnectivityScratch& conn, VertexId v) const;
+  /// One pass over neighbors(v): fills conn_ with per-part edge weight and
+  /// returns v's weighted degree.
+  double scan_connectivity(VertexId v) const;
 
   ScanGainContext make_scan_context(VertexId v, PartId from, double wdeg,
                                     const FitnessParams& params) const;
 
-  /// Gain of moving the vertex scanned into `conn` to `to`.  `others_max`
-  /// must be max(0, max part cut over parts other than from/to) — only read
-  /// under kWorstComm.
-  double gain_from_scan(const ConnectivityScratch& conn,
-                        const ScanGainContext& ctx, PartId to,
+  /// Gain of moving the scanned vertex to `to`.  `others_max` must be
+  /// max(0, max part cut over parts other than from/to) — only read under
+  /// kWorstComm.
+  double gain_from_scan(const ScanGainContext& ctx, PartId to,
                         double others_max, const FitnessParams& params) const;
 
   /// Syncs the boundary flag / frontier membership of u with ext_deg_[u].
@@ -316,12 +265,6 @@ class PartitionState {
   // Reusable kernel scratch (see class comment re: thread safety).
   mutable ConnectivityScratch conn_;
   EpochFlags visit_flags_;
-
-  // apply_candidate_batch bookkeeping: vertices whose scan-time connectivity
-  // an applied move invalidated (the mover's closed neighbourhood), and parts
-  // whose weight/cut an applied move changed.  Epoch-cleared per batch.
-  EpochFlags batch_touched_;  ///< vertex-indexed
-  EpochFlags part_touched_;   ///< part-indexed
 };
 
 }  // namespace gapart

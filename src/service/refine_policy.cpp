@@ -51,13 +51,6 @@ RefineDepth decide_refinement(const RefinePolicyConfig& config,
   return RefineDepth::kLight;
 }
 
-bool route_refinement_parallel(const RefinePolicyConfig& config,
-                               VertexId num_vertices, int pool_threads) {
-  return config.parallel_refine_min_vertices > 0 &&
-         num_vertices >= config.parallel_refine_min_vertices &&
-         pool_threads > 1;
-}
-
 bool route_deep_vcycle(const RefinePolicyConfig& config,
                        VertexId num_vertices) {
   return config.vcycle_min_vertices > 0 &&

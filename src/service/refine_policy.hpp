@@ -60,14 +60,6 @@ struct RefinePolicyConfig {
   /// them and rely on kLight only).
   bool allow_deep = true;
 
-  /// Route the kLight frontier climb of a session at least this large to the
-  /// parallel batch engine (HillClimbMode::kParallelFrontier) when the
-  /// service pool has more than one thread.  Small sessions stay serial: a
-  /// batch round costs one pool fan-out plus a seam re-validation pass, which
-  /// only pays for itself once the boundary is big enough to shard.  <= 0
-  /// disables parallel routing entirely.
-  VertexId parallel_refine_min_vertices = 1 << 16;
-
   /// Route the kDeep tier of a session at least this large to the multilevel
   /// V-cycle engine (core/vcycle_ga.hpp) instead of the flat DPGA burst: a
   /// flat GA's search degrades with |V| (the paper's conclusion), while the
@@ -102,13 +94,6 @@ double fitness_degradation(double current_fitness, double baseline_fitness);
 /// The policy: pure, deterministic, no side effects.
 RefineDepth decide_refinement(const RefinePolicyConfig& config,
                               const RefineSignals& signals);
-
-/// Should a kLight refinement of a `num_vertices`-vertex session run on the
-/// parallel batch engine?  Pure, like decide_refinement: true iff routing is
-/// enabled, the session meets the size floor, and `pool_threads` > 1 (a
-/// one-thread pool would fall back to the serial climb anyway).
-bool route_refinement_parallel(const RefinePolicyConfig& config,
-                               VertexId num_vertices, int pool_threads);
 
 /// Should a kDeep refinement of a `num_vertices`-vertex session run the
 /// multilevel V-cycle engine instead of the flat DPGA burst?  Pure: true iff

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <functional>
 #include <optional>
-#include <queue>
 
+#include "baselines/greedy_incremental.hpp"
 #include "common/assert.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stats.hpp"
@@ -14,7 +13,6 @@
 #include "core/hill_climb.hpp"
 #include "core/init.hpp"
 #include "core/presets.hpp"
-#include "graph/connectivity_scratch.hpp"
 #include "graph/delta_codec.hpp"
 #include "graph/io.hpp"
 
@@ -66,102 +64,32 @@ PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
 
 std::vector<PartId> PartitionSession::extend_parts(const Graph& grown,
                                                    VertexId n_old) const {
-  const VertexId n = grown.num_vertices();
-  const auto n_new = static_cast<std::size_t>(n - n_old);
-  std::vector<PartId> parts(n_new, -1);
-  if (n_new == 0) return parts;
-
   const PartId k = config_.num_parts;
   std::vector<double> part_weight(static_cast<std::size_t>(k));
   for (PartId q = 0; q < k; ++q) {
     part_weight[static_cast<std::size_t>(q)] = state_.part_weight(q);
   }
-  const Assignment& old_assign = state_.assignment();
-  const auto part_of = [&](VertexId u) -> PartId {
-    return u < n_old ? old_assign[static_cast<std::size_t>(u)]
-                     : parts[static_cast<std::size_t>(u - n_old)];
-  };
-
-  if (!config_.greedy_extend) {
-    // Balanced extension (§3.5's random dealing, made deterministic):
-    // every new vertex to the currently lightest part, lowest id on ties.
-    for (VertexId v = n_old; v < n; ++v) {
-      PartId choice = 0;
-      for (PartId q = 1; q < k; ++q) {
-        if (part_weight[static_cast<std::size_t>(q)] <
-            part_weight[static_cast<std::size_t>(choice)]) {
-          choice = q;
-        }
-      }
-      parts[static_cast<std::size_t>(v - n_old)] = choice;
-      part_weight[static_cast<std::size_t>(choice)] += grown.vertex_weight(v);
-    }
-    return parts;
+  if (config_.greedy_extend) {
+    // Tier 1: the greedy baseline's extension kernel over the new range
+    // only, so one delta costs O(new * deg + new log new + k), never O(V).
+    return greedy_extend_parts(grown, state_.assignment(),
+                               std::move(part_weight));
   }
 
-  // Tier 1 of the PR 4 pipeline (greedy_incremental_assign), restated over
-  // the new range only so one delta costs O(new * deg + new log new + k),
-  // never O(V): most-constrained-first pick order via a lazy bucket queue,
-  // edge-weighted majority vote, ties to the lightest part then lowest id.
-  std::vector<std::int32_t> assigned_nbrs(n_new, 0);
-  using MinIdHeap =
-      std::priority_queue<VertexId, std::vector<VertexId>, std::greater<>>;
-  std::vector<MinIdHeap> buckets;
-  std::int32_t cur_max = 0;
-  const auto push_bucket = [&](VertexId v, std::int32_t c) {
-    if (static_cast<std::size_t>(c) >= buckets.size()) {
-      buckets.resize(static_cast<std::size_t>(c) + 1);
-    }
-    buckets[static_cast<std::size_t>(c)].push(v);
-    cur_max = std::max(cur_max, c);
-  };
+  // Balanced extension (§3.5's random dealing, made deterministic): every
+  // new vertex to the currently lightest part, lowest id on ties.
+  const VertexId n = grown.num_vertices();
+  std::vector<PartId> parts(static_cast<std::size_t>(n - n_old));
   for (VertexId v = n_old; v < n; ++v) {
-    std::int32_t c = 0;
-    for (VertexId u : grown.neighbors(v)) c += part_of(u) >= 0;
-    assigned_nbrs[static_cast<std::size_t>(v - n_old)] = c;
-    push_bucket(v, c);
-  }
-
-  ConnectivityScratch votes(static_cast<std::size_t>(k));
-  for (std::size_t remaining = n_new; remaining > 0; --remaining) {
-    VertexId v = -1;
-    while (v < 0) {
-      auto& bucket = buckets[static_cast<std::size_t>(cur_max)];
-      if (bucket.empty()) {
-        --cur_max;
-        continue;
-      }
-      const VertexId cand = bucket.top();
-      bucket.pop();
-      if (parts[static_cast<std::size_t>(cand - n_old)] < 0 &&
-          assigned_nbrs[static_cast<std::size_t>(cand - n_old)] == cur_max) {
-        v = cand;
-      }
-    }
-
-    votes.begin();
-    const auto nbrs = grown.neighbors(v);
-    const auto wgts = grown.edge_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const PartId p = part_of(nbrs[i]);
-      if (p >= 0) votes.add(p, wgts[i]);
-    }
     PartId choice = 0;
     for (PartId q = 1; q < k; ++q) {
-      const auto uq = static_cast<std::size_t>(q);
-      const auto uc = static_cast<std::size_t>(choice);
-      if (votes[q] > votes[choice] ||
-          (votes[q] == votes[choice] && part_weight[uq] < part_weight[uc])) {
+      if (part_weight[static_cast<std::size_t>(q)] <
+          part_weight[static_cast<std::size_t>(choice)]) {
         choice = q;
       }
     }
     parts[static_cast<std::size_t>(v - n_old)] = choice;
     part_weight[static_cast<std::size_t>(choice)] += grown.vertex_weight(v);
-    for (const VertexId u : nbrs) {
-      if (u >= n_old && parts[static_cast<std::size_t>(u - n_old)] < 0) {
-        push_bucket(u, ++assigned_nbrs[static_cast<std::size_t>(u - n_old)]);
-      }
-    }
   }
   return parts;
 }
@@ -616,15 +544,6 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   opt.min_gain = config.repair_min_gain;
   opt.max_passes = config.refine_hill_climb_passes;
   opt.cancel = job.cancel.get();
-  // Large sessions shard their boundary over the service pool: the policy
-  // routes them to the parallel batch engine, which falls back to this same
-  // serial climb when the pool is effectively single-threaded.
-  if (route_refinement_parallel(config.policy, g.num_vertices(),
-                                executor != nullptr ? executor->num_threads()
-                                                    : 1)) {
-    opt.mode = HillClimbMode::kParallelFrontier;
-    opt.executor = executor;
-  }
   {
     GAPART_SPAN("refine.climb");
     hill_climb(eval, state, opt);

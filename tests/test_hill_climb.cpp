@@ -409,12 +409,16 @@ TEST_P(SeededRepairFuzz, SameFixedPointClassAsFullBoundaryFrontier) {
   EXPECT_GE(seeded.fitness(opt.fitness), before);
   EXPECT_NEAR(seeded.fitness(opt.fitness) - before, res_seeded.fitness_gain,
               1e-9);
+  EXPECT_GE(res_seeded.verify_rounds, 1);  // a seeded climb owes one
   expect_fixed_point(seeded, opt, "seeded");
 
   HillClimbOptions frontier = opt;
   frontier.mode = HillClimbMode::kFrontier;
   PartitionState full(g, d.start, k);
-  hill_climb(full, frontier);
+  const auto res_full = hill_climb(full, frontier);
+  EXPECT_GE(full.fitness(opt.fitness), before);
+  EXPECT_NEAR(full.fitness(opt.fitness) - before, res_full.fitness_gain,
+              1e-9);
   expect_fixed_point(full, opt, "full boundary");
 }
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/greedy_incremental.hpp"
 #include "bench_common.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -27,8 +28,8 @@ namespace gapart {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Policy units: decide_refinement / route_refinement_parallel are pure, so
-// the trigger matrix is testable without sessions or clocks.
+// Policy units: decide_refinement is pure, so the trigger matrix is testable
+// without sessions or clocks.
 
 RefinePolicyConfig policy_config() {
   RefinePolicyConfig c;
@@ -120,24 +121,6 @@ TEST(RefinePolicy, DegradationIsRelativeAndClampedAtZero) {
   EXPECT_DOUBLE_EQ(fitness_degradation(-110.0, -100.0), 0.1);
   EXPECT_DOUBLE_EQ(fitness_degradation(-90.0, -100.0), 0.0);  // improved
   EXPECT_DOUBLE_EQ(fitness_degradation(-0.5, 0.0), 0.5);  // zero baseline
-}
-
-TEST(RefinePolicy, ParallelRoutingNeedsSizeAndThreads) {
-  RefinePolicyConfig c;
-  c.parallel_refine_min_vertices = 1000;
-  EXPECT_TRUE(route_refinement_parallel(c, 1000, 4));
-  EXPECT_TRUE(route_refinement_parallel(c, 5000, 2));
-  EXPECT_FALSE(route_refinement_parallel(c, 999, 4));   // below the floor
-  EXPECT_FALSE(route_refinement_parallel(c, 5000, 1));  // serial pool
-  EXPECT_FALSE(route_refinement_parallel(c, 5000, 0));
-}
-
-TEST(RefinePolicy, ParallelRoutingDisabledByNonPositiveFloor) {
-  RefinePolicyConfig c;
-  c.parallel_refine_min_vertices = 0;
-  EXPECT_FALSE(route_refinement_parallel(c, 1 << 20, 8));
-  c.parallel_refine_min_vertices = -1;
-  EXPECT_FALSE(route_refinement_parallel(c, 1 << 20, 8));
 }
 
 // ---------------------------------------------------------------------------
@@ -235,6 +218,30 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
   EXPECT_EQ(st.updates, 8u);
   EXPECT_EQ(st.cut_trajectory.size(), 9u);  // open + 8 repairs
   EXPECT_GT(st.examined, 0);
+}
+
+TEST(PartitionSession, GreedyExtensionMatchesGreedyIncrementalAssign) {
+  // With the repair tier off, an update only extends: the appended vertices
+  // must get exactly the parts the greedy baseline gives them.
+  const PartId k = 4;
+  auto g = shared_grid(12, 12);
+  SessionConfig cfg = basic_config(k);
+  cfg.seeded_repair = false;
+  Rng rng(0x9eed);
+  Assignment start(144);
+  for (auto& p : start) p = static_cast<PartId>(rng.uniform_int(k));
+  PartitionSession session(g, start, cfg);
+
+  std::shared_ptr<const Graph> prev = g;
+  for (const VertexId rows : {13, 15, 18}) {
+    auto grown = shared_grid(rows, 12);
+    const Assignment previous = session.snapshot()->assignment;
+    session.apply_update(grown, diff_graphs(*prev, *grown));
+    EXPECT_EQ(session.snapshot()->assignment,
+              greedy_incremental_assign(*grown, previous, k))
+        << rows << " rows";
+    prev = grown;
+  }
 }
 
 TEST(PartitionSession, ChurnStreamRepairsRewiredWindows) {
@@ -347,7 +354,7 @@ TEST(PartitionSession, RefinementJobLifecycle) {
   EXPECT_EQ(session.stats().refinements_applied, 1);
 }
 
-TEST(PartitionSession, ParallelRoutedRefinementImprovesAndApplies) {
+TEST(PartitionSession, RefinementImprovesAndIsPoolWidthIndependent) {
   const PartId k = 4;
   auto g = shared_grid(16, 16);
   SessionConfig cfg = basic_config(k);
@@ -355,8 +362,6 @@ TEST(PartitionSession, ParallelRoutedRefinementImprovesAndApplies) {
   cfg.policy.damage_threshold = 1;  // fire immediately
   cfg.policy.staleness_updates = 0;
   cfg.policy.quality_watermark = 0.0;
-  // Force the kLight climb of THIS small session onto the parallel engine.
-  cfg.policy.parallel_refine_min_vertices = 1;
 
   Rng rng(0x5eed);
   Assignment scrambled(256);
@@ -373,10 +378,14 @@ TEST(PartitionSession, ParallelRoutedRefinementImprovesAndApplies) {
   EXPECT_GT(out.fitness, job->fitness);  // scrambled start: must improve
   EXPECT_TRUE(
       is_valid_assignment(*job->graph, out.assignment, k));
-  // Routed runs are deterministic for a fixed pool width (scores land
-  // indexed by worklist position; the apply is serial ascending).
+  // Deterministic for a fixed pool width, and the width does not matter:
+  // refinement of one graph is one serial climb.
   const RefineOutcome out2 = run_refinement(*job, cfg, Rng(1), &pool);
   EXPECT_EQ(out.assignment, out2.assignment);
+  Executor one_thread(1);
+  const RefineOutcome out1 = run_refinement(*job, cfg, Rng(1), &one_thread);
+  EXPECT_EQ(out.assignment, out1.assignment);
+  EXPECT_EQ(out.fitness, out1.fitness);
 
   Assignment refined = out.assignment;
   EXPECT_TRUE(session.complete_refinement(*job, std::move(refined),

@@ -172,6 +172,19 @@ TEST(Vcycle, DeterministicAcrossRunsAndExecutors) {
   Executor pool(4);
   const auto c = vcycle_ga_partition(g, opt, r3, &pool);
   EXPECT_EQ(a.assignment, c.assignment);
+
+#ifndef GAPART_TEST_SANITIZED
+  // 256^2: a large finest level is refined by the same serial climb as a
+  // small one, so the pool width must not change the result either.
+  const Graph big = make_grid(256, 256);
+  const VcycleGaOptions big_opt = small_vcycle(8);
+  Executor one_thread(1);
+  Rng r4(41), r5(41);
+  const auto d = vcycle_ga_partition(big, big_opt, r4, &one_thread);
+  const auto e = vcycle_ga_partition(big, big_opt, r5, &pool);
+  EXPECT_EQ(d.assignment, e.assignment);
+  EXPECT_EQ(d.fitness, e.fitness);
+#endif
 }
 
 TEST(Vcycle, RefineNeverWorseThanSeed) {
