@@ -13,21 +13,23 @@
 //             at >= 512^2 / k=2, the thin-front regime ROADMAP asks about,
 //             frontier vs sweep is answered by the same rows.
 //
-//   pipeline: the tiered incremental_repartition (GA tier off) on grids
-//             grown by appended rows: per-tier moves / probes / seconds, so
-//             the damage-proportionality of the whole pipeline — not just
-//             the climb — is on record.
+//   pipeline: repair_step — the session's per-delta repair — on grids
+//             grown by appended rows, from a live state of the old grid:
+//             extension moves, repair moves, probes, verification rounds
+//             and seconds, so the damage-proportionality of the whole step
+//             — not just the climb — is on record.
 //
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "core/hill_climb.hpp"
@@ -101,10 +103,7 @@ struct PipelineRow {
   VertexId n = 0;      // base grid side (square)
   VertexId grow_rows = 0;
   PartId k = 2;
-  VertexId damage = 0;
-  std::vector<IncrementalTierStats> tiers;
-  double best_fitness = 0.0;
-  double seconds = 0.0;
+  RepairReport rep;
 };
 
 PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
@@ -124,18 +123,12 @@ PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
   settle.max_passes = 10;
   hill_climb(old_g, prev, k, settle);
 
-  IncrementalGaOptions opt;
-  opt.dpga.ga.num_parts = k;
-  opt.refine_with_ga = false;  // measure the damage-proportional tiers
-  Rng rng(0x1A2B);
-  const GraphDelta delta = diff_graphs(old_g, grown);
-  WallTimer timer;
-  const IncrementalResult res =
-      incremental_repartition(grown, prev, delta, opt, rng);
-  row.seconds = timer.seconds();
-  row.damage = res.damage;
-  row.tiers = res.tiers;
-  row.best_fitness = res.best_fitness;
+  // Four verification rounds at most, whatever the clock: the counts are
+  // deterministic.
+  PartitionState state(old_g, std::move(prev), k);
+  row.rep = repair_step(state, grown, diff_graphs(old_g, grown), {},
+                        /*max_verify_rounds=*/4,
+                        std::numeric_limits<double>::infinity());
   return row;
 }
 
@@ -162,24 +155,16 @@ void emit_json(const std::vector<RepairRow>& repair,
   std::printf("  \"pipeline\": [\n");
   for (std::size_t i = 0; i < pipeline.size(); ++i) {
     const PipelineRow& p = pipeline[i];
+    const RepairReport& r = p.rep;
     std::printf(
         "    {\"n\": %d, \"grow_rows\": %d, \"k\": %d, \"damage\": %d, "
-        "\"best_fitness\": %.6f, \"seconds\": %.4f, \"tiers\": [",
+        "\"extend_moves\": %d, \"repair_moves\": %d, \"examined\": %lld, "
+        "\"verify_rounds\": %d, \"fitness_after\": %.6f, "
+        "\"seconds\": %.4f}%s\n",
         static_cast<int>(p.n), static_cast<int>(p.grow_rows),
-        static_cast<int>(p.k), static_cast<int>(p.damage), p.best_fitness,
-        p.seconds);
-    for (std::size_t t = 0; t < p.tiers.size(); ++t) {
-      const auto& tier = p.tiers[t];
-      std::printf(
-          "{\"name\": \"%s\", \"moves\": %d, \"examined\": %lld, "
-          "\"evaluations\": %lld, \"fitness_after\": %.6f, "
-          "\"seconds\": %.4f}%s",
-          tier.name.c_str(), tier.moves,
-          static_cast<long long>(tier.examined),
-          static_cast<long long>(tier.evaluations), tier.fitness_after,
-          tier.seconds, t + 1 < p.tiers.size() ? ", " : "");
-    }
-    std::printf("]}%s\n", i + 1 < pipeline.size() ? "," : "");
+        static_cast<int>(p.k), static_cast<int>(r.damage), r.extend_moves,
+        r.repair_moves, static_cast<long long>(r.examined), r.verify_rounds,
+        r.fitness_after, r.seconds, i + 1 < pipeline.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
 }

@@ -11,15 +11,15 @@
 //             at >= 512^2 — is recorded per row as "vcycle_beats_flat".
 //
 //   end_to_end: partition a 1000 x 1000 grid (10^6 vertices) with the
-//             V-cycle, grow it by appended rows, and repair through the
-//             damage-proportional incremental pipeline — the full
-//             partition-then-evolve lifecycle at a scale the flat GA cannot
-//             touch.
+//             V-cycle, grow it by appended rows, and repair the live state
+//             with repair_step — the full partition-then-evolve lifecycle at
+//             a scale the flat GA cannot touch.
 //
 //   ./bench/micro_multilevel [--quick] > multilevel.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -132,21 +132,18 @@ EndToEndRow bench_end_to_end(VertexId n, VertexId grow_rows, PartId k) {
   row.cut = res.metrics.total_cut();
   row.imbalance = res.metrics.imbalance_sq;
 
-  // Grow by appended rows and repair through the damage-proportional
-  // incremental pipeline (GA tier off: the repair cost under measurement is
-  // the delta-proportional part).
+  // Grow by appended rows and repair the live state with repair_step, the
+  // session's per-delta repair (four verification rounds at most, whatever
+  // the clock).  repair_seconds times the step alone, not the state build.
   const Graph grown = make_grid(n + grow_rows, n);
-  const GraphDelta delta = diff_graphs(g, grown);
-  IncrementalGaOptions opt;
-  opt.dpga.ga.num_parts = k;
-  opt.refine_with_ga = false;
-  WallTimer timer;
-  const IncrementalResult inc =
-      incremental_repartition(grown, res.assignment, delta, opt, rng);
-  row.repair_seconds = timer.seconds();
-  row.damage = inc.damage;
-  row.repaired_cut =
-      compute_metrics(grown, inc.best, k).total_cut();
+  PartitionState state(g, res.assignment, k);
+  const RepairReport rep =
+      repair_step(state, grown, diff_graphs(g, grown), {},
+                  /*max_verify_rounds=*/4,
+                  std::numeric_limits<double>::infinity());
+  row.repair_seconds = rep.seconds;
+  row.damage = rep.damage;
+  row.repaired_cut = state.total_cut();
   return row;
 }
 

@@ -7,7 +7,8 @@
 // and churns data placement; the paper's answer is to seed the GA with the
 // previous partition (§3.5).  This example simulates several refinement
 // steps and compares, at every step:
-//   - incremental DKNUX (previous partition seeds the GA),
+//   - incremental DKNUX (the previous partition, repaired by repair_step,
+//     seeds the GA),
 //   - from-scratch RSB on the refined mesh,
 //   - the deterministic majority-assignment strawman from §5,
 // reporting cut quality, balance, and how much of the old data placement
@@ -15,6 +16,7 @@
 //
 //   $ ./adaptive_mesh [--steps=4] [--base=150] [--extra=30] [--parts=8]
 #include <cstdio>
+#include <limits>
 
 #include "gapart.hpp"
 
@@ -97,31 +99,41 @@ int main(int argc, char** argv) {
     const Mesh refined = densify_mesh(mesh, domain, extra, rng);
     const Graph& g = refined.graph;
 
-    // (a) the tiered incremental pipeline: greedy extension -> worklist-
-    // seeded repair -> DKNUX refinement.  densify_mesh re-triangulates, so
-    // survivors near the refinement disc get rewired: diff_graphs gives the
-    // exact damage (appended range + perturbed survivors) and the repair
-    // tier's worklist starts from precisely those vertices.
-    IncrementalGaOptions inc;
-    inc.dpga = config;
+    // (a) incremental: repair_step on the live state of the old mesh
+    // (greedy extension -> rebind -> worklist-seeded repair), then the
+    // DKNUX DPGA seeded with the repaired solution (§3.5).  densify_mesh
+    // re-triangulates, so survivors near the refinement disc get rewired:
+    // diff_graphs gives the exact damage (appended range + perturbed
+    // survivors) and the repair's worklist starts from precisely those
+    // vertices.
     const GraphDelta delta = diff_graphs(mesh.graph, g);
-    const IncrementalResult ga =
-        incremental_repartition(g, current, delta, inc, rng);
-    const PartitionMetrics& m_ga = ga.best_metrics;
-    const double ga_sec = ga.wall_seconds;
+    PartitionState state(mesh.graph, current, parts);
+    const RepairReport rep =
+        repair_step(state, g, delta, config.ga.fitness,
+                    /*max_verify_rounds=*/4,
+                    std::numeric_limits<double>::infinity());
+    auto seeded = make_seeded_population(
+        state.assignment(), config.ga.population_size,
+        /*swap_fraction=*/0.08, rng);
+    // The repaired solution is in the first population verbatim and the
+    // DPGA reports its best-so-far, so dpga.best is never worse than it.
+    const DpgaResult dpga = run_dpga(g, config, std::move(seeded), rng.split());
+    const auto m_ga = compute_metrics(g, dpga.best, parts);
+    const double ga_sec = rep.seconds + dpga.wall_seconds;
 
     std::printf("step %d damage: %d of %d vertices (%d new, %zu rewired)\n",
-                step, static_cast<int>(ga.damage),
+                step, static_cast<int>(rep.damage),
                 static_cast<int>(g.num_vertices()),
                 static_cast<int>(delta.num_new(g)), delta.touched_old.size());
-    for (const auto& tier : ga.tiers) {
-      std::printf(
-          "  tier %-14s fitness %10.1f  moves %5d  examined %6lld  "
-          "evals %8lld  %.3fs\n",
-          tier.name.c_str(), tier.fitness_after, tier.moves,
-          static_cast<long long>(tier.examined),
-          static_cast<long long>(tier.evaluations), tier.seconds);
-    }
+    std::printf(
+        "  repair  fitness %10.1f  extended %4d  moves %5d  examined %6lld  "
+        "verify rounds %d  %.4fs\n",
+        rep.fitness_after, rep.extend_moves, rep.repair_moves,
+        static_cast<long long>(rep.examined), rep.verify_rounds, rep.seconds);
+    std::printf(
+        "  dpga    fitness %10.1f  generations %4d  evals %8lld  %.3fs\n",
+        dpga.best_fitness, dpga.generations,
+        static_cast<long long>(dpga.evaluations), dpga.wall_seconds);
 
     // (b) RSB from scratch.
     WallTimer t_rsb;
@@ -148,13 +160,13 @@ int main(int argc, char** argv) {
           "%");
       table.append(sec, 2);
     };
-    add("incremental DKNUX", m_ga, ga.best, ga_sec);
+    add("incremental DKNUX", m_ga, dpga.best, ga_sec);
     add("RSB from scratch", m_rsb, rsb, rsb_sec);
     add("greedy majority", m_greedy, greedy, greedy_sec);
     table.add_rule();
 
     mesh = refined;
-    current = ga.best;  // the solver continues on the GA's partition
+    current = dpga.best;  // the solver continues on the GA's partition
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

@@ -129,13 +129,4 @@ std::vector<PartId> greedy_extend_parts(const Graph& grown,
   return parts;
 }
 
-GreedyIncrementalResult greedy_incremental_assign(const EvalContext& eval,
-                                                  const Assignment& previous) {
-  GreedyIncrementalResult result;
-  result.assignment =
-      greedy_incremental_assign(eval.graph(), previous, eval.num_parts());
-  result.fitness = eval.evaluate(result.assignment);
-  return result;
-}
-
 }  // namespace gapart

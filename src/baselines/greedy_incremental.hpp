@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "core/eval.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -22,27 +21,15 @@ Assignment greedy_incremental_assign(const Graph& grown,
                                      const Assignment& previous,
                                      PartId num_parts);
 
-/// The kernel behind greedy_incremental_assign: the parts of the new
-/// vertices [|previous|, |grown|) only, given the old vertices' parts and
-/// the current part weights (one entry per part; the load the lightest-part
-/// tie-break starts from).  O(new * deg + new log new + k) — it never scans
-/// the old vertices, so a live session's per-delta extension stays
-/// proportional to the growth.  `previous` is trusted: every entry must lie
-/// in [0, part_weight.size()).
+/// The kernel behind greedy_incremental_assign and repair_step's extension
+/// tier: the parts of the new vertices [|previous|, |grown|) only, given the
+/// old vertices' parts and the current part weights (one entry per part;
+/// the load the lightest-part tie-break starts from).
+/// O(new * deg + new log new + k) — it never scans the old vertices, so a
+/// live session's per-delta extension stays proportional to the growth.
+/// `previous` is trusted: every entry must lie in [0, part_weight.size()).
 std::vector<PartId> greedy_extend_parts(const Graph& grown,
                                         std::span<const PartId> previous,
                                         std::vector<double> part_weight);
-
-/// Greedy extension plus its quality under an EvalContext's objective.
-struct GreedyIncrementalResult {
-  Assignment assignment;
-  double fitness = 0.0;
-};
-
-/// EvalContext-aware variant: the graph/num_parts come from `eval` and the
-/// final solution is evaluated (and counted) through it, so GA-vs-greedy
-/// comparisons in the benches account both sides identically.
-GreedyIncrementalResult greedy_incremental_assign(const EvalContext& eval,
-                                                  const Assignment& previous);
 
 }  // namespace gapart

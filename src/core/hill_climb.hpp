@@ -19,7 +19,7 @@
 // the vertices an incremental mesh update actually touched.  The cascade
 // then costs O(damage), and the usual full-boundary verification rounds
 // (unless disabled) restore the sweep fixed-point class.  This is the
-// damage-proportional repair primitive behind incremental_repartition.
+// damage-proportional repair primitive behind repair_step.
 #pragma once
 
 #include <atomic>

@@ -1,119 +1,65 @@
-// Incremental graph partitioning (paper §3.5 / §4.2), as a tiered,
-// damage-proportional pipeline.
+// Incremental graph partitioning (paper §3.5 / §4.2) as one damage-
+// proportional repair step of a live partition.
 //
 // When a partitioned graph grows — new vertices appended, adjacency possibly
-// perturbed locally — the previous partition should be exploited so that
-// repartitioning costs scale with the change, not the graph:
+// perturbed locally — the previous partition is repaired in place, so the
+// cost scales with the change, not the graph.  repair_step runs four tiers
+// on the caller's PartitionState, each under its own span:
 //
-//   Tier 1  greedy_extend   Deterministic extension of the previous
-//                           assignment: new vertices take the majority part
-//                           of their already-assigned neighbours
-//                           (most-constrained-first).  O(new * deg).
-//   Tier 2  seeded_repair   Worklist-seeded frontier hill climb starting
-//                           from the delta's repair seeds (new vertices,
-//                           rewired survivors, and their neighbours): the
-//                           cascade costs O(damage), then full-boundary
-//                           verification rounds — O(boundary), still way
-//                           under O(V) — restore the sweep fixed-point
-//                           class.  This tier pays off the greedy tier's
-//                           localized imbalance.
-//   Tier 3  ga_refine       Optional DPGA (DKNUX by default) seeded with
-//                           the repaired solution plus swap-perturbed
-//                           clones — the paper's §3.5 incremental GA,
-//                           now starting from an already-repaired seed.
-//                           By far the most expensive tier; skip it when
-//                           the damage is small and tier 2's verified
-//                           local optimum is good enough.
+//   repair.extend   greedy_extend_parts: every new vertex takes the
+//                   majority part of its already-assigned neighbours
+//                   (most-constrained-first — the §5 strawman's kernel).
+//                   O(new * deg).
+//   repair.rebind   PartitionState::rebind_grown absorbs the grown graph in
+//                   O(damage * deg) — no O(V + E) state rebuild.
+//   repair.cascade  gain-ordered frontier climb seeded with the delta's
+//                   repair seeds (new vertices, rewired survivors, and their
+//                   neighbours), unverified: strictly O(damage).
+//   repair.verify   full-boundary kFrontier rounds, O(boundary) each, only
+//                   while the round cap and the latency budget allow; they
+//                   restore the sweep fixed-point class.
 //
-// Per-tier stats (moves, gain-kernel probes, evaluations, fitness
-// trajectory) come back with the result so callers — and the incremental
-// benches — can see where the work went.
+// The streaming service runs it for every delta, live, replayed from the WAL
+// and applied on a follower (service/session.hpp).  The §3.5 incremental GA
+// is an optional tier on top: a DPGA seeded with the repaired solution
+// (the service's kDeep refinement; examples/adaptive_mesh runs it inline).
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "core/dpga.hpp"
 #include "core/graph_delta.hpp"
-#include "core/hill_climb.hpp"
-#include "core/presets.hpp"
+#include "graph/graph.hpp"
+#include "graph/partition.hpp"
+#include "graph/types.hpp"
 
 namespace gapart {
 
-struct IncrementalGaOptions {
-  DpgaConfig dpga;
-  /// Swap-perturbation strength for the non-seed population members.
-  double swap_fraction = 0.08;
-
-  /// Tier 1: deterministic greedy extension (majority part).  When off, new
-  /// vertices are dealt randomly to the lightest parts instead (§3.5).
-  bool greedy_extend = true;
-  /// Tier 2: worklist-seeded repair of the extended assignment.
-  bool seeded_repair = true;
-  /// Tier 3: DPGA refinement seeded with the repaired solution.  The
-  /// expensive tier — optional for latency-bound callers.
-  bool refine_with_ga = true;
-
-  /// Tier 2 budget: full-boundary verification rounds (the seeded cascade
-  /// itself is damage-proportional and not charged).
-  int repair_max_passes = 4;
-  /// Tier 2 minimum per-move gain (must stay positive; bounds the cascade).
-  double repair_min_gain = 1e-9;
-  /// Tier 2: process likely-positive-gain worklist vertices first
-  /// (HillClimbOptions::gain_ordered).  Same fixed-point class, different
-  /// move order; off by default so existing pipeline results stay
-  /// bit-stable.  The streaming service turns it on.
-  bool repair_gain_ordered = false;
-
-  IncrementalGaOptions()
-      : dpga(paper_dpga_config(2, Objective::kTotalComm)) {}
-};
-
-/// What one pipeline tier did.  fitness_after values form the pipeline's
-/// fitness trajectory (monotone: tier 2 never undoes tier 1, tier 3's
-/// population contains tier 2's solution verbatim).
-struct IncrementalTierStats {
-  std::string name;               ///< "greedy_extend" / "balanced_extend" /
-                                  ///< "seeded_repair" / "ga_refine"
-  double fitness_after = 0.0;
-  int moves = 0;                  ///< vertices assigned (tier 1) / migrated
-  std::int64_t examined = 0;      ///< gain-kernel probes (tier 2)
-  std::int64_t evaluations = 0;   ///< full + delta evaluations charged
-  double seconds = 0.0;
-};
-
-struct IncrementalResult {
-  Assignment best;
-  double best_fitness = 0.0;
-  PartitionMetrics best_metrics;
-  std::vector<IncrementalTierStats> tiers;
-  /// Damage the pipeline repaired (new + touched vertices, from the delta).
+/// What one repair_step did.
+struct RepairReport {
+  /// Deltas the session had absorbed once this one landed (set by the
+  /// service; repair_step leaves it 0).
+  std::uint64_t update_epoch = 0;
   VertexId damage = 0;
-  bool ga_ran = false;
-  DpgaResult ga;  ///< Populated only when ga_ran.
-  double wall_seconds = 0.0;
+  int extend_moves = 0;         ///< new vertices assigned (extension)
+  int repair_moves = 0;         ///< migrations (cascade + verification)
+  std::int64_t examined = 0;    ///< gain-kernel probes
+  int verify_rounds = 0;        ///< rounds the cap and budget admitted
+  double seconds = 0.0;         ///< wall time of the repair step
+  double fitness_after = 0.0;
 };
 
-/// Repartitions `grown` (whose first |previous| vertices carry over from the
-/// old graph) into options.dpga.ga.num_parts parts through the tiered
-/// pipeline above.  `delta` says what changed; delta.old_num_vertices must
-/// equal |previous|.  Every entry of `previous` must lie in [0, num_parts).
-/// `executor` (optional, non-owning) is handed to the DPGA as its shared
-/// evaluation pool.
-IncrementalResult incremental_repartition(const Graph& grown,
-                                          const Assignment& previous,
-                                          const GraphDelta& delta,
-                                          const IncrementalGaOptions& options,
-                                          Rng& rng,
-                                          Executor* executor = nullptr);
-
-/// Convenience overload for pure growth: derives the delta with
-/// appended_delta(grown, |previous|).
-IncrementalResult incremental_repartition(const Graph& grown,
-                                          const Assignment& previous,
-                                          const IncrementalGaOptions& options,
-                                          Rng& rng,
-                                          Executor* executor = nullptr);
+/// Repairs `state` — a partition of the graph `grown` grew from — after the
+/// update `delta` (delta.old_num_vertices must equal the state's vertex
+/// count; `grown` may only add vertices).  Extends, rebinds and runs the
+/// seeded cascade, then at most `max_verify_rounds` verification rounds,
+/// each admitted only while the step's elapsed time is under
+/// `budget_seconds` and stopping early at a verified fixed point.  With an
+/// infinite budget the rounds ignore the clock, so the step is
+/// deterministic (WAL replay relies on it).  A delta that does not fit
+/// throws before the state is touched.  The old graph must stay alive for
+/// the call; afterwards the state references `grown`.
+RepairReport repair_step(PartitionState& state, const Graph& grown,
+                         const GraphDelta& delta, const FitnessParams& fitness,
+                         int max_verify_rounds, double budget_seconds);
 
 }  // namespace gapart

@@ -218,7 +218,7 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     hc.mode = HillClimbMode::kFrontier;
     hc.max_passes = options.refine_verify_passes;
     hc.min_gain = options.refine_min_gain;
-    hc.gain_ordered = options.refine_gain_ordered;
+    hc.gain_ordered = true;
     hc.verify_fixed_point = true;
     hc.seed_vertices = state.boundary_vertices();
     hc.cancel = options.cancel;

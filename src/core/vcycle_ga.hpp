@@ -110,7 +110,6 @@ struct VcycleGaOptions {
   /// projected-boundary cascade drains (hill_climb_from semantics).
   int refine_verify_passes = 4;
   double refine_min_gain = 1e-9;
-  bool refine_gain_ordered = true;
 
   /// Cooperative cancellation, checked between levels and threaded into the
   /// climbs: progress made so far is kept (monotone).  Non-owning.

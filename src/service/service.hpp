@@ -151,7 +151,7 @@ class PartitionService {
   /// boundary), syncs its WAL, and drops it from the table.
   void close_session(SessionId id);
 
-  /// Streams one delta into a session: synchronous tiered repair on the
+  /// Streams one delta into a session: a synchronous repair_step on the
   /// calling thread, then (policy permitting) schedules background
   /// refinement on the shared pool.
   ///

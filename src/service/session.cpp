@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <optional>
 
-#include "baselines/greedy_incremental.hpp"
 #include "common/assert.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stats.hpp"
-#include "common/timer.hpp"
 #include "core/eval.hpp"
 #include "core/hill_climb.hpp"
 #include "core/init.hpp"
@@ -54,44 +53,10 @@ PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
       graph_(std::move(graph)),
       state_(require_graph(graph_), std::move(initial), config_.num_parts) {
   // num_parts is validated by the PartitionState member initializer.
-  GAPART_REQUIRE(config_.repair_min_gain > 0.0,
-                 "repair_min_gain must be positive (bounds the cascade)");
   std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
   stats_.full_evaluations = 1;  // the state construction
   baseline_fitness_ = state_.fitness(config_.fitness);
   publish(origin);
-}
-
-std::vector<PartId> PartitionSession::extend_parts(const Graph& grown,
-                                                   VertexId n_old) const {
-  const PartId k = config_.num_parts;
-  std::vector<double> part_weight(static_cast<std::size_t>(k));
-  for (PartId q = 0; q < k; ++q) {
-    part_weight[static_cast<std::size_t>(q)] = state_.part_weight(q);
-  }
-  if (config_.greedy_extend) {
-    // Tier 1: the greedy baseline's extension kernel over the new range
-    // only, so one delta costs O(new * deg + new log new + k), never O(V).
-    return greedy_extend_parts(grown, state_.assignment(),
-                               std::move(part_weight));
-  }
-
-  // Balanced extension (§3.5's random dealing, made deterministic): every
-  // new vertex to the currently lightest part, lowest id on ties.
-  const VertexId n = grown.num_vertices();
-  std::vector<PartId> parts(static_cast<std::size_t>(n - n_old));
-  for (VertexId v = n_old; v < n; ++v) {
-    PartId choice = 0;
-    for (PartId q = 1; q < k; ++q) {
-      if (part_weight[static_cast<std::size_t>(q)] <
-          part_weight[static_cast<std::size_t>(choice)]) {
-        choice = q;
-      }
-    }
-    parts[static_cast<std::size_t>(v - n_old)] = choice;
-    part_weight[static_cast<std::size_t>(choice)] += grown.vertex_weight(v);
-  }
-  return parts;
 }
 
 RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
@@ -110,74 +75,22 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   if (GAPART_FAULT_POINT(FaultSite::kDeltaAlloc)) {
     throw std::bad_alloc();
   }
-  const VertexId n_old = graph_->num_vertices();
-  GAPART_REQUIRE(delta.old_num_vertices == n_old,
-                 "delta.old_num_vertices (", delta.old_num_vertices,
-                 ") disagrees with the session graph (", n_old, " vertices)");
-  GAPART_REQUIRE(g.num_vertices() >= n_old,
-                 "session graphs can only grow (got ", g.num_vertices(),
-                 " after ", n_old, ")");
 
   GAPART_SPAN("repair.apply");
-  WallTimer timer;
-  RepairReport rep;
-  rep.damage = delta.damage(g);
-
-  // Tier 1 + rebind: assign the new vertices against the pre-update state,
-  // then absorb the new graph in O(damage * deg).
-  std::vector<PartId> new_parts;
-  {
-    GAPART_SPAN("repair.extend");
-    new_parts = extend_parts(g, n_old);
-  }
-  {
-    GAPART_SPAN("repair.rebind");
-    state_.rebind_grown(g, delta.touched_old, new_parts);
-  }
+  // Replay runs exactly the round count the live run logged, whatever the
+  // clock says (the budget is the one nondeterministic input to the repair);
+  // shedding runs none.
+  const bool replay = opts.replay_verify_rounds >= 0;
+  const int max_rounds =
+      replay ? std::min(opts.replay_verify_rounds,
+                        config_.repair_max_verify_rounds)
+             : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
+  const double budget = replay ? std::numeric_limits<double>::infinity()
+                               : config_.repair_budget_seconds;
+  // repair_step reads the old graph's rows, so graph_ moves on only after it.
+  RepairReport rep =
+      repair_step(state_, g, delta, config_.fitness, max_rounds, budget);
   graph_ = std::move(grown);
-  rep.extend_moves = static_cast<int>(new_parts.size());
-
-  // Tier 2: strictly damage-proportional seeded cascade first, then
-  // O(boundary) verification rounds only while the latency budget lasts —
-  // deeper quality is the background refinement plane's job.
-  if (config_.seeded_repair) {
-    HillClimbOptions opt;
-    opt.fitness = config_.fitness;
-    opt.min_gain = config_.repair_min_gain;
-    opt.gain_ordered = config_.gain_ordered_repair;
-    opt.verify_fixed_point = false;
-    {
-      GAPART_SPAN("repair.cascade");
-      const auto res =
-          hill_climb_from(state_, repair_seeds(delta, *graph_), opt);
-      rep.repair_moves += res.moves;
-      rep.examined += res.examined;
-    }
-
-    opt.mode = HillClimbMode::kFrontier;  // unseeded: one full round + cascade
-    // Replay runs exactly the round count the live run logged (the budget
-    // clock is the one nondeterministic input to the pipeline); shedding
-    // runs none.  The moves == 0 early exit is itself deterministic, so it
-    // stays in both paths.
-    const int max_rounds =
-        opts.replay_verify_rounds >= 0
-            ? std::min(opts.replay_verify_rounds,
-                       config_.repair_max_verify_rounds)
-            : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
-    if (max_rounds > 0) {
-      GAPART_SPAN("repair.verify");
-      while (rep.verify_rounds < max_rounds &&
-             (opts.replay_verify_rounds >= 0 ||
-              timer.seconds() < config_.repair_budget_seconds)) {
-        const auto vres = hill_climb(state_, opt);
-        ++rep.verify_rounds;
-        rep.repair_moves += vres.moves;
-        rep.examined += vres.examined;
-        if (vres.moves == 0) break;  // verified fixed point
-      }
-    }
-  }
-  rep.seconds = timer.seconds();
 
   ++update_epoch_;
   ++updates_since_refine_;
@@ -185,7 +98,6 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   damage_since_deep_ += rep.damage;
 
   rep.update_epoch = update_epoch_;
-  rep.fitness_after = state_.fitness(config_.fitness);
 
   ++stats_.updates;
   stats_.total_damage += static_cast<std::uint64_t>(rep.damage);
@@ -540,8 +452,7 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   PartitionState state = eval.make_state(job.assignment);
   HillClimbOptions opt;
   opt.mode = HillClimbMode::kFrontier;
-  opt.gain_ordered = config.gain_ordered_repair;
-  opt.min_gain = config.repair_min_gain;
+  opt.gain_ordered = true;
   opt.max_passes = config.refine_hill_climb_passes;
   opt.cancel = job.cancel.get();
   {

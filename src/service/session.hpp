@@ -5,16 +5,12 @@
 // contract splits work into two planes:
 //
 //   synchronous (apply_update, caller's thread, O(damage) + budget):
-//     tier 1  greedy extension of the surviving assignment over the new
-//             vertices (most-constrained-first majority vote — the PR 4
-//             pipeline's tier 1, reimplemented against the live state so it
-//             costs O(new * deg), not O(V));
-//     rebind  PartitionState::rebind_grown absorbs the new graph in
-//             O(damage * deg) — no O(V+E) state rebuild per delta;
-//     tier 2  worklist-seeded frontier climb from the delta's repair seeds
-//             (unverified: strictly damage-proportional), then full-boundary
-//             verification rounds only while the configured latency budget
-//             allows — an adaptive cost/quality knob per update.
+//     repair_step (core/incremental.hpp) on the live state — greedy
+//     extension of the new vertices, PartitionState::rebind_grown, the
+//     seeded frontier cascade, then full-boundary verification rounds only
+//     while the configured latency budget allows (an adaptive cost/quality
+//     knob per update) — followed by the service's own work: epochs and
+//     stats, the WAL append, compaction and publication.
 //
 //   asynchronous (plan_refinement / run_refinement / complete_refinement,
 //   service-scheduled on the shared Executor):
@@ -44,6 +40,7 @@
 #include "common/telemetry.hpp"
 #include "core/dpga.hpp"
 #include "core/graph_delta.hpp"
+#include "core/incremental.hpp"
 #include "core/vcycle_ga.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -56,16 +53,6 @@ struct SessionConfig {
   PartId num_parts = 2;
   FitnessParams fitness;
 
-  /// Tier 1: extend by neighbour-majority vote (most-constrained-first).
-  /// When off, new vertices go to the lightest part (balanced extension).
-  bool greedy_extend = true;
-  /// Tier 2: seeded frontier repair of the damage.
-  bool seeded_repair = true;
-  /// Minimum per-move gain in the repair climb (must stay positive).
-  double repair_min_gain = 1e-9;
-  /// Process likely-positive-gain repair vertices first (hill_climb's
-  /// gain_ordered worklist).
-  bool gain_ordered_repair = true;
   /// Latency budget for one apply_update call: after the damage-proportional
   /// cascade, O(boundary) verification rounds run only while the elapsed
   /// repair time stays under this budget (0 = cascade only — the strictest
@@ -118,24 +105,12 @@ struct ApplyOptions {
   bool shed_verification = false;
   /// >= 0: run exactly this many verification rounds, ignoring the wall
   /// clock — recovery replays the round count the live run logged, so the
-  /// replayed pipeline is bit-deterministic.  Capped by
+  /// replayed repair_step is bit-deterministic.  Capped by
   /// repair_max_verify_rounds.
   int replay_verify_rounds = -1;
   /// Recovery replay: do not log the delta to the WAL again (it is being
   /// read FROM the WAL) and do not trigger compaction.
   bool replaying = false;
-};
-
-/// What one apply_update call did (the synchronous plane only).
-struct RepairReport {
-  std::uint64_t update_epoch = 0;
-  VertexId damage = 0;
-  int extend_moves = 0;         ///< new vertices assigned (tier 1)
-  int repair_moves = 0;         ///< migrations (tier 2, incl. verification)
-  std::int64_t examined = 0;    ///< gain-kernel probes
-  int verify_rounds = 0;        ///< rounds the latency budget admitted
-  double seconds = 0.0;         ///< wall time of the whole call
-  double fitness_after = 0.0;
 };
 
 /// Point-in-time statistics copy (see PartitionService for aggregation).
@@ -336,9 +311,6 @@ class PartitionSession {
       const std::string& prefix, SessionConfig config);
 
  private:
-  /// Tier 1: parts for the new vertices [old_n, |grown|), O(new * deg).
-  std::vector<PartId> extend_parts(const Graph& grown,
-                                   VertexId old_n) const;
   /// Publishes the current state as the newest snapshot (mu_ held).
   void publish(const char* source);
   RefineSignals signals() const;  // mu_ held
@@ -394,14 +366,14 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
                              const SessionConfig& config, Rng rng,
                              Executor* executor);
 
-/// Applies one WAL record to a session through the same deterministic repair
-/// pipeline the live run used — the shared core of PartitionService::recover
-/// (log_locally = false: the record is being read FROM this session's log)
-/// and the replication follower's continuous tail-replay (log_locally =
-/// true: the record arrived from the leader and must enter the follower's
-/// own log).  kDelta records rebuild the grown graph from the session's
-/// current one and replay the logged verification-round count; kRefine
-/// records swap in the logged assignment.
+/// Applies one WAL record to a session through the same deterministic
+/// repair_step the live run used — the shared core of
+/// PartitionService::recover (log_locally = false: the record is being read
+/// FROM this session's log) and the replication follower's continuous
+/// tail-replay (log_locally = true: the record arrived from the leader and
+/// must enter the follower's own log).  kDelta records rebuild the grown
+/// graph from the session's current one and replay the logged
+/// verification-round count; kRefine records swap in the logged assignment.
 void replay_wal_record(PartitionSession& session, const WalRecord& record,
                        bool log_locally);
 

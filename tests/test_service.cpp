@@ -8,16 +8,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "baselines/greedy_incremental.hpp"
 #include "bench_common.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
+#include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "service/refine_policy.hpp"
@@ -220,27 +221,55 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
   EXPECT_GT(st.examined, 0);
 }
 
-TEST(PartitionSession, GreedyExtensionMatchesGreedyIncrementalAssign) {
-  // With the repair tier off, an update only extends: the appended vertices
-  // must get exactly the parts the greedy baseline gives them.
+TEST(PartitionSession, UpdateMatchesRepairStep) {
+  // apply_update is repair_step on the live state: the session's
+  // repair_max_verify_rounds is the round cap, shedding drops it to 0 and a
+  // replayed round count caps it further.  With no latency budget the
+  // session and a bare PartitionState must decide identically.
   const PartId k = 4;
   auto g = shared_grid(12, 12);
   SessionConfig cfg = basic_config(k);
-  cfg.seeded_repair = false;
+  cfg.repair_budget_seconds = std::numeric_limits<double>::infinity();
+  cfg.repair_max_verify_rounds = 3;
   Rng rng(0x9eed);
   Assignment start(144);
   for (auto& p : start) p = static_cast<PartId>(rng.uniform_int(k));
   PartitionSession session(g, start, cfg);
+  PartitionState mirror(*g, start, k);
 
-  std::shared_ptr<const Graph> prev = g;
-  for (const VertexId rows : {13, 15, 18}) {
-    auto grown = shared_grid(rows, 12);
-    const Assignment previous = session.snapshot()->assignment;
-    session.apply_update(grown, diff_graphs(*prev, *grown));
-    EXPECT_EQ(session.snapshot()->assignment,
-              greedy_incremental_assign(*grown, previous, k))
-        << rows << " rows";
-    prev = grown;
+  struct Step {
+    ApplyOptions opts;
+    int cap;
+  };
+  ApplyOptions shed;
+  shed.shed_verification = true;
+  ApplyOptions replay_one;
+  replay_one.replay_verify_rounds = 1;
+  ApplyOptions replay_many;
+  replay_many.replay_verify_rounds = 10;
+  const std::vector<Step> steps = {
+      {ApplyOptions{}, 3}, {shed, 0}, {replay_one, 1}, {replay_many, 3},
+      {ApplyOptions{}, 3}};
+
+  std::vector<std::shared_ptr<const Graph>> graphs{g};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "step " << i);
+    auto grown = shared_grid(static_cast<VertexId>(13 + i), 12);
+    const GraphDelta delta = diff_graphs(*graphs.back(), *grown);
+    graphs.push_back(grown);
+    const RepairReport want = repair_step(mirror, *grown, delta, cfg.fitness,
+                                          steps[i].cap,
+                                          cfg.repair_budget_seconds);
+    const RepairReport got = session.apply_update(grown, delta, steps[i].opts);
+    EXPECT_EQ(session.snapshot()->assignment, mirror.assignment());
+    EXPECT_EQ(got.verify_rounds, want.verify_rounds);
+    EXPECT_LE(got.verify_rounds, steps[i].cap);
+    EXPECT_EQ(got.repair_moves, want.repair_moves);
+    EXPECT_EQ(got.examined, want.examined);
+    EXPECT_EQ(got.extend_moves, want.extend_moves);
+    EXPECT_EQ(got.damage, want.damage);
+    EXPECT_NEAR(got.fitness_after, want.fitness_after, 1e-9);
+    EXPECT_EQ(got.update_epoch, static_cast<std::uint64_t>(i + 1));
   }
 }
 
