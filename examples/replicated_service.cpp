@@ -47,14 +47,21 @@ using namespace gapart;
 
 /// Deterministic churn trace (same shape as example_durable_service): the
 /// graph at epoch e is a pure function of (n, e), so leader, follower, and
-/// reference replays see bit-identical inputs.
+/// reference replays see bit-identical inputs.  Vertex and edge weights are
+/// non-integers with more significant digits than a short decimal keeps,
+/// each a fixed function of vertex ids, so a failover that lost weight
+/// precision anywhere would land on a different digest.
 Graph trace_graph(VertexId n, int phase) {
   GraphBuilder b(n * n);
   const auto at = [n](VertexId r, VertexId c) { return r * n + c; };
+  const auto edge = [&](VertexId u, VertexId v) {
+    b.add_edge(u, v, 1.0 + ((u + v) % 5) / 7.0);
+  };
   for (VertexId r = 0; r < n; ++r) {
     for (VertexId c = 0; c < n; ++c) {
-      if (c + 1 < n) b.add_edge(at(r, c), at(r, c + 1));
-      if (r + 1 < n) b.add_edge(at(r, c), at(r + 1, c));
+      b.set_vertex_weight(at(r, c), 1.0 + (at(r, c) % 7) / 3.0);
+      if (c + 1 < n) edge(at(r, c), at(r, c + 1));
+      if (r + 1 < n) edge(at(r, c), at(r + 1, c));
     }
   }
   if (phase % 2 == 1) {
@@ -65,7 +72,7 @@ Graph trace_graph(VertexId n, int phase) {
     const auto c0 = static_cast<VertexId>(rng.uniform_int(span));
     for (VertexId r = r0; r < r0 + window && r + 1 < n; ++r) {
       for (VertexId c = c0; c < c0 + window && c + 1 < n; ++c) {
-        b.add_edge(at(r, c), at(r + 1, c + 1));
+        edge(at(r, c), at(r + 1, c + 1));
       }
     }
   }

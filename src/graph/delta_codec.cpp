@@ -1,56 +1,30 @@
 #include "graph/delta_codec.hpp"
 
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace gapart {
 
 namespace {
 
-constexpr std::uint32_t kCodecMagic = 0x31434447u;  // "GDC1"
+constexpr std::uint32_t kCodecMagic = 0x32434447u;  // "GDC2"
+constexpr std::uint8_t kWeightedRows = 0x01;        // the one header flag
+// magic u32 + flags u8 + old_n u32 + new_n u32 + touched count u32
+constexpr std::size_t kHeaderBytes = 17;
 
-// -- little-endian primitive append/read helpers ----------------------------
-
-template <typename T>
-void put(std::string& out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T get() {
-    GAPART_REQUIRE(pos_ + sizeof(T) <= bytes_.size(),
-                   "delta record truncated: need ", sizeof(T), " bytes at ",
-                   pos_, ", have ", bytes_.size());
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  bool exhausted() const { return pos_ == bytes_.size(); }
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-void append_vertex_row(std::string& out, const Graph& g, VertexId v) {
-  put<double>(out, g.vertex_weight(v));
+void append_vertex_row(std::string& out, const Graph& g, VertexId v,
+                       bool weighted) {
+  if (weighted) put<double>(out, g.vertex_weight(v));
   const auto nbrs = g.neighbors(v);
   const auto wgts = g.edge_weights(v);
-  put<std::uint64_t>(out, nbrs.size());
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(nbrs[i]));
-    put<double>(out, wgts[i]);
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs[i]));
+    if (weighted) put<double>(out, wgts[i]);
   }
 }
 
@@ -62,21 +36,39 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
                      delta.old_num_vertices <= n_new,
                  "delta old vertex count ", delta.old_num_vertices,
                  " out of range for |V| = ", n_new);
-  std::string out;
-  put<std::uint32_t>(out, kCodecMagic);
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(delta.old_num_vertices));
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(n_new));
-  put<std::uint64_t>(out, delta.touched_old.size());
+  const bool weighted = !grown.unit_weights();
+  // A row's head ([weight] + degree) and each of its neighbour slots are
+  // both `slot` bytes.  Sizing the record exactly keeps the appends below
+  // from reallocating: a snapshot image encodes every row through here.
+  const std::size_t slot = weighted ? 12 : 4;
+  std::size_t size = kHeaderBytes;
   VertexId prev_id = -1;
   for (const VertexId v : delta.touched_old) {
     GAPART_REQUIRE(v > prev_id && v < delta.old_num_vertices,
                    "touched list must be sorted survivors; got ", v);
     prev_id = v;
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(v));
+    size += 4 + slot * (1 + static_cast<std::size_t>(grown.degree(v)));
   }
-  for (const VertexId v : delta.touched_old) append_vertex_row(out, grown, v);
   for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
-    append_vertex_row(out, grown, v);
+    size += slot * (1 + static_cast<std::size_t>(grown.degree(v)));
+  }
+
+  std::string out;
+  out.reserve(size);
+  put<std::uint32_t>(out, kCodecMagic);
+  put<std::uint8_t>(out, weighted ? kWeightedRows : 0);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(delta.old_num_vertices));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(n_new));
+  put<std::uint32_t>(out,
+                     static_cast<std::uint32_t>(delta.touched_old.size()));
+  for (const VertexId v : delta.touched_old) {
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(v));
+  }
+  for (const VertexId v : delta.touched_old) {
+    append_vertex_row(out, grown, v, weighted);
+  }
+  for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
+    append_vertex_row(out, grown, v, weighted);
   }
   return out;
 }
@@ -85,28 +77,41 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
   ByteReader in(bytes);
   GAPART_REQUIRE(in.get<std::uint32_t>() == kCodecMagic,
                  "delta record has wrong magic");
-  const auto old_n64 = in.get<std::uint64_t>();
-  const auto new_n64 = in.get<std::uint64_t>();
-  GAPART_REQUIRE(old_n64 == static_cast<std::uint64_t>(prev.num_vertices()),
-                 "delta record expects a ", old_n64,
+  const auto flags = in.get<std::uint8_t>();
+  GAPART_REQUIRE((flags & ~kWeightedRows) == 0, "delta record has unknown ",
+                 "flags ", static_cast<int>(flags));
+  const bool weighted = (flags & kWeightedRows) != 0;
+  const auto old_n32 = in.get<std::uint32_t>();
+  const auto new_n32 = in.get<std::uint32_t>();
+  GAPART_REQUIRE(old_n32 == static_cast<std::uint32_t>(prev.num_vertices()),
+                 "delta record expects a ", old_n32,
                  "-vertex predecessor, got ", prev.num_vertices());
-  GAPART_REQUIRE(new_n64 >= old_n64 && new_n64 <= (1ull << 31),
-                 "implausible grown vertex count ", new_n64);
-  const auto old_n = static_cast<VertexId>(old_n64);
-  const auto new_n = static_cast<VertexId>(new_n64);
+  GAPART_REQUIRE(new_n32 >= old_n32 &&
+                     new_n32 <= static_cast<std::uint32_t>(
+                                    std::numeric_limits<VertexId>::max()),
+                 "implausible grown vertex count ", new_n32);
+  const auto old_n = static_cast<VertexId>(old_n32);
+  const auto new_n = static_cast<VertexId>(new_n32);
 
-  const auto touched_count = in.get<std::uint64_t>();
-  GAPART_REQUIRE(touched_count <= old_n64, "touched count ", touched_count,
-                 " exceeds survivor count ", old_n64);
+  const auto touched_count = in.get<std::uint32_t>();
+  GAPART_REQUIRE(touched_count <= old_n32, "touched count ", touched_count,
+                 " exceeds survivor count ", old_n32);
+  // Ids take 4 bytes and rows at least a head: reject counts the bytes
+  // cannot hold before they size any allocation below.
+  const std::uint64_t rows = std::uint64_t{touched_count} + (new_n32 - old_n32);
+  GAPART_REQUIRE(
+      4 * std::uint64_t{touched_count} + rows * (weighted ? 12 : 4) <=
+          in.remaining(),
+      "delta record claims ", rows, " rows in ", in.remaining(), " bytes");
   DecodedDelta out;
   out.delta.old_num_vertices = old_n;
-  out.delta.touched_old.reserve(static_cast<std::size_t>(touched_count));
+  out.delta.touched_old.reserve(touched_count);
   std::vector<bool> recorded(static_cast<std::size_t>(new_n), false);
   VertexId prev_id = -1;
-  for (std::uint64_t i = 0; i < touched_count; ++i) {
-    const auto v64 = in.get<std::uint64_t>();
-    GAPART_REQUIRE(v64 < old_n64, "touched vertex ", v64, " not a survivor");
-    const auto v = static_cast<VertexId>(v64);
+  for (std::uint32_t i = 0; i < touched_count; ++i) {
+    const auto v32 = in.get<std::uint32_t>();
+    GAPART_REQUIRE(v32 < old_n32, "touched vertex ", v32, " not a survivor");
+    const auto v = static_cast<VertexId>(v32);
     GAPART_REQUIRE(v > prev_id, "touched list not sorted ascending at ", v);
     prev_id = v;
     out.delta.touched_old.push_back(v);
@@ -142,17 +147,16 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
   // cross-checked against the predecessor (an untouched endpoint's row did
   // not change, so the edge must already exist there with the same weight).
   const auto read_row = [&](VertexId r) {
-    const double vwgt = in.get<double>();
-    b.set_vertex_weight(r, vwgt);
-    const auto deg = in.get<std::uint64_t>();
-    GAPART_REQUIRE(deg < new_n64, "vertex ", r, " claims degree ", deg,
-                   " in a ", new_n64, "-vertex graph");
+    b.set_vertex_weight(r, weighted ? in.get<double>() : 1.0);
+    const auto deg = in.get<std::uint32_t>();
+    GAPART_REQUIRE(deg < new_n32, "vertex ", r, " claims degree ", deg,
+                   " in a ", new_n32, "-vertex graph");
     VertexId prev_nbr = -1;
-    for (std::uint64_t i = 0; i < deg; ++i) {
-      const auto x64 = in.get<std::uint64_t>();
-      const double w = in.get<double>();
-      GAPART_REQUIRE(x64 < new_n64, "neighbour ", x64, " out of range");
-      const auto x = static_cast<VertexId>(x64);
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      const auto x32 = in.get<std::uint32_t>();
+      const double w = weighted ? in.get<double>() : 1.0;
+      GAPART_REQUIRE(x32 < new_n32, "neighbour ", x32, " out of range");
+      const auto x = static_cast<VertexId>(x32);
       GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
       GAPART_REQUIRE(x > prev_nbr, "adjacency of ", r, " not sorted at ", x);
       prev_nbr = x;
@@ -169,7 +173,7 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
   };
   for (const VertexId v : out.delta.touched_old) read_row(v);
   for (VertexId v = old_n; v < new_n; ++v) read_row(v);
-  GAPART_REQUIRE(in.exhausted(), "delta record has ", bytes.size() - in.pos(),
+  GAPART_REQUIRE(in.remaining() == 0, "delta record has ", in.remaining(),
                  " trailing bytes");
 
   out.grown = b.build();

@@ -1,5 +1,5 @@
 // Binary codec for graph deltas: the damage-proportional wire format the
-// durability layer logs.
+// durability layer logs, and the one binary graph encoding in gapart.
 //
 // A serialized delta carries exactly what the grown graph changed relative
 // to its predecessor — the appended vertex range and the *new* adjacency of
@@ -7,7 +7,20 @@
 // never O(V + E), and `decode_delta` can rebuild the grown graph from the
 // previous snapshot plus the record alone.  This is what makes a delta WAL
 // cheaper than logging graph snapshots: replaying a log of records is the
-// same damage-proportional work the live repair plane already did.
+// same damage-proportional work the live repair plane already did.  A whole
+// graph is the delta from the empty graph (`GraphDelta{0, {}}` against
+// `Graph()`), which is how the session image (service/wal.hpp) stores one.
+//
+// Layout (host byte order, little-endian on every supported target):
+//
+//   header   magic u32 "GDC2" | flags u8 | old_n u32 | new_n u32 |
+//            touched count u32 | touched survivor ids u32, ascending
+//   row      [vertex weight f64] | degree u32 |
+//            degree x (neighbour u32 [edge weight f64]), ascending
+//
+// one row per touched survivor (in id order), then one per appended vertex
+// old_n..new_n-1.  Weights are written only when the grown graph is not
+// unit-weighted, signalled by flag bit 0; without it decode fills in 1.0.
 //
 // The reconstruction contract requires the delta to be *exact* (diff_graphs
 // exact: touched_old lists every survivor whose adjacency, edge weights, or
@@ -19,8 +32,7 @@
 // typed error, never a silently wrong graph.
 //
 // Coordinates are deliberately not carried: the repair/refinement pipeline
-// never reads them after initialization, and the Chaco checkpoint format the
-// snapshots use does not persist them either.  Reconstructed graphs are
+// never reads them after initialization.  Reconstructed graphs are
 // coordinate-free.
 #pragma once
 

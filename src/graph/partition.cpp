@@ -54,6 +54,27 @@ std::uint64_t hash_shape(VertexId n, PartId k) {
   return hash_item(buf, sizeof(buf));
 }
 
+/// The content digest: (n, k), every (vertex, part) pair, and the part
+/// weights the assignment implies, summed from scratch in vertex order —
+/// so the digest is a function of the content alone, never of the move
+/// history that produced it (incrementally maintained sums of fractional
+/// weights depend on their summation order).
+std::uint64_t content_hash_of(const Graph& g, const Assignment& a,
+                              PartId num_parts) {
+  std::uint64_t h = hash_shape(g.num_vertices(), num_parts);
+  std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
+  const VertexId n = g.num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    const PartId p = a[static_cast<std::size_t>(v)];
+    h += hash_vertex_part(v, p);
+    weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
+  }
+  for (PartId q = 0; q < num_parts; ++q) {
+    h += hash_part_weight(q, weight[static_cast<std::size_t>(q)]);
+  }
+  return h;
+}
+
 }  // namespace
 
 const char* objective_name(Objective o) {
@@ -156,6 +177,33 @@ PartitionState::PartitionState(const Graph& g, Assignment a, PartId num_parts)
 
   conn_.resize(static_cast<std::size_t>(num_parts_));
   visit_flags_.resize(n);
+}
+
+PartitionState::PartitionState(const Graph& g, Assignment a, PartId num_parts,
+                               const PartitionMetrics& sums)
+    : PartitionState(g, std::move(a), num_parts) {
+  // Adopted sums differ from these fresh ones by rounding only, far below
+  // 1e-6 of the totals (NaN fails); the squared imbalance is scaled first.
+  const double total = 1.0 + g.total_vertex_weight() + sum_part_cut_;
+  const auto near = [total](double x, double y) {
+    return std::abs(x - y) <= 1e-6 * total;
+  };
+  const auto all_near = [&near](const std::vector<double>& x,
+                                const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::equal(x.begin(), x.end(), y.begin(), near);
+  };
+  GAPART_REQUIRE(all_near(sums.part_weight, part_weight_) &&
+                     all_near(sums.part_cut, part_cut_) &&
+                     near(sums.sum_part_cut, sum_part_cut_) &&
+                     near(sums.imbalance_sq / total, imbalance_sq_ / total),
+                 "adopted sums do not describe this ", num_parts_,
+                 "-way partition");
+  part_weight_ = sums.part_weight;
+  part_cut_ = sums.part_cut;
+  sum_part_cut_ = sums.sum_part_cut;
+  imbalance_sq_ = sums.imbalance_sq;
+  max_cut_dirty_ = true;  // max_part_cut() rescans the adopted cuts
 }
 
 double PartitionState::max_part_cut() const {
@@ -525,33 +573,14 @@ PartitionMetrics PartitionState::metrics() const {
 }
 
 std::uint64_t PartitionState::content_hash() const {
-  std::uint64_t h = hash_shape(g_->num_vertices(), num_parts_);
-  const VertexId n = g_->num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    h += hash_vertex_part(v, assign_[static_cast<std::size_t>(v)]);
-  }
-  for (PartId q = 0; q < num_parts_; ++q) {
-    h += hash_part_weight(q, part_weight_[static_cast<std::size_t>(q)]);
-  }
-  return h;
+  return content_hash_of(*g_, assign_, num_parts_);
 }
 
 std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
                                       PartId num_parts) {
   GAPART_REQUIRE(is_valid_assignment(g, a, num_parts),
                  "invalid assignment for ", num_parts, " parts");
-  std::uint64_t h = hash_shape(g.num_vertices(), num_parts);
-  std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
-  const VertexId n = g.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    const PartId p = a[static_cast<std::size_t>(v)];
-    h += hash_vertex_part(v, p);
-    weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
-  }
-  for (PartId q = 0; q < num_parts; ++q) {
-    h += hash_part_weight(q, weight[static_cast<std::size_t>(q)]);
-  }
-  return h;
+  return content_hash_of(g, a, num_parts);
 }
 
 }  // namespace gapart

@@ -65,11 +65,8 @@ double fitness_from_metrics(const PartitionMetrics& m,
 double evaluate_fitness(const Graph& g, const Assignment& a, PartId num_parts,
                         const FitnessParams& params);
 
-/// From-scratch counterpart of PartitionState::content_hash(): digests
-/// (assignment, part weights implied by `a`, n, k) without building a state.
-/// Equals the member function on the same state whenever the maintained part
-/// weights are exact (always true for integer vertex weights) — used by the
-/// replication layer to stamp shipped snapshots.
+/// PartitionState::content_hash() without building a state (validates `a`
+/// first) — used to stamp session images.
 std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
                                       PartId num_parts);
 
@@ -107,6 +104,14 @@ struct BestMove {
 class PartitionState {
  public:
   PartitionState(const Graph& g, Assignment a, PartId num_parts);
+
+  /// Builds the state as above, then adopts `sums` (the metrics() of a
+  /// state with the same content, e.g. carried by a session image) as its
+  /// maintained sums: with fractional weights their low bits depend on the
+  /// move history, so this state then continues exactly as that one.
+  /// Throws unless `sums` agrees with this content up to rounding.
+  PartitionState(const Graph& g, Assignment a, PartId num_parts,
+                 const PartitionMetrics& sums);
 
   const Graph& graph() const { return *g_; }
   PartId num_parts() const { return num_parts_; }
@@ -201,17 +206,14 @@ class PartitionState {
   PartitionMetrics metrics() const;
 
   /// Order-independent 64-bit digest of the partition content: the
-  /// (vertex, part) pairs, the maintained part weights, and (n, k).  Built
-  /// on common/checksum with a per-item mix and commutative combination, so
-  /// two states reached by different move orders hash equal iff their
-  /// assignments (and exact weight sums) are equal — the replication layer's
-  /// divergence-detection primitive.  O(V + k), touches no scratch.
-  ///
-  /// Part weights enter the digest as exact bit patterns; with integer
-  /// vertex weights the maintained sums are exact, so the digest is a pure
-  /// function of the assignment.  (Fractional weights could make two
-  /// equal assignments differ through summation order — the same caveat the
-  /// incremental fitness carries.)
+  /// (vertex, part) pairs, the part weights they imply (summed from scratch
+  /// in vertex order, not the maintained sums, whose low bits depend on the
+  /// move history when weights are fractional), and (n, k).  Built on
+  /// common/checksum with a per-item mix and commutative combination, so two
+  /// states over the same graph hash equal iff their assignments are equal,
+  /// however they were reached — the replication layer's divergence-
+  /// detection primitive, and what recovery must reproduce.  O(V + k),
+  /// touches no scratch.
   std::uint64_t content_hash() const;
 
  private:

@@ -1,19 +1,17 @@
 #include "service/replication.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/stats.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
-#include "graph/io.hpp"
 
 namespace gapart {
 
@@ -28,30 +26,6 @@ constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
 
 constexpr std::size_t kLagWindow = 4096;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-std::uint32_t get_u32(const std::string& in, std::size_t pos) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, in.data() + pos, sizeof(v));
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& in, std::size_t pos) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + pos, sizeof(v));
-  return v;
-}
-
 std::string generation_path(const std::string& dir) {
   return dir + "/GENERATION";
 }
@@ -65,111 +39,67 @@ std::string generation_path(const std::string& dir) {
 std::string encode_rep_frame(const RepFrame& frame) {
   std::string out;
   out.reserve(kRepHeaderSize + frame.payload.size());
-  put_u32(out, kRepMagic);
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back(static_cast<char>(frame.sub));
-  put_u64(out, frame.generation);
-  put_u64(out, frame.session);
-  put_u64(out, frame.seq);
-  put_u64(out, frame.epoch);
-  put_u32(out, frame.flags);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
+  put<std::uint32_t>(out, kRepMagic);
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(frame.type));
+  put<std::uint8_t>(out, frame.sub);
+  put<std::uint64_t>(out, frame.generation);
+  put<std::uint64_t>(out, frame.session);
+  put<std::uint64_t>(out, frame.seq);
+  put<std::uint64_t>(out, frame.epoch);
+  put<std::uint32_t>(out, frame.flags);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(frame.payload.size()));
   std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
   crc = crc32(frame.payload.data(), frame.payload.size(), crc);
-  put_u32(out, crc);
+  put<std::uint32_t>(out, crc);
   out += frame.payload;
   return out;
 }
 
 std::optional<RepFrame> decode_rep_frame(const std::string& wire) {
   if (wire.size() < kRepHeaderSize) return std::nullopt;
-  if (get_u32(wire, 0) != kRepMagic) return std::nullopt;
-  const auto type = static_cast<std::uint8_t>(wire[4]);
+  ByteReader header(std::string_view(wire).substr(0, kRepHeaderSize));
+  if (header.get<std::uint32_t>() != kRepMagic) return std::nullopt;
+  const auto type = header.get<std::uint8_t>();
   if (type < 1 || type > 4) return std::nullopt;
-  const std::uint32_t payload_len = get_u32(wire, kRepCrcOffset - 4);
+  RepFrame frame;
+  frame.type = static_cast<RepFrameType>(type);
+  frame.sub = header.get<std::uint8_t>();
+  frame.generation = header.get<std::uint64_t>();
+  frame.session = header.get<std::uint64_t>();
+  frame.seq = header.get<std::uint64_t>();
+  frame.epoch = header.get<std::uint64_t>();
+  frame.flags = header.get<std::uint32_t>();
+  const auto payload_len = header.get<std::uint32_t>();
   if (wire.size() != kRepHeaderSize + payload_len) return std::nullopt;
   std::uint32_t crc = crc32(wire.data() + 4, kRepCrcOffset - 4);
   crc = crc32(wire.data() + kRepHeaderSize, payload_len, crc);
-  if (crc != get_u32(wire, kRepCrcOffset)) return std::nullopt;
-
-  RepFrame frame;
-  frame.type = static_cast<RepFrameType>(type);
-  frame.sub = static_cast<std::uint8_t>(wire[5]);
-  frame.generation = get_u64(wire, 6);
-  frame.session = get_u64(wire, 14);
-  frame.seq = get_u64(wire, 22);
-  frame.epoch = get_u64(wire, 30);
-  frame.flags = get_u32(wire, 38);
+  if (crc != header.get<std::uint32_t>()) return std::nullopt;
   frame.payload = wire.substr(kRepHeaderSize);
   return frame;
 }
 
-std::string encode_open_payload(const OpenPayload& open) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(open.num_parts));
-  put_u32(out, static_cast<std::uint32_t>(open.fitness.objective));
-  std::uint64_t lambda_bits = 0;
-  std::memcpy(&lambda_bits, &open.fitness.lambda, sizeof(lambda_bits));
-  put_u64(out, lambda_bits);
-  put_u64(out, open.digest);
-  put_u64(out, open.graph_text.size());
-  out += open.graph_text;
-  put_u64(out, open.part_text.size());
-  out += open.part_text;
-  return out;
-}
-
-OpenPayload decode_open_payload(const std::string& payload) {
-  const auto need = [&](std::size_t pos, std::size_t n) {
-    if (pos + n > payload.size()) {
-      throw ReplicationError("malformed open-session payload (" +
-                             std::to_string(payload.size()) + " bytes)");
-    }
-  };
-  OpenPayload open;
-  std::size_t pos = 0;
-  need(pos, 24);
-  open.num_parts = static_cast<PartId>(get_u32(payload, pos));
-  open.fitness.objective = static_cast<Objective>(get_u32(payload, pos + 4));
-  const std::uint64_t lambda_bits = get_u64(payload, pos + 8);
-  std::memcpy(&open.fitness.lambda, &lambda_bits, sizeof(open.fitness.lambda));
-  open.digest = get_u64(payload, pos + 16);
-  pos += 24;
-  need(pos, 8);
-  const std::uint64_t graph_len = get_u64(payload, pos);
-  pos += 8;
-  need(pos, graph_len);
-  open.graph_text = payload.substr(pos, graph_len);
-  pos += graph_len;
-  need(pos, 8);
-  const std::uint64_t part_len = get_u64(payload, pos);
-  pos += 8;
-  need(pos, part_len);
-  open.part_text = payload.substr(pos, part_len);
-  return open;
-}
-
 std::uint64_t read_generation_file(const std::string& dir) {
-  std::ifstream in(generation_path(dir));
+  const std::string path = generation_path(dir);
+  // Only a file that is truly absent reads as term 0.  One that cannot be
+  // examined, or that names no term, must not: that would switch the fence
+  // off.
+  std::error_code ec;
+  const bool present = std::filesystem::exists(path, ec);
+  if (ec) throw IoError("cannot examine '" + path + "': " + ec.message());
+  if (!present) return 0;
+  const std::string text = read_file(path);
+  const char* const last = text.data() + text.size();
   std::uint64_t generation = 0;
-  if (in >> generation) return generation;
-  return 0;
+  const auto [end, err] = std::from_chars(text.data(), last, generation);
+  const std::string_view rest(end, static_cast<std::size_t>(last - end));
+  if (err != std::errc() || !(rest.empty() || rest == "\n")) {
+    throw ReplicationError("'" + path + "' holds no fencing term");
+  }
+  return generation;
 }
 
 void write_generation_file(const std::string& dir, std::uint64_t generation) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const std::string tmp = generation_path(dir) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << generation << "\n";
-    if (!out) throw IoError("cannot write '" + tmp + "'");
-  }
-  fs::rename(tmp, generation_path(dir), ec);
-  if (ec) {
-    throw IoError("cannot rename '" + tmp + "': " + ec.message());
-  }
+  write_file_atomic(generation_path(dir), std::to_string(generation) + "\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -216,23 +146,12 @@ void ReplicationShipper::resync(SessionId id, SessionShip& ship) {
   const SessionStats st = session->stats();
   const auto snap = session->snapshot();
 
-  OpenPayload open;
-  open.num_parts = session->config().num_parts;
-  open.fitness = session->config().fitness;
-  open.digest = assignment_content_hash(*snap->graph, snap->assignment,
-                                        open.num_parts);
-  std::ostringstream graph_os;
-  write_graph(graph_os, *snap->graph);
-  open.graph_text = graph_os.str();
-  std::ostringstream part_os;
-  write_partition(part_os, snap->assignment);
-  open.part_text = part_os.str();
-
   RepFrame frame;
   frame.type = RepFrameType::kOpenSession;
   frame.session = id;
   frame.epoch = snap->update_epoch;
-  frame.payload = encode_open_payload(open);
+  frame.payload =
+      encode_session_image(snapshot_image(session->config(), *snap));
 
   // A full reset: everything previously queued is superseded by the open.
   ship.queue.clear();
@@ -265,7 +184,7 @@ void ReplicationShipper::observe_compaction(SessionId id, SessionShip& ship,
     frame.type = RepFrameType::kCompact;
     frame.session = id;
     frame.epoch = wal.snapshot_epoch;
-    put_u64(frame.payload, wal.snapshot_digest);
+    put<std::uint64_t>(frame.payload, wal.snapshot_digest);
     enqueue(ship, std::move(frame));
     ship.file_offset = kWalLogHeaderBytes;
     ship.shipped_snapshot_epoch = wal.snapshot_epoch;
@@ -512,9 +431,9 @@ ReplicationFollower::ReplicationFollower(PartitionService& service,
   stats_.generation = generation_;
 }
 
-void ReplicationFollower::persist_generation() {
+void ReplicationFollower::persist_generation(std::uint64_t generation) {
   if (!service_.config().durability.enabled()) return;
-  write_generation_file(service_.config().durability.dir, generation_);
+  write_generation_file(service_.config().durability.dir, generation);
 }
 
 std::vector<RecoveryReport> ReplicationFollower::start_follower() {
@@ -560,7 +479,7 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
 
   // Fencing: frames from a generation below the accepted term are a deposed
   // leader talking after failover — reject.  A higher term is a new leader;
-  // adopt and persist it before applying anything under it.
+  // persist it, then adopt it, before applying anything under it.
   if (frame.generation < generation_) {
     ++stats_.fenced_rejected;
     // Answer with an ack carrying OUR term: that is how a deposed leader,
@@ -569,9 +488,14 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
     return;
   }
   if (frame.generation > generation_) {
+    try {
+      persist_generation(frame.generation);
+    } catch (const IoError&) {
+      ++stats_.apply_failures;  // not adopted; the leader re-delivers
+      return;
+    }
     generation_ = frame.generation;
     stats_.generation = generation_;
-    persist_generation();
   }
 
   Replica& replica = replicas_[frame.session];
@@ -583,47 +507,41 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
       ack(frame.session, replica);
       return;
     }
-    OpenPayload open;
-    Graph graph;
-    Assignment assignment;
+    SessionImage image;
     try {
-      open = decode_open_payload(frame.payload);
-      std::istringstream graph_is(open.graph_text);
-      graph = read_graph(graph_is);
-      std::istringstream part_is(open.part_text);
-      assignment = read_partition(part_is);
+      image = decode_session_image(frame.payload);
     } catch (const Error&) {
       ++stats_.corrupt_rejected;  // CRC passed but the payload is junk
       return;
     }
-    SessionConfig scfg = config_.base;
-    scfg.num_parts = open.num_parts;
-    scfg.fitness = open.fitness;
+    const std::uint64_t epoch = image.epoch;
+    const std::uint64_t digest = image.digest;
     try {
-      service_.open_replica_session(frame.session,
-                                    std::make_shared<Graph>(std::move(graph)),
-                                    std::move(assignment), std::move(scfg),
-                                    frame.epoch, open.digest);
+      service_.open_replica_session(frame.session, std::move(image),
+                                    config_.base);
     } catch (const std::bad_alloc&) {
       ++stats_.apply_failures;  // leader resume re-delivers the open
       return;
     } catch (const IoError&) {
       ++stats_.apply_failures;  // local snapshot write failed; no session
       return;
+    } catch (const Error&) {
+      ++stats_.corrupt_rejected;  // its sums do not fit its content
+      return;
     }
     const std::uint64_t local =
         service_.session_handle(frame.session)->state_digest();
-    if (local != open.digest) {
+    if (local != digest) {
       stats_.diverged = true;
       throw ReplicationDivergedError(
           "session " + std::to_string(frame.session) +
-          " diverged at open epoch " + std::to_string(frame.epoch) +
-          ": leader digest " + std::to_string(open.digest) + ", follower " +
+          " diverged at open epoch " + std::to_string(epoch) +
+          ": leader digest " + std::to_string(digest) + ", follower " +
           std::to_string(local));
     }
     ++stats_.digests_verified;
     replica.applied_seq = frame.seq;
-    replica.applied_epoch = frame.epoch;
+    replica.applied_epoch = epoch;
     ++stats_.opens_applied;
     stats_.sessions = service_.num_sessions();
     ack(frame.session, replica);
@@ -669,7 +587,8 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
       ++stats_.corrupt_rejected;
       return;
     }
-    const std::uint64_t leader_digest = get_u64(frame.payload, 0);
+    const std::uint64_t leader_digest =
+        ByteReader(frame.payload).get<std::uint64_t>();
     const std::uint64_t local = session->state_digest();
     if (local != leader_digest) {
       // Exact divergence detection: bit-for-bit disagreement at a snapshot
@@ -779,9 +698,9 @@ PromotionReport ReplicationFollower::promote() {
   // The fence: a strictly higher term, persisted before we serve writes.
   // Any late frame from the deposed leader now fails the generation check,
   // and the deposed leader itself learns of its demotion from our next ack.
+  persist_generation(generation_ + 1);
   generation_ += 1;
   stats_.generation = generation_;
-  persist_generation();
   stats_.promoted = true;
 
   report.generation = generation_;

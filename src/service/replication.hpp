@@ -13,11 +13,13 @@
 //
 // Wire protocol (GARP frames, CRC-framed like the WAL):
 //
-//   kOpenSession   full state bootstrap: session config + Chaco graph +
-//                  METIS partition at epoch E, plus the leader's content
-//                  digest.  Sent on attach and on resync (a follower that
-//                  fell behind a compaction).  Accepted at any seq above the
-//                  follower's applied seq — it is a full reset.
+//   kOpenSession   full state bootstrap: the session image (service/wal.hpp)
+//                  of the leader's snapshot at epoch E — identity, epoch,
+//                  content digest, graph and partition, the same bytes
+//                  save_session writes.  Sent on attach and on resync (a
+//                  follower that fell behind a compaction).  Accepted at any
+//                  seq above the follower's applied seq — it is a full
+//                  reset.
 //   kRecord        one WAL record (kDelta or kRefine), per-session seq.
 //                  The follower accepts exactly applied_seq + 1 and
 //                  enforces the WAL epoch chain (kDelta: epoch + 1;
@@ -102,20 +104,12 @@ std::string encode_rep_frame(const RepFrame& frame);
 /// nullopt on any framing/CRC violation — the caller counts and drops.
 std::optional<RepFrame> decode_rep_frame(const std::string& wire);
 
-/// kOpenSession payload: everything a follower needs to (re)build a session.
-struct OpenPayload {
-  PartId num_parts = 2;
-  FitnessParams fitness;
-  std::uint64_t digest = 0;  ///< leader content hash at the open epoch
-  std::string graph_text;    ///< Chaco format (graph/io.hpp)
-  std::string part_text;     ///< METIS format
-};
-
-std::string encode_open_payload(const OpenPayload& open);
-OpenPayload decode_open_payload(const std::string& payload);  // throws
-
 /// The GENERATION fencing term persisted in a service's durability dir
-/// (0 when absent).  Exposed for tests and the chaos tooling.
+/// (0 only when the file is absent; IoError when it cannot be examined,
+/// ReplicationError when it is present but unparseable).  Written
+/// atomically and durably (write_file_atomic); throws IoError on failure,
+/// leaving the previous term in place.  Exposed for tests and the chaos
+/// tooling.
 std::uint64_t read_generation_file(const std::string& dir);
 void write_generation_file(const std::string& dir, std::uint64_t generation);
 
@@ -333,7 +327,9 @@ class ReplicationFollower {
 
   void handle_frame(const RepFrame& frame);
   void ack(SessionId id, const Replica& replica);
-  void persist_generation();
+  /// Writes `generation` to the GENERATION file before it is adopted;
+  /// throws IoError (the term then stays unadopted).
+  void persist_generation(std::uint64_t generation);
 
   PartitionService& service_;
   Transport& link_;

@@ -33,13 +33,6 @@ PartitionService::~PartitionService() {
   executor_->wait();
 }
 
-SessionId PartitionService::insert(std::shared_ptr<PartitionSession> session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SessionId id = next_id_++;
-  sessions_.emplace(id, std::move(session));
-  return id;
-}
-
 void PartitionService::insert_with_id(
     SessionId id, std::shared_ptr<PartitionSession> session) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -55,38 +48,42 @@ std::string PartitionService::session_dir(SessionId id) const {
 SessionId PartitionService::open_session(std::shared_ptr<const Graph> graph,
                                          Assignment initial,
                                          SessionConfig config) {
-  auto session = std::make_shared<PartitionSession>(
-      std::move(graph), std::move(initial), std::move(config));
-  const SessionId id = insert(session);
-  if (config_.durability.enabled()) {
-    // Make the opening state durable before the id is handed back.  The
-    // snapshot carries exactly the (graph, assignment) just installed.
-    const auto snap = session->snapshot();
-    session->attach_wal(SessionWal::create(
-        session_dir(id), config_.durability, session->config().num_parts,
-        session->config().fitness, *snap->graph, snap->assignment,
-        /*snapshot_epoch=*/0,
-        assignment_content_hash(*snap->graph, snap->assignment,
-                                session->config().num_parts)));
+  return open(std::make_shared<PartitionSession>(
+      std::move(graph), std::move(initial), std::move(config)));
+}
+
+SessionId PartitionService::open_session_from_files(const std::string& path,
+                                                    SessionConfig config) {
+  return open(std::make_shared<PartitionSession>(
+      decode_session_image(read_file(path)), std::move(config), "restore"));
+}
+
+SessionId PartitionService::open(std::shared_ptr<PartitionSession> session) {
+  SessionId id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    id = next_id_++;
+    sessions_.emplace(id, session);
   }
+  // Make the opening state durable before the id is handed back.
+  if (config_.durability.enabled()) create_wal(id, *session);
   return id;
 }
 
-SessionId PartitionService::open_session_from_files(const std::string& prefix,
-                                                    SessionConfig config) {
-  auto session = std::shared_ptr<PartitionSession>(
-      PartitionSession::restore_files(prefix, std::move(config)));
-  const SessionId id = insert(session);
-  if (config_.durability.enabled()) {
-    const auto snap = session->snapshot();
-    session->attach_wal(SessionWal::create(
-        session_dir(id), config_.durability, session->config().num_parts,
-        session->config().fitness, *snap->graph, snap->assignment,
-        /*snapshot_epoch=*/0,
-        assignment_content_hash(*snap->graph, snap->assignment,
-                                session->config().num_parts)));
-  }
-  return id;
+std::shared_ptr<PartitionSession> PartitionService::session_from_image(
+    SessionImage image, SessionConfig base, const char* origin) {
+  base.num_parts = image.num_parts;
+  base.fitness = image.fitness;
+  return std::make_shared<PartitionSession>(std::move(image), std::move(base),
+                                            origin);
+}
+
+void PartitionService::create_wal(SessionId id,
+                                  PartitionSession& session) const {
+  const SessionImage image =
+      snapshot_image(session.config(), *session.snapshot());
+  session.attach_wal(
+      SessionWal::create(session_dir(id), config_.durability, image));
 }
 
 std::vector<RecoveryReport> PartitionService::recover(
@@ -111,17 +108,12 @@ std::vector<RecoveryReport> PartitionService::recover(
   for (const SessionId id : ids) {
     WallTimer timer;
     auto rec = SessionWal::recover(session_dir(id), config_.durability);
-
-    // Identity comes from the meta file; everything else (budgets, policy)
-    // from the caller's template.
-    SessionConfig scfg = base;
-    scfg.num_parts = rec.num_parts;
-    scfg.fitness = rec.fitness;
-
-    auto session = std::make_shared<PartitionSession>(
-        std::make_shared<Graph>(std::move(rec.graph)),
-        std::move(rec.assignment), std::move(scfg), "recover");
-    session->begin_recovery(rec.snapshot_epoch);
+    RecoveryReport rep;
+    rep.session_id = id;
+    rep.snapshot_epoch = rec.image.epoch;
+    rep.records_replayed = rec.records.size();
+    rep.torn_tail = rec.torn_tail;
+    auto session = session_from_image(std::move(rec.image), base, "recover");
 
     // Replay: each kDelta re-runs the live repair pipeline with the logged
     // verification-round count (deterministic — no wall clock); each
@@ -131,13 +123,7 @@ std::vector<RecoveryReport> PartitionService::recover(
       replay_wal_record(*session, record, /*log_locally=*/false);
     }
     session->attach_wal(std::move(rec.wal));
-
-    RecoveryReport rep;
-    rep.session_id = id;
-    rep.snapshot_epoch = rec.snapshot_epoch;
     rep.final_epoch = session->snapshot()->update_epoch;
-    rep.records_replayed = rec.records.size();
-    rep.torn_tail = rec.torn_tail;
     rep.seconds = timer.seconds();
     reports.push_back(rep);
 
@@ -330,8 +316,10 @@ ServiceStats PartitionService::stats() const {
 }
 
 void PartitionService::save_session(SessionId id,
-                                    const std::string& prefix) const {
-  find(id)->save_files(prefix);
+                                    const std::string& path) const {
+  const auto session = find(id);
+  write_file_atomic(path, encode_session_image(snapshot_image(
+                              session->config(), *session->snapshot())));
 }
 
 void PartitionService::quiesce() { executor_->wait(); }
@@ -357,33 +345,24 @@ std::shared_ptr<PartitionSession> PartitionService::session_handle(
   return find(id);
 }
 
-void PartitionService::open_replica_session(SessionId id,
-                                            std::shared_ptr<const Graph> graph,
-                                            Assignment initial,
-                                            SessionConfig config,
-                                            std::uint64_t start_epoch,
-                                            std::uint64_t digest) {
+void PartitionService::open_replica_session(SessionId id, SessionImage image,
+                                            SessionConfig config) {
   // Full-resync semantics: a second open frame for an id the follower
   // already tracks replaces the session wholesale (the leader compacted
   // past what this replica had, or the replica fell behind beyond resume).
   // Build the replacement COMPLETELY before touching the session map: if
   // the checkpoint write below throws, the old incarnation must survive so
   // a failover promotes a stale-but-valid state instead of nothing.
-  auto session = std::make_shared<PartitionSession>(
-      std::move(graph), std::move(initial), std::move(config), "replicate");
-  session->begin_recovery(start_epoch);
+  auto session =
+      session_from_image(std::move(image), std::move(config), "replicate");
   if (config_.durability.enabled()) {
     // A replica restarts from its own disk: checkpoint the streamed state at
-    // exactly the leader's epoch/digest, wiping any stale prior incarnation.
-    // (The old session's open file descriptors survive the wipe; it is about
-    // to be closed anyway.)
+    // exactly the leader's epoch, wiping any stale prior incarnation.  (The
+    // old session's open file descriptors survive the wipe; it is about to
+    // be closed anyway.)
     std::error_code ec;
     std::filesystem::remove_all(session_dir(id), ec);
-    const auto snap = session->snapshot();
-    session->attach_wal(SessionWal::create(
-        session_dir(id), config_.durability, session->config().num_parts,
-        session->config().fitness, *snap->graph, snap->assignment, start_epoch,
-        digest));
+    create_wal(id, *session);
   }
 
   std::shared_ptr<PartitionSession> old;

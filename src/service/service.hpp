@@ -130,9 +130,11 @@ class PartitionService {
   SessionId open_session(std::shared_ptr<const Graph> graph,
                          Assignment initial, SessionConfig config);
 
-  /// Opens a session from a save_session checkpoint (`prefix`.graph /
-  /// `prefix`.part, Chaco/METIS formats).
-  SessionId open_session_from_files(const std::string& prefix,
+  /// Opens a session from the session image save_session wrote at `path`
+  /// (service/wal.hpp), resuming at its epoch with snapshot source
+  /// "restore".  Identity and budgets come from `config` (whose num_parts
+  /// must equal the image's).
+  SessionId open_session_from_files(const std::string& path,
                                     SessionConfig config);
 
   /// Rebuilds every session found under config.durability.dir (one
@@ -141,7 +143,7 @@ class PartitionService {
   /// live sessions ran, wall clock removed.  Session ids are preserved.
   /// `base` supplies the non-persisted session config knobs (budgets,
   /// policy); num_parts and the fitness objective come from each session's
-  /// meta file.  Call on a fresh service before opening new sessions.
+  /// snapshot image.  Call on a fresh service before opening new sessions.
   /// Throws WalCorruptError on mid-log corruption (a torn *tail* is
   /// tolerated and reported instead — it was never acknowledged).
   std::vector<RecoveryReport> recover(const SessionConfig& base);
@@ -181,8 +183,9 @@ class PartitionService {
   /// a periodic housekeeping loop (or between client bursts).
   void poll();
 
-  /// Checkpoints one session to `prefix`.graph / `prefix`.part.
-  void save_session(SessionId id, const std::string& prefix) const;
+  /// Checkpoints one session's latest snapshot as a session image written
+  /// atomically at exactly `path` (for Chaco/METIS text, see graph/io).
+  void save_session(SessionId id, const std::string& path) const;
 
   /// Blocks until every scheduled refinement has completed and published.
   void quiesce();
@@ -209,18 +212,24 @@ class PartitionService {
   std::string session_wal_dir(SessionId id) const { return session_dir(id); }
 
   /// Follower side of replication: (re)creates session `id` from a streamed
-  /// open frame — full graph + assignment at `start_epoch` with the leader's
-  /// content digest — replacing any existing session with that id.  The new
-  /// session is put in recovery mode (epochs continue from `start_epoch`)
-  /// and, when durability is enabled, gets a fresh WAL checkpointed at
-  /// exactly that epoch so a crashed follower restarts from its own disk.
-  void open_replica_session(SessionId id, std::shared_ptr<const Graph> graph,
-                            Assignment initial, SessionConfig config,
-                            std::uint64_t start_epoch, std::uint64_t digest);
+  /// open frame's session image, replacing any existing session with that
+  /// id.  Identity comes from the image, everything else from `config`.
+  /// When durability is enabled it gets a fresh WAL checkpointed at
+  /// exactly that state, so a crashed follower restarts from its own disk.
+  void open_replica_session(SessionId id, SessionImage image,
+                            SessionConfig config);
 
  private:
   std::shared_ptr<PartitionSession> find(SessionId id) const;
-  SessionId insert(std::shared_ptr<PartitionSession> session);
+  /// Inserts a new session under a fresh id and, when durability is on,
+  /// gives it a WAL.
+  SessionId open(std::shared_ptr<PartitionSession> session);
+  /// Rebuilds a session from a WAL snapshot or an open frame: identity from
+  /// the image, everything else (budgets, policy) from `base`.
+  static std::shared_ptr<PartitionSession> session_from_image(
+      SessionImage image, SessionConfig base, const char* origin);
+  /// Attaches a fresh WAL checkpointed at the session's latest snapshot.
+  void create_wal(SessionId id, PartitionSession& session) const;
   void insert_with_id(SessionId id, std::shared_ptr<PartitionSession> session);
   void maybe_schedule_refinement(SessionId id,
                                  const std::shared_ptr<PartitionSession>& s);

@@ -1,7 +1,6 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <optional>
 
@@ -13,7 +12,6 @@
 #include "core/init.hpp"
 #include "core/presets.hpp"
 #include "graph/delta_codec.hpp"
-#include "graph/io.hpp"
 
 namespace gapart {
 
@@ -56,6 +54,19 @@ PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
   std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
   stats_.full_evaluations = 1;  // the state construction
   baseline_fitness_ = state_.fitness(config_.fitness);
+  publish(origin);
+}
+
+PartitionSession::PartitionSession(SessionImage image, SessionConfig config,
+                                   const char* origin)
+    : config_(std::move(config)),
+      graph_(std::move(image.graph)),
+      state_(require_graph(graph_), std::move(image.assignment),
+             config_.num_parts, image.sums) {
+  std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
+  stats_.full_evaluations = 1;  // the state construction
+  baseline_fitness_ = state_.fitness(config_.fitness);
+  update_epoch_ = image.epoch;
   publish(origin);
 }
 
@@ -125,19 +136,12 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
       wal_failed_ = true;
       throw;
     }
-    if (wal_->should_compact()) {
-      try {
-        wal_->compact(update_epoch_, *graph_, state_.assignment(),
-                      state_.content_hash());
-      } catch (const IoError&) {
-        // Snapshot writing failed; the log is still intact and complete, so
-        // durability is unharmed — compaction simply retries at the next
-        // trigger (counted in WalStats::compaction_failures).
-      }
-    }
   }
 
   publish("repair");
+  if (wal_ != nullptr && !opts.replaying && wal_->should_compact()) {
+    compact_wal();
+  }
   return rep;
 }
 
@@ -150,8 +154,7 @@ void PartitionSession::publish(const char* source) {
   snap->assignment = state_.assignment();
   snap->fitness = state_.fitness(config_.fitness);
   snap->total_cut = state_.total_cut();
-  snap->max_part_cut = state_.max_part_cut();
-  snap->imbalance_sq = state_.imbalance_sq();
+  snap->sums = state_.metrics();
   stats_.version = snap->version;
   if (cut_trajectory_.size() < SessionStats::kMaxHistory) {
     cut_trajectory_.emplace_back(update_epoch_, snap->total_cut);
@@ -280,14 +283,6 @@ bool PartitionSession::durable() const {
   return wal_ != nullptr;
 }
 
-void PartitionSession::begin_recovery(std::uint64_t snapshot_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GAPART_REQUIRE(stats_.updates == 0 && update_epoch_ == 0,
-                 "begin_recovery on a session that already absorbed updates");
-  update_epoch_ = snapshot_epoch;
-  publish("recover");
-}
-
 void PartitionSession::force_assignment(Assignment refined,
                                         const char* source) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -331,29 +326,28 @@ void PartitionSession::set_ship_gate(std::shared_ptr<WalShipGate> gate) {
   if (wal_ != nullptr) wal_->set_ship_gate(std::move(gate));
 }
 
+bool PartitionSession::compact_wal() {
+  // Every state change publishes before mu_ is released, so the latest
+  // snapshot IS the live state.
+  try {
+    wal_->compact(snapshot_image(config_, *snapshot()));
+  } catch (const IoError&) {
+    return false;
+  }
+  return true;
+}
+
 bool PartitionSession::compact_now() {
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_ == nullptr || wal_failed_) return false;
-  try {
-    wal_->compact(update_epoch_, *graph_, state_.assignment(),
-                  state_.content_hash());
-  } catch (const IoError&) {
-    return false;  // log intact; the next boundary retries
-  }
-  return true;
+  return compact_wal();
 }
 
 bool PartitionSession::poll_compaction() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || wal_ == nullptr || wal_failed_) return false;
   if (!wal_->should_compact()) return false;
-  try {
-    wal_->compact(update_epoch_, *graph_, state_.assignment(),
-                  state_.content_hash());
-  } catch (const IoError&) {
-    return false;
-  }
-  return true;
+  return compact_wal();
 }
 
 void PartitionSession::close() {
@@ -402,41 +396,6 @@ SessionStats PartitionSession::stats() const {
   out.wal_failed = wal_failed_;
   if (wal_ != nullptr) out.wal = wal_->stats();
   return out;
-}
-
-void PartitionSession::save(std::ostream& graph_os,
-                            std::ostream& partition_os) const {
-  // Serialize from the immutable snapshot, NOT the live state: holding mu_
-  // across O(V+E) stream IO would stall the repair plane for the duration
-  // of a checkpoint.  Every apply_update/refinement publishes before
-  // releasing mu_, so the snapshot is never behind a completed update.
-  const auto snap = snapshot();
-  write_graph(graph_os, *snap->graph);
-  write_partition(partition_os, snap->assignment);
-}
-
-void PartitionSession::save_files(const std::string& prefix) const {
-  const auto snap = snapshot();
-  write_graph_file(prefix + ".graph", *snap->graph);
-  write_partition_file(prefix + ".part", snap->assignment);
-}
-
-std::unique_ptr<PartitionSession> PartitionSession::restore(
-    std::istream& graph_is, std::istream& partition_is, SessionConfig config) {
-  auto graph = std::make_shared<Graph>(read_graph(graph_is));
-  Assignment assignment = read_partition(partition_is);
-  return std::make_unique<PartitionSession>(std::move(graph),
-                                            std::move(assignment),
-                                            std::move(config), "restore");
-}
-
-std::unique_ptr<PartitionSession> PartitionSession::restore_files(
-    const std::string& prefix, SessionConfig config) {
-  std::ifstream graph_is(prefix + ".graph");
-  GAPART_REQUIRE(graph_is.good(), "cannot open ", prefix, ".graph");
-  std::ifstream partition_is(prefix + ".part");
-  GAPART_REQUIRE(partition_is.good(), "cannot open ", prefix, ".part");
-  return restore(graph_is, partition_is, std::move(config));
 }
 
 RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
@@ -526,6 +485,18 @@ void replay_wal_record(PartitionSession& session, const WalRecord& record,
   } else {
     session.force_assignment(decode_assignment(record.payload), "recover");
   }
+}
+
+SessionImage snapshot_image(const SessionConfig& config,
+                            const SessionSnapshot& snap) {
+  return {.num_parts = config.num_parts,
+          .fitness = config.fitness,
+          .epoch = snap.update_epoch,
+          .digest = assignment_content_hash(*snap.graph, snap.assignment,
+                                            config.num_parts),
+          .graph = snap.graph,
+          .assignment = snap.assignment,
+          .sums = snap.sums};
 }
 
 }  // namespace gapart

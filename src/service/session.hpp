@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -93,8 +92,9 @@ struct SessionSnapshot {
   Assignment assignment;
   double fitness = 0.0;
   double total_cut = 0.0;
-  double max_part_cut = 0.0;
-  double imbalance_sq = 0.0;
+  /// The state's maintained metrics(): part weights and cuts, their sum and
+  /// max, the imbalance — what the snapshot's session image carries.
+  PartitionMetrics sums;
 };
 
 /// Per-call modifiers for apply_update.  Defaults describe the normal live
@@ -170,9 +170,17 @@ class PartitionSession {
  public:
   /// Starts a session on `graph` with `initial` as its partition.  The graph
   /// is shared because snapshots outlive updates.  `origin` labels the first
-  /// snapshot's source ("open"; restore() passes "restore").
+  /// snapshot's source ("open"; a session rebuilt from an image passes
+  /// "restore", "recover" or "replicate").
   PartitionSession(std::shared_ptr<const Graph> graph, Assignment initial,
                    SessionConfig config, const char* origin = "open");
+
+  /// Rebuilds the session a session image (service/wal.hpp) was taken of,
+  /// at the image's update epoch and with its maintained sums, so it
+  /// continues exactly as that session would.  `config` supplies the rest;
+  /// its num_parts must equal the image's.
+  PartitionSession(SessionImage image, SessionConfig config,
+                   const char* origin);
 
   PartitionSession(const PartitionSession&) = delete;
   PartitionSession& operator=(const PartitionSession&) = delete;
@@ -243,11 +251,6 @@ class PartitionSession {
   void attach_wal(std::unique_ptr<SessionWal> wal);
   bool durable() const;
 
-  /// Recovery bootstrap: positions a freshly constructed session (built on
-  /// the snapshot state, zero updates absorbed) at the snapshot's update
-  /// epoch so replayed records land on their original epochs.
-  void begin_recovery(std::uint64_t snapshot_epoch);
-
   /// Recovery replay of a logged kRefine record: swaps in `refined` as the
   /// live assignment (one O(V + E) state rebuild), without consulting the
   /// policy or the WAL.
@@ -293,26 +296,12 @@ class PartitionSession {
   void close();
   bool closed() const;
 
-  // --- Persistence through the Chaco/METIS text formats -------------------
-
-  /// Writes the current graph and partition (io.hpp formats): a session can
-  /// be checkpointed mid-stream and restored into a fresh process, or its
-  /// partition handed to any other Chaco/METIS-speaking tool.
-  void save(std::ostream& graph_os, std::ostream& partition_os) const;
-  /// save() to `prefix`.graph / `prefix`.part.
-  void save_files(const std::string& prefix) const;
-
-  /// Restores a session from streams/files written by save()/save_files()
-  /// (snapshot source is "restore").
-  static std::unique_ptr<PartitionSession> restore(std::istream& graph_is,
-                                                   std::istream& partition_is,
-                                                   SessionConfig config);
-  static std::unique_ptr<PartitionSession> restore_files(
-      const std::string& prefix, SessionConfig config);
-
  private:
   /// Publishes the current state as the newest snapshot (mu_ held).
   void publish(const char* source);
+  /// Checkpoints the latest snapshot into the WAL (mu_ held, wal_ set).
+  /// False when that failed: the log is intact and the next trigger retries.
+  bool compact_wal();
   RefineSignals signals() const;  // mu_ held
 
   const SessionConfig config_;
@@ -376,5 +365,12 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
 /// verification-round count; kRefine records swap in the logged assignment.
 void replay_wal_record(PartitionSession& session, const WalRecord& record,
                        bool log_locally);
+
+/// The session image (service/wal.hpp) of one published snapshot under
+/// `config`'s identity: what compaction checkpoints, save_session's file
+/// and the replication kOpenSession payload.  Built from the immutable
+/// snapshot, so encoding it never holds the session lock.
+SessionImage snapshot_image(const SessionConfig& config,
+                            const SessionSnapshot& snap);
 
 }  // namespace gapart

@@ -308,9 +308,12 @@ std::optional<std::string> SocketTransport::receive(double timeout_seconds) {
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("read");
+      // A peer killed with our frames still unread in its queue resets the
+      // connection instead of closing it; what it sent was read before the
+      // reset surfaced, so this is the same end of stream as EOF.
+      if (errno != ECONNRESET) throw_errno("read");
     }
-    if (n == 0) {
+    if (n <= 0) {
       peer_closed_ = true;  // EOF; a torn carry_ tail was never a full frame
       return std::nullopt;
     }

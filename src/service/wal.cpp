@@ -5,16 +5,19 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
-#include "graph/io.hpp"
+#include "graph/delta_codec.hpp"
 
 namespace gapart {
 
@@ -32,19 +35,10 @@ static_assert(kFileHeaderSize == kWalLogHeaderBytes,
 constexpr std::size_t kFrameHeaderSize = 25;
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-template <typename T>
-void put(std::string& out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-template <typename T>
-T get_at(const std::string& bytes, std::size_t pos) {
-  T value;
-  std::memcpy(&value, bytes.data() + pos, sizeof(T));
-  return value;
-}
+constexpr std::uint32_t kImageMagic = 0x31495347u;  // "GSI1"
+// magic u32 + num_parts u32 + objective u32 + lambda u64 + epoch u64 +
+// digest u64 + graph length u64
+constexpr std::size_t kImageHeaderSize = 44;
 
 std::string build_frame(WalRecordType type, std::uint64_t epoch,
                         std::uint32_t flags, const std::string& payload) {
@@ -72,18 +66,19 @@ std::string build_frame(WalRecordType type, std::uint64_t epoch,
 std::optional<WalRecord> try_parse_frame(const std::string& bytes,
                                          std::size_t& pos) {
   if (pos + kFrameHeaderSize > bytes.size()) return std::nullopt;
-  if (get_at<std::uint32_t>(bytes, pos) != kRecordMagic) return std::nullopt;
-  const auto type = get_at<std::uint8_t>(bytes, pos + 4);
+  ByteReader header(std::string_view(bytes).substr(pos, kFrameHeaderSize));
+  if (header.get<std::uint32_t>() != kRecordMagic) return std::nullopt;
+  const auto type = header.get<std::uint8_t>();
   if (type != static_cast<std::uint8_t>(WalRecordType::kDelta) &&
       type != static_cast<std::uint8_t>(WalRecordType::kRefine)) {
     return std::nullopt;
   }
-  const auto flags = get_at<std::uint32_t>(bytes, pos + 5);
-  const auto epoch = get_at<std::uint64_t>(bytes, pos + 9);
-  const auto payload_len = get_at<std::uint32_t>(bytes, pos + 17);
+  const auto flags = header.get<std::uint32_t>();
+  const auto epoch = header.get<std::uint64_t>();
+  const auto payload_len = header.get<std::uint32_t>();
   if (payload_len > kMaxPayload) return std::nullopt;
   if (pos + kFrameHeaderSize + payload_len > bytes.size()) return std::nullopt;
-  const auto stored_crc = get_at<std::uint32_t>(bytes, pos + 21);
+  const auto stored_crc = header.get<std::uint32_t>();
   std::uint32_t crc = crc32(bytes.data() + pos + 4, kFrameHeaderSize - 8);
   crc = crc32(bytes.data() + pos + kFrameHeaderSize, payload_len, crc);
   if (crc != stored_crc) return std::nullopt;
@@ -103,11 +98,19 @@ std::optional<WalRecord> try_parse_frame(const std::string& bytes,
 /// history, so recovery must refuse).
 bool any_valid_frame_after(const std::string& bytes, std::size_t from) {
   for (std::size_t pos = from; pos + kFrameHeaderSize <= bytes.size(); ++pos) {
-    if (get_at<std::uint32_t>(bytes, pos) != kRecordMagic) continue;
     std::size_t probe = pos;
     if (try_parse_frame(bytes, probe).has_value()) return true;
   }
   return false;
+}
+
+/// `bytes` holds at least kFileHeaderSize bytes.
+void check_log_header(const std::string& bytes, const std::string& path) {
+  ByteReader header(bytes);
+  if (header.get<std::uint32_t>() != kFileMagic ||
+      header.get<std::uint32_t>() != kFileVersion) {
+    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
+  }
 }
 
 void posix_fsync_fd(int fd, const char* what) {
@@ -146,10 +149,18 @@ void rename_file(const std::string& from, const std::string& to) {
   }
 }
 
-/// Writes `content` to `path` atomically: temp file, flush-checked close,
-/// fsync, rename over, fsync the directory.
-void write_file_atomic(const std::string& path, const std::string& content,
-                       const std::string& dir) {
+std::string snap_path(const std::string& dir, std::uint64_t epoch) {
+  return dir + "/snap-" + std::to_string(epoch);
+}
+
+}  // namespace
+
+void write_file_atomic(const std::string& path, const std::string& content) {
+  std::string dir = fs::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) throw IoError("cannot create '" + dir + "': " + ec.message());
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -167,7 +178,7 @@ void write_file_atomic(const std::string& path, const std::string& content,
   fsync_path(dir, "atomic write dir");
 }
 
-std::string read_small_file(const std::string& path) {
+std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) throw IoError("cannot open '" + path + "' for reading");
   std::ostringstream buf;
@@ -175,15 +186,6 @@ std::string read_small_file(const std::string& path) {
   if (is.bad()) throw IoError("read failed for '" + path + "'");
   return buf.str();
 }
-
-std::string snap_graph_path(const std::string& dir, std::uint64_t epoch) {
-  return dir + "/snap-" + std::to_string(epoch) + ".graph";
-}
-std::string snap_part_path(const std::string& dir, std::uint64_t epoch) {
-  return dir + "/snap-" + std::to_string(epoch) + ".part";
-}
-
-}  // namespace
 
 const char* fsync_policy_name(FsyncPolicy p) {
   switch (p) {
@@ -202,16 +204,13 @@ WalReadResult read_log_file(const std::string& path) {
   std::error_code ec;
   if (!fs::exists(path, ec)) return out;
 
-  const std::string bytes = read_small_file(path);
+  const std::string bytes = read_file(path);
   if (bytes.size() < kFileHeaderSize) {
     // A crash during log creation: nothing was ever appended.
     out.torn_tail = !bytes.empty();
     return out;
   }
-  if (get_at<std::uint32_t>(bytes, 0) != kFileMagic ||
-      get_at<std::uint32_t>(bytes, 4) != kFileVersion) {
-    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
-  }
+  check_log_header(bytes, path);
 
   std::size_t pos = kFileHeaderSize;
   out.valid_bytes = pos;
@@ -243,12 +242,9 @@ WalTail read_log_tail(const std::string& path, std::uint64_t offset,
   std::error_code ec;
   if (!fs::exists(path, ec)) return out;
 
-  const std::string bytes = read_small_file(path);
+  const std::string bytes = read_file(path);
   if (bytes.size() < kFileHeaderSize || offset > bytes.size()) return out;
-  if (get_at<std::uint32_t>(bytes, 0) != kFileMagic ||
-      get_at<std::uint32_t>(bytes, 4) != kFileVersion) {
-    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
-  }
+  check_log_header(bytes, path);
 
   const std::size_t limit =
       static_cast<std::size_t>(std::min<std::uint64_t>(limit_bytes,
@@ -274,18 +270,92 @@ std::string encode_assignment(const Assignment& assignment) {
   return out;
 }
 
-Assignment decode_assignment(const std::string& payload) {
-  GAPART_REQUIRE(payload.size() >= 8, "assignment payload truncated");
-  const auto n = get_at<std::uint64_t>(payload, 0);
-  GAPART_REQUIRE(payload.size() == 8 + n * 4,
+Assignment decode_assignment(std::string_view payload) {
+  ByteReader in(payload);
+  const auto n = in.get<std::uint64_t>();
+  // Compare by division: n * 4 can wrap for a corrupt n.
+  GAPART_REQUIRE(in.remaining() % 4 == 0 && n == in.remaining() / 4,
                  "assignment payload size mismatch: header says ", n,
                  " entries, payload has ", payload.size(), " bytes");
   Assignment a(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    a[static_cast<std::size_t>(i)] =
-        get_at<std::int32_t>(payload, 8 + static_cast<std::size_t>(i) * 4);
-  }
+  for (PartId& p : a) p = in.get<std::int32_t>();
   return a;
+}
+
+std::string encode_session_image(const SessionImage& image) {
+  const std::string graph_bytes = encode_delta(*image.graph, GraphDelta{0, {}});
+  const std::string parts = encode_assignment(image.assignment);
+  std::string out;
+  out.reserve(kImageHeaderSize + graph_bytes.size() + parts.size() +
+              16 * (image.sums.part_weight.size() + 1) + 4);
+  put<std::uint32_t>(out, kImageMagic);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(image.num_parts));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(image.fitness.objective));
+  put<double>(out, image.fitness.lambda);
+  put<std::uint64_t>(out, image.epoch);
+  put<std::uint64_t>(out, image.digest);
+  put<std::uint64_t>(out, graph_bytes.size());
+  out += graph_bytes;
+  out += parts;
+  for (const double w : image.sums.part_weight) put<double>(out, w);
+  for (const double c : image.sums.part_cut) put<double>(out, c);
+  put<double>(out, image.sums.sum_part_cut);
+  put<double>(out, image.sums.imbalance_sq);
+  put<std::uint32_t>(out, crc32(out.data(), out.size()));
+  return out;
+}
+
+SessionImage decode_session_image(std::string_view bytes) {
+  GAPART_REQUIRE(bytes.size() >= kImageHeaderSize + 4, "session image of ",
+                 bytes.size(), " bytes is truncated");
+  const std::string_view body = bytes.substr(0, bytes.size() - 4);
+  GAPART_REQUIRE(ByteReader(bytes.substr(body.size())).get<std::uint32_t>() ==
+                     crc32(body.data(), body.size()),
+                 "session image fails its CRC");
+  ByteReader in(body);
+  GAPART_REQUIRE(in.get<std::uint32_t>() == kImageMagic,
+                 "not a gapart session image (bad magic)");
+  SessionImage image;
+  const auto num_parts = in.get<std::uint32_t>();
+  GAPART_REQUIRE(num_parts >= 1 &&
+                     num_parts <= static_cast<std::uint32_t>(
+                                      std::numeric_limits<PartId>::max()),
+                 "session image has ", num_parts, " parts");
+  image.num_parts = static_cast<PartId>(num_parts);
+  const auto objective = in.get<std::uint32_t>();
+  GAPART_REQUIRE(objective <= static_cast<std::uint32_t>(Objective::kWorstComm),
+                 "session image has unknown objective ", objective);
+  image.fitness.objective = static_cast<Objective>(objective);
+  image.fitness.lambda = in.get<double>();
+  GAPART_REQUIRE(std::isfinite(image.fitness.lambda),
+                 "session image has a non-finite lambda");
+  image.epoch = in.get<std::uint64_t>();
+  image.digest = in.get<std::uint64_t>();
+  const auto graph_len = in.get<std::uint64_t>();
+  image.graph = std::make_shared<const Graph>(
+      decode_delta(Graph(), in.take(static_cast<std::size_t>(graph_len)))
+          .grown);
+  const Graph& graph = *image.graph;
+  // The parts section holds one entry per vertex: u64 count + n x i32.
+  image.assignment = decode_assignment(
+      in.take(8 + 4 * static_cast<std::size_t>(graph.num_vertices())));
+  GAPART_REQUIRE(is_valid_assignment(graph, image.assignment, image.num_parts),
+                 "session image holds no valid ", image.num_parts,
+                 "-way partition of its ", graph.num_vertices(),
+                 "-vertex graph");
+  const auto k = static_cast<std::size_t>(num_parts);
+  GAPART_REQUIRE(in.remaining() == 16 * (k + 1), "session image sums take ",
+                 in.remaining(), " bytes, expected ", 16 * (k + 1));
+  PartitionMetrics& sums = image.sums;
+  sums.part_weight.resize(k);
+  sums.part_cut.resize(k);
+  for (double& w : sums.part_weight) w = in.get<double>();
+  for (double& c : sums.part_cut) c = in.get<double>();
+  sums.sum_part_cut = in.get<double>();
+  sums.imbalance_sq = in.get<double>();
+  sums.max_part_cut =
+      *std::max_element(sums.part_cut.begin(), sums.part_cut.end());
+  return image;
 }
 
 // ---------------------------------------------------------------------------
@@ -407,34 +477,20 @@ bool SessionWal::should_compact() const {
   return true;
 }
 
-void SessionWal::write_snapshot_files(std::uint64_t epoch, const Graph& graph,
-                                      const Assignment& assignment,
-                                      std::uint64_t digest) {
-  // Data files first (temp + rename + fsync), CURRENT last: CURRENT never
+void SessionWal::write_snapshot(const SessionImage& image) {
+  // The image first (temp + fsync + rename), CURRENT last: CURRENT never
   // names an incomplete snapshot.
-  {
-    std::ostringstream gos;
-    write_graph(gos, graph);
-    write_file_atomic(snap_graph_path(dir_, epoch), gos.str(), dir_);
-  }
-  {
-    std::ostringstream pos;
-    write_partition(pos, assignment);
-    write_file_atomic(snap_part_path(dir_, epoch), pos.str(), dir_);
-  }
-  write_file_atomic(dir_ + "/CURRENT",
-                    std::to_string(epoch) + " " + std::to_string(digest) +
-                        "\n",
-                    dir_);
+  write_file_atomic(snap_path(dir_, image.epoch), encode_session_image(image));
+  write_file_atomic(dir_ + "/CURRENT", std::to_string(image.epoch) + "\n");
 }
 
-void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
-                         const Assignment& assignment, std::uint64_t digest) {
+void SessionWal::compact(const SessionImage& image) {
   GAPART_SPAN("wal.compact");
   WallTimer timer;
+  const std::uint64_t epoch = image.epoch;
   const std::uint64_t old_epoch = stats_.snapshot_epoch;
   try {
-    write_snapshot_files(epoch, graph, assignment, digest);
+    write_snapshot(image);
     // CURRENT now points at the new snapshot; the log's records are all
     // <= epoch and would be skipped on replay, so truncating is safe — and
     // a crash right here leaves a stale-prefix log, which replay skips.
@@ -448,7 +504,7 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
     throw;
   }
   stats_.snapshot_epoch = epoch;
-  stats_.snapshot_digest = digest;
+  stats_.snapshot_digest = image.digest;
   stats_.log_records = 0;
   stats_.log_bytes = 0;
   stats_.log_damage = 0;
@@ -458,11 +514,10 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
   ++stats_.compactions;
   stats_.last_compaction_seconds = timer.seconds();
 
-  // Old snapshot files are garbage now; failures here cost only disk.
+  // The old snapshot is garbage now; failing to remove it costs only disk.
   if (old_epoch != epoch) {
     std::error_code ec;
-    fs::remove(snap_graph_path(dir_, old_epoch), ec);
-    fs::remove(snap_part_path(dir_, old_epoch), ec);
+    fs::remove(snap_path(dir_, old_epoch), ec);
   }
 }
 
@@ -474,32 +529,11 @@ void SessionWal::sync() {
 
 std::unique_ptr<SessionWal> SessionWal::create(std::string dir,
                                                const DurabilityConfig& config,
-                                               PartId num_parts,
-                                               const FitnessParams& fitness,
-                                               const Graph& graph,
-                                               const Assignment& assignment,
-                                               std::uint64_t snapshot_epoch,
-                                               std::uint64_t snapshot_digest) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    throw IoError("cannot create session directory '" + dir + "': " +
-                  ec.message());
-  }
+                                               const SessionImage& image) {
   auto wal = std::unique_ptr<SessionWal>(new SessionWal(dir, config));
-
-  std::ostringstream meta;
-  meta << "gapart-session-meta v1\n"
-       << "num_parts " << num_parts << '\n'
-       << "objective " << static_cast<int>(fitness.objective) << '\n';
-  meta.precision(17);
-  meta << "lambda " << fitness.lambda << '\n';
-  write_file_atomic(dir + "/meta", meta.str(), dir);
-
-  wal->write_snapshot_files(snapshot_epoch, graph, assignment,
-                            snapshot_digest);
-  wal->stats_.snapshot_epoch = snapshot_epoch;
-  wal->stats_.snapshot_digest = snapshot_digest;
+  wal->write_snapshot(image);
+  wal->stats_.snapshot_epoch = image.epoch;
+  wal->stats_.snapshot_digest = image.digest;
   wal->open_log(0, /*truncate_all=*/true);
   return wal;
 }
@@ -508,49 +542,16 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
                                           const DurabilityConfig& config) {
   Recovered out;
 
+  std::uint64_t snapshot_epoch = 0;
   {
-    std::istringstream meta(read_small_file(dir + "/meta"));
-    std::string magic, version;
-    meta >> magic >> version;
-    GAPART_REQUIRE(magic == "gapart-session-meta" && version == "v1",
-                   "'", dir, "/meta' is not a gapart session meta file");
-    std::string key;
-    while (meta >> key) {
-      if (key == "num_parts") {
-        int k = 0;
-        meta >> k;
-        out.num_parts = static_cast<PartId>(k);
-      } else if (key == "objective") {
-        int o = 0;
-        meta >> o;
-        out.fitness.objective = static_cast<Objective>(o);
-      } else if (key == "lambda") {
-        meta >> out.fitness.lambda;
-      } else {
-        std::string ignored;
-        std::getline(meta, ignored);  // unknown key: forward compatibility
-      }
-      GAPART_REQUIRE(!meta.fail(), "malformed value for meta key '", key, "'");
-    }
-    GAPART_REQUIRE(out.num_parts >= 1, "meta file carries no num_parts");
-  }
-
-  {
-    std::istringstream cur(read_small_file(dir + "/CURRENT"));
-    cur >> out.snapshot_epoch;
+    std::istringstream cur(read_file(dir + "/CURRENT"));
+    cur >> snapshot_epoch;
     GAPART_REQUIRE(!cur.fail(), "'", dir, "/CURRENT' is malformed");
-    // The digest is a later addition; a CURRENT written before it carries
-    // only the epoch and reads back as digest 0 (= unknown).
-    cur >> out.snapshot_digest;
-    if (cur.fail()) out.snapshot_digest = 0;
   }
-
-  out.graph = read_graph_file(snap_graph_path(dir, out.snapshot_epoch));
-  out.assignment = read_partition_file(snap_part_path(dir, out.snapshot_epoch));
-  GAPART_REQUIRE(
-      static_cast<VertexId>(out.assignment.size()) == out.graph.num_vertices(),
-      "snapshot partition has ", out.assignment.size(), " entries for a ",
-      out.graph.num_vertices(), "-vertex snapshot graph");
+  out.image = decode_session_image(read_file(snap_path(dir, snapshot_epoch)));
+  GAPART_REQUIRE(out.image.epoch == snapshot_epoch, "'",
+                 snap_path(dir, snapshot_epoch), "' holds epoch ",
+                 out.image.epoch);
 
   WalReadResult log = read_log_file(dir + "/wal.log");
   out.torn_tail = log.torn_tail;
@@ -559,10 +560,10 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
   // rename and the log truncation leaves records <= snapshot epoch at the
   // front), then demand a gapless epoch chain: delta records advance the
   // epoch by exactly one, refinement records re-certify the current epoch.
-  std::uint64_t epoch = out.snapshot_epoch;
+  std::uint64_t epoch = snapshot_epoch;
   bool past_prefix = false;
   for (auto& rec : log.records) {
-    if (!past_prefix && rec.epoch <= out.snapshot_epoch) continue;
+    if (!past_prefix && rec.epoch <= snapshot_epoch) continue;
     past_prefix = true;
     if (rec.type == WalRecordType::kDelta) {
       if (rec.epoch != epoch + 1) {
@@ -582,8 +583,8 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
   }
 
   out.wal = std::unique_ptr<SessionWal>(new SessionWal(dir, config));
-  out.wal->stats_.snapshot_epoch = out.snapshot_epoch;
-  out.wal->stats_.snapshot_digest = out.snapshot_digest;
+  out.wal->stats_.snapshot_epoch = snapshot_epoch;
+  out.wal->stats_.snapshot_digest = out.image.digest;
   out.wal->stats_.log_records = out.records.size();
   out.wal->stats_.log_bytes =
       log.valid_bytes > kFileHeaderSize ? log.valid_bytes - kFileHeaderSize

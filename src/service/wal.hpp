@@ -8,15 +8,26 @@
 // the synchronous repair acknowledges to the client.  Adopted background
 // refinements are logged too (full assignment; they are rare and already
 // O(V + E) in compute).  When the damage accumulated in the log crosses the
-// compaction policy's threshold, the session state is checkpointed through
-// the existing Chaco/METIS writers (temp file + rename + fsync) and the log
-// is truncated.
+// compaction policy's threshold, the session state is checkpointed as one
+// session image (temp file + fsync + rename) and the log is truncated.
+//
+// The session image is gapart's one internal snapshot format: the WAL's
+// checkpoint, the replication kOpenSession payload and save_session's file
+// are the same bytes.  Layout (host byte order, little-endian):
+//
+//   magic u32 "GSI1" | num_parts u32 | objective u32 | lambda f64 bits |
+//   epoch u64 | digest u64 | graph length u64 |
+//   graph   encode_delta(graph, GraphDelta{0, {}}) (graph/delta_codec) |
+//   parts   encode_assignment(assignment) |
+//   sums    k x f64 part weights | k x f64 part cuts | f64 cut sum |
+//           f64 imbalance  (the state's maintained sums, see SessionImage) |
+//   crc u32 over every byte before it
+//
+// Chaco/METIS text (graph/io) is for external interchange only.
 //
 // On-disk layout of one session directory:
 //
-//   meta               session identity: num_parts, objective, lambda
-//   snap-<E>.graph     checkpoint at update epoch E (Chaco format)
-//   snap-<E>.part      its partition (METIS format)
+//   snap-<E>           session image at update epoch E
 //   CURRENT            the epoch E of the authoritative snapshot
 //   wal.log            framed records with epochs > E (plus possibly stale
 //                      records <= E left by a compaction that crashed
@@ -24,7 +35,7 @@
 //                      replay skips them)
 //
 // Crash-consistency argument: CURRENT is only renamed over after the new
-// snapshot files are fully written and fsynced, and the log is only
+// snapshot image is fully written and fsynced, and the log is only
 // truncated after CURRENT points at the new epoch.  Whatever the crash
 // point, CURRENT names a complete snapshot and the log holds every record
 // past it.  A torn final record (the crash hit mid-append) is detected by
@@ -40,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -151,9 +163,36 @@ struct WalShipGate {
   std::atomic<std::uint64_t> consumed_offset{0};
 };
 
-/// Serializes the kRefine payload.
+/// Serializes the kRefine payload (u64 n + n x i32 parts).
 std::string encode_assignment(const Assignment& assignment);
-Assignment decode_assignment(const std::string& payload);
+Assignment decode_assignment(std::string_view payload);
+
+/// One session image (see file comment): everything a session rebuilt from
+/// it needs to continue exactly as the session it was taken of.
+struct SessionImage {
+  PartId num_parts = 2;
+  FitnessParams fitness;
+  std::uint64_t epoch = 0;   ///< update epoch the image was taken at
+  std::uint64_t digest = 0;  ///< PartitionState::content_hash() at `epoch`
+  std::shared_ptr<const Graph> graph;
+  Assignment assignment;
+  /// The state's maintained sums at `epoch` (PartitionState::metrics()),
+  /// which a rebuilt state adopts (see its constructor).
+  PartitionMetrics sums;
+};
+
+std::string encode_session_image(const SessionImage& image);
+/// Throws gapart::Error on a bad CRC or any malformed section.  The digest
+/// and the sums are carried, not recomputed.
+SessionImage decode_session_image(std::string_view bytes);
+
+/// Writes `content` to `path` atomically and durably: creates the parent
+/// directory if missing, then temp file, fsync, rename over, fsync of the
+/// directory.  Throws IoError; on failure the previous file at `path` is
+/// untouched.
+void write_file_atomic(const std::string& path, const std::string& content);
+/// The whole file; throws IoError when it cannot be read.
+std::string read_file(const std::string& path);
 
 /// Cumulative durability counters for one session (scraped into
 /// SessionStats/ServiceStats and the soak JSON).
@@ -167,7 +206,7 @@ struct WalStats {
   double last_compaction_seconds = 0.0;
   std::uint64_t snapshot_epoch = 0;
   /// PartitionState::content_hash() of the snapshot state (persisted in
-  /// CURRENT) — what a follower must match when it compacts in lockstep.
+  /// its image) — what a follower must match when it compacts in lockstep.
   std::uint64_t snapshot_digest = 0;
   std::uint64_t log_records = 0;
   std::uint64_t log_bytes = 0;
@@ -180,32 +219,20 @@ struct WalStats {
 
 class SessionWal {
  public:
-  /// Creates `dir` (parents included), writes the meta file and the initial
-  /// snapshot, and opens a fresh log: the session's opening state is durable
-  /// before open_session acknowledges.  `snapshot_epoch` is 0 for a new
-  /// session; a replication follower bootstrapping from a mid-life leader
-  /// snapshot passes the leader's epoch (and its state digest) so its own
-  /// recovery resumes from the same point.
+  /// Creates `dir` (parents included), writes `image` as the initial
+  /// snapshot and CURRENT, and opens a fresh log: the session's opening
+  /// state (epoch 0, or a leader's mid-life image on a follower) is durable
+  /// before the session is handed out.
   static std::unique_ptr<SessionWal> create(std::string dir,
                                             const DurabilityConfig& config,
-                                            PartId num_parts,
-                                            const FitnessParams& fitness,
-                                            const Graph& graph,
-                                            const Assignment& assignment,
-                                            std::uint64_t snapshot_epoch = 0,
-                                            std::uint64_t snapshot_digest = 0);
+                                            const SessionImage& image);
 
   /// Everything recovery needs from one session directory: the snapshot
-  /// state, the records to replay (epochs > snapshot_epoch, stale records
+  /// image, the records to replay (epochs > image.epoch, stale records
   /// skipped), and the reopened WAL positioned after the last valid record.
   struct Recovered {
     std::unique_ptr<SessionWal> wal;
-    PartId num_parts = 2;
-    FitnessParams fitness;
-    Graph graph;
-    Assignment assignment;
-    std::uint64_t snapshot_epoch = 0;
-    std::uint64_t snapshot_digest = 0;
+    SessionImage image;
     std::vector<WalRecord> records;
     bool torn_tail = false;
   };
@@ -225,14 +252,10 @@ class SessionWal {
   /// decide_compaction over the current log accumulators.
   bool should_compact() const;
 
-  /// Checkpoints (graph, assignment) as the epoch-`epoch` snapshot and
-  /// truncates the log (see the crash-consistency argument above).  Throws
-  /// IoError on failure; the log is then still intact and the caller simply
-  /// retries at the next trigger.  `digest` is the state's content hash,
-  /// persisted alongside the epoch and exchanged with replication followers
-  /// at this snapshot boundary.
-  void compact(std::uint64_t epoch, const Graph& graph,
-               const Assignment& assignment, std::uint64_t digest = 0);
+  /// Writes `image` as the snapshot at image.epoch and truncates the log
+  /// (see the crash-consistency argument above).  Throws IoError on
+  /// failure; the log is then still intact and the caller retries later.
+  void compact(const SessionImage& image);
 
   /// Forces an fsync of any unsynced appends (used at close).
   void sync();
@@ -252,9 +275,7 @@ class SessionWal {
   void open_log(std::uint64_t resume_at, bool truncate_all);
   void append_frame_once(const std::string& frame);
   void fsync_log();
-  void write_snapshot_files(std::uint64_t epoch, const Graph& graph,
-                            const Assignment& assignment,
-                            std::uint64_t digest);
+  void write_snapshot(const SessionImage& image);
 
   std::string dir_;
   DurabilityConfig config_;

@@ -26,6 +26,7 @@
 #include "graph/partition.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -263,8 +264,9 @@ TEST(Durability, CorruptMidLogFailsRecovery) {
 // trace must land on the reference's final state.
 
 /// Step s of the trace: an 8-column grid that gains a row every other step
-/// and toggles a diagonal window on odd steps (growth + churn mixed).
-std::shared_ptr<const Graph> trace_graph(int step) {
+/// and toggles a diagonal window on odd steps (growth + churn mixed),
+/// optionally with fractional weights.
+std::shared_ptr<const Graph> trace_graph(int step, bool weighted) {
   const VertexId cols = 8;
   const VertexId rows = 8 + static_cast<VertexId>((step + 1) / 2);
   GraphBuilder b(rows * cols);
@@ -280,84 +282,139 @@ std::shared_ptr<const Graph> trace_graph(int step) {
       for (VertexId c = 2; c < 6; ++c) b.add_edge(at(r, c), at(r + 1, c + 1));
     }
   }
-  return std::make_shared<const Graph>(b.build());
+  const Graph g = b.build();
+  return std::make_shared<const Graph>(
+      weighted ? testing::with_fractional_weights(g) : g);
 }
 
-TEST(Durability, KillPointFuzzMatchesReference) {
+void kill_point_fuzz(bool weighted, Objective objective) {
   const PartId k = 3;
   const int kSteps = 6;
+  const std::string tag =
+      std::string(weighted ? "_weighted" : "") +
+      (objective == Objective::kWorstComm ? "_worst" : "");
+  SessionConfig scfg = session_config(k);
+  scfg.fitness.objective = objective;
+  const auto trace = [weighted](int step) {
+    return trace_graph(step, weighted);
+  };
+  // The weighted run also compacts every third record, so later kill points
+  // recover from a mid-trace snapshot image instead of epoch 0's.
+  const auto config = [weighted](const std::string& dir) {
+    ServiceConfig sc = durable_config(dir);
+    if (weighted) {
+      sc.durability.compaction.damage_threshold = 1;
+      sc.durability.compaction.min_records = 3;
+    }
+    return sc;
+  };
+  const auto digest = [](PartitionService& service) {
+    return service.session_handle(1)->state_digest();
+  };
+  // The fitness is read off the maintained sums, so exact equality also
+  // pins their low bits (move-order rounding under fractional weights).
+  const auto fitness = [](PartitionService& service) {
+    return service.snapshot(1)->fitness;
+  };
 
   // Never-crashed reference: one durable run over the whole trace, the
-  // assignment captured at every epoch.
+  // assignment, content digest and fitness captured at every epoch.
   std::vector<Assignment> reference(1);
+  std::vector<std::uint64_t> reference_digest(1);
+  std::vector<double> reference_fitness(1);
   {
-    const std::string dir = fresh_dir("fuzz_ref");
-    PartitionService service(durable_config(dir));
-    auto prev = trace_graph(0);
-    const SessionId id = service.open_session(prev, column_bands(8, 8, k),
-                                              session_config(k));
+    const std::string dir = fresh_dir("fuzz_ref" + tag);
+    PartitionService service(config(dir));
+    auto prev = trace(0);
+    const SessionId id =
+        service.open_session(prev, column_bands(8, 8, k), scfg);
     for (int s = 1; s <= kSteps; ++s) {
-      auto next = trace_graph(s);
+      auto next = trace(s);
       service.submit_update(id, next, diff_graphs(*prev, *next));
       reference.push_back(service.snapshot(id)->assignment);
+      reference_digest.push_back(digest(service));
+      reference_fitness.push_back(fitness(service));
       prev = next;
     }
   }
 
   for (int p = 1; p <= kSteps; ++p) {
-    const std::string dir = fresh_dir("fuzz_p" + std::to_string(p));
-    auto prev = trace_graph(0);
+    const std::string dir = fresh_dir("fuzz_p" + std::to_string(p) + tag);
+    auto prev = trace(0);
     {
-      PartitionService service(durable_config(dir));
-      const SessionId id = service.open_session(prev, column_bands(8, 8, k),
-                                                session_config(k));
+      PartitionService service(config(dir));
+      const SessionId id =
+          service.open_session(prev, column_bands(8, 8, k), scfg);
       for (int s = 1; s <= p; ++s) {
-        auto next = trace_graph(s);
+        auto next = trace(s);
         service.submit_update(id, next, diff_graphs(*prev, *next));
         prev = next;
       }
     }  // kill
 
-    PartitionService service(durable_config(dir));
+    PartitionService service(config(dir));
     const auto reports = service.recover(session_config(k));
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].final_epoch, static_cast<std::uint64_t>(p));
+    EXPECT_EQ(reports[0].snapshot_epoch,
+              static_cast<std::uint64_t>(weighted ? p / 3 * 3 : 0));
     EXPECT_EQ(service.snapshot(1)->assignment, reference[p])
         << "kill point " << p;
+    EXPECT_EQ(digest(service), reference_digest[p]) << "kill point " << p;
+    EXPECT_EQ(fitness(service), reference_fitness[p]) << "kill point " << p;
 
     // The recovered session finishes the trace identically to the
     // reference: recovery left no hidden divergence behind.
     for (int s = p + 1; s <= kSteps; ++s) {
-      auto next = trace_graph(s);
+      auto next = trace(s);
       service.submit_update(1, next, diff_graphs(*prev, *next));
       prev = next;
     }
     EXPECT_EQ(service.snapshot(1)->assignment, reference[kSteps])
         << "kill point " << p;
+    EXPECT_EQ(digest(service), reference_digest[kSteps])
+        << "kill point " << p;
+    EXPECT_EQ(fitness(service), reference_fitness[kSteps])
+        << "kill point " << p;
   }
 
   // Torn variant: kill mid-append of record p — recovery lands on p-1.
   const int p = 4;
-  const std::string dir = fresh_dir("fuzz_torn");
+  const std::string dir = fresh_dir("fuzz_torn" + tag);
   {
-    PartitionService service(durable_config(dir));
-    auto prev = trace_graph(0);
-    const SessionId id = service.open_session(prev, column_bands(8, 8, k),
-                                              session_config(k));
+    PartitionService service(config(dir));
+    auto prev = trace(0);
+    const SessionId id =
+        service.open_session(prev, column_bands(8, 8, k), scfg);
     for (int s = 1; s <= p; ++s) {
-      auto next = trace_graph(s);
+      auto next = trace(s);
       service.submit_update(id, next, diff_graphs(*prev, *next));
       prev = next;
     }
   }
   const std::string log = dir + "/session-1/wal.log";
   fs::resize_file(log, fs::file_size(log) - 3);
-  PartitionService service(durable_config(dir));
+  PartitionService service(config(dir));
   const auto reports = service.recover(session_config(k));
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].torn_tail);
   EXPECT_EQ(reports[0].final_epoch, static_cast<std::uint64_t>(p - 1));
   EXPECT_EQ(service.snapshot(1)->assignment, reference[p - 1]);
+  EXPECT_EQ(digest(service), reference_digest[p - 1]);
+  EXPECT_EQ(fitness(service), reference_fitness[p - 1]);
+}
+
+TEST(Durability, KillPointFuzzMatchesReference) {
+  kill_point_fuzz(false, Objective::kTotalComm);
+  {
+    SCOPED_TRACE("weighted trace");
+    kill_point_fuzz(true, Objective::kTotalComm);
+  }
+  {
+    // kWorstComm gains read the maintained part cuts directly.
+    SCOPED_TRACE("weighted worst-comm trace");
+    kill_point_fuzz(true, Objective::kWorstComm);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -618,7 +675,8 @@ TEST(Durability, CloseSessionDrainsInflightRefinement) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint IO error contract (the WAL trusts these writers).
+// Chaco/METIS file IO error contract.  These writers serve external
+// interchange only; checkpoints are session images (service/wal.hpp).
 
 #if GAPART_FAULT_INJECTION
 TEST(DurabilityIo, WriterFaultSurfacesAsIoError) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
@@ -24,6 +25,7 @@
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "service/transport.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -40,6 +42,11 @@ std::string fresh_dir(const std::string& name) {
 
 std::shared_ptr<const Graph> shared_grid(VertexId rows, VertexId cols) {
   return std::make_shared<const Graph>(make_grid(rows, cols));
+}
+
+std::shared_ptr<const Graph> weighted_grid(VertexId rows, VertexId cols) {
+  return std::make_shared<const Graph>(
+      testing::with_fractional_weights(make_grid(rows, cols)));
 }
 
 /// Deterministic-replay session knobs (see test_durability.cpp): a huge
@@ -122,6 +129,9 @@ void expect_converged(Rig& rig, SessionId id) {
   EXPECT_EQ(fsnap->update_epoch, lsnap->update_epoch);
   EXPECT_EQ(fsnap->assignment, lsnap->assignment);
   EXPECT_EQ(follower_session->state_digest(), leader_session->state_digest());
+  // Read off the maintained sums: equal to the last bit when the follower
+  // continues from the leader's sums rather than from fresh ones.
+  EXPECT_EQ(fsnap->fitness, lsnap->fitness);
   EXPECT_EQ(rig.follower->applied_epoch(id), lsnap->update_epoch);
 }
 
@@ -129,35 +139,52 @@ void expect_converged(Rig& rig, SessionId id) {
 
 TEST(Replication, FollowerConvergesBitIdentically) {
   const PartId k = 3;
-  Rig rig("converge");
-  auto prev = shared_grid(12, 12);
-  const SessionId id = rig.leader->open_session(
-      prev, column_bands(12, 12, k), session_config(k));
-  rig.shipper->pump();  // attach at epoch 0, before the first update
-  for (VertexId rows = 13; rows <= 18; ++rows) {
-    auto next = shared_grid(rows, 12);
-    rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
-    prev = next;
-    rig.shipper->pump();
-    rig.follower->pump();
+  // The last pass attaches the follower only after two updates, so its open
+  // frame carries sums with a move history behind them.
+  struct Pass {
+    bool weighted;
+    std::uint64_t attach_after;
+    const char* name;
+  };
+  for (const Pass pass : {Pass{false, 0, "unit grid"},
+                          Pass{true, 0, "weighted grid"},
+                          Pass{true, 2, "weighted grid, late attach"}}) {
+    SCOPED_TRACE(pass.name);
+    const auto grid = pass.weighted ? weighted_grid : shared_grid;
+    Rig rig(std::string("converge") + (pass.weighted ? "_weighted" : "") +
+            (pass.attach_after > 0 ? "_late" : ""));
+    auto prev = grid(12, 12);
+    const SessionId id = rig.leader->open_session(
+        prev, column_bands(12, 12, k), session_config(k));
+    for (VertexId rows = 12; rows <= 18; ++rows) {
+      if (rows > 12) {
+        auto next = grid(rows, 12);
+        rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+        prev = next;
+      }
+      if (static_cast<std::uint64_t>(rows - 12) < pass.attach_after) continue;
+      rig.shipper->pump();  // the first pump attaches
+      rig.follower->pump();
+    }
+    rig.settle();
+    expect_converged(rig, id);
+
+    const std::uint64_t records = 6 - pass.attach_after;
+    const ShipperStats ss = rig.shipper->stats();
+    EXPECT_EQ(ss.opens_shipped, 1u);
+    EXPECT_EQ(ss.records_shipped, records);
+    EXPECT_FALSE(ss.deposed);
+    const FollowerStats fs_ = rig.follower->stats();
+    EXPECT_EQ(fs_.opens_applied, 1u);
+    EXPECT_EQ(fs_.records_applied, records);
+    EXPECT_GE(fs_.digests_verified, 1u);  // the open's digest checked
+    EXPECT_FALSE(fs_.diverged);
+
+    // The follower logged everything to its OWN wal: a restarted follower
+    // replays to the same state (checked end-to-end in FollowerRestart).
+    EXPECT_TRUE(rig.follower_service->session_stats(id).durable);
+    EXPECT_EQ(rig.follower_service->session_stats(id).wal.appends, records);
   }
-  rig.settle();
-  expect_converged(rig, id);
-
-  const ShipperStats ss = rig.shipper->stats();
-  EXPECT_EQ(ss.opens_shipped, 1u);
-  EXPECT_EQ(ss.records_shipped, 6u);
-  EXPECT_FALSE(ss.deposed);
-  const FollowerStats fs_ = rig.follower->stats();
-  EXPECT_EQ(fs_.opens_applied, 1u);
-  EXPECT_EQ(fs_.records_applied, 6u);
-  EXPECT_GE(fs_.digests_verified, 1u);  // the open's digest checked
-  EXPECT_FALSE(fs_.diverged);
-
-  // The follower logged everything to its OWN wal: a restarted follower
-  // replays to the same state (checked end-to-end in FollowerRestart).
-  EXPECT_TRUE(rig.follower_service->session_stats(id).durable);
-  EXPECT_EQ(rig.follower_service->session_stats(id).wal.appends, 6u);
 }
 
 TEST(Replication, MultiSessionShippingKeepsSessionsIndependent) {
@@ -414,6 +441,60 @@ TEST(Replication, PromotionFencesTheDeposedLeader) {
       ReplicationShipper(*rig.leader, *rig.leader_end, stale),
       ReplicationError);
 }
+
+TEST(Replication, GarbageGenerationFileIsRejected) {
+  // A GENERATION file that names no term must stop both ends: reading it as
+  // term 0 would switch the fence off.
+  const std::string leader_dir = fresh_dir("garbage_gen_leader");
+  const std::string follower_dir = fresh_dir("garbage_gen_follower");
+  for (const std::string& dir : {leader_dir, follower_dir}) {
+    fs::create_directories(dir);
+    std::ofstream(dir + "/GENERATION") << "term?\n";
+  }
+  PartitionService leader_service(leader_config(leader_dir));
+  PartitionService follower_service(follower_config(follower_dir));
+  auto pair = LoopbackTransport::create_pair();
+  EXPECT_THROW(ReplicationShipper(leader_service, *pair.first),
+               ReplicationError);
+  EXPECT_THROW(ReplicationFollower(follower_service, *pair.second),
+               ReplicationError);
+}
+
+TEST(Replication, UnreadableGenerationFileIsRejected) {
+  // A GENERATION entry that cannot be examined (here a symlink to itself,
+  // so stat fails with ELOOP rather than "not found") is no evidence that
+  // the file is absent: both ends must refuse to start at term 0.
+  const std::string leader_dir = fresh_dir("looped_gen_leader");
+  const std::string follower_dir = fresh_dir("looped_gen_follower");
+  for (const std::string& dir : {leader_dir, follower_dir}) {
+    fs::create_directories(dir);
+    fs::create_symlink(dir + "/GENERATION", dir + "/GENERATION");
+    EXPECT_THROW(read_generation_file(dir), IoError);
+  }
+  PartitionService leader_service(leader_config(leader_dir));
+  PartitionService follower_service(follower_config(follower_dir));
+  auto pair = LoopbackTransport::create_pair();
+  EXPECT_THROW(ReplicationShipper(leader_service, *pair.first), IoError);
+  EXPECT_THROW(ReplicationFollower(follower_service, *pair.second), IoError);
+}
+
+#if GAPART_FAULT_INJECTION
+TEST(Replication, GenerationWriteFaultKeepsTheOldTerm) {
+  const std::string dir = fresh_dir("generation_fault");
+  write_generation_file(dir, 5);
+  {
+    ScopedFaultInjection scope(FaultSite::kFileWrite, /*nth=*/1);
+    EXPECT_THROW(write_generation_file(dir, 6), IoError);
+  }
+  EXPECT_EQ(read_generation_file(dir), 5u);
+  write_generation_file(dir, 6);
+  EXPECT_EQ(read_generation_file(dir), 6u);
+}
+#else
+TEST(Replication, GenerationWriteFaultKeepsTheOldTerm) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+#endif
 
 TEST(Replication, DivergenceFailStopsWithTypedError) {
   const PartId k = 3;

@@ -1,7 +1,7 @@
 // Streaming partition service: refinement-trigger policy units, session
 // repair over delta streams, epoch-versioned snapshot consistency under
 // concurrent deltas + reads, background refinement, and snapshot/restore
-// round-trips through the Chaco/METIS IO.
+// round-trips through the session image.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -175,8 +174,8 @@ void expect_snapshot_consistent(const SessionSnapshot& snap, PartId k) {
   ASSERT_TRUE(is_valid_assignment(*snap.graph, snap.assignment, k));
   const auto m = compute_metrics(*snap.graph, snap.assignment, k);
   EXPECT_NEAR(snap.total_cut, m.total_cut(), 1e-9);
-  EXPECT_NEAR(snap.max_part_cut, m.max_part_cut, 1e-9);
-  EXPECT_NEAR(snap.imbalance_sq, m.imbalance_sq, 1e-9);
+  EXPECT_NEAR(snap.sums.max_part_cut, m.max_part_cut, 1e-9);
+  EXPECT_NEAR(snap.sums.imbalance_sq, m.imbalance_sq, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,37 +457,52 @@ TEST(PartitionSession, StaleRefinementIsDiscarded) {
 // Persistence.
 
 TEST(PartitionSession, SnapshotRestoreRoundTripViaStreams) {
+  // save_session streams the session image to a file; open_session_from_files
+  // rebuilds a session from it that continues the delta stream exactly
+  // where the saved one stopped.
   const PartId k = 4;
+  const std::string path = ::testing::TempDir() + "/gapart_session_image";
+  ServiceConfig service_config;
+  service_config.num_threads = 1;
+  service_config.background_refinement = false;  // deltas only
+  PartitionService service(service_config);
   auto g = shared_grid(10, 10);
-  PartitionSession session(g, block_partition(100, k), basic_config(k));
+  const SessionId id =
+      service.open_session(g, block_partition(100, k), basic_config(k));
   auto grown = shared_grid(12, 10);
-  session.apply_update(grown, diff_graphs(*g, *grown));
+  service.submit_update(id, grown, diff_graphs(*g, *grown));
+  service.save_session(id, path);
+  const auto a = service.snapshot(id);
+  const std::uint64_t digest = service.session_handle(id)->state_digest();
 
-  std::stringstream graph_ss;
-  std::stringstream part_ss;
-  session.save(graph_ss, part_ss);
+  // One session image carries identity, epoch, digest, graph and partition.
+  const SessionImage image = decode_session_image(read_file(path));
+  EXPECT_EQ(image.num_parts, k);
+  EXPECT_EQ(image.epoch, a->update_epoch);
+  EXPECT_EQ(image.digest, digest);
 
-  const auto restored =
-      PartitionSession::restore(graph_ss, part_ss, basic_config(k));
-  const auto a = session.snapshot();
-  const auto b = restored->snapshot();
+  const SessionId id2 = service.open_session_from_files(path, basic_config(k));
+  const auto b = service.snapshot(id2);
   EXPECT_STREQ(b->source, "restore");
+  EXPECT_EQ(service.session_handle(id2)->config().num_parts, k);
+  EXPECT_EQ(b->update_epoch, a->update_epoch);
+  EXPECT_EQ(service.session_handle(id2)->state_digest(), digest);
   EXPECT_EQ(a->assignment, b->assignment);
   EXPECT_EQ(a->graph->num_vertices(), b->graph->num_vertices());
   EXPECT_EQ(a->graph->num_edges(), b->graph->num_edges());
-  EXPECT_NEAR(a->fitness, b->fitness, 1e-9);
+  EXPECT_EQ(a->fitness, b->fitness);
   expect_snapshot_consistent(*b, k);
 
   // The restored session keeps absorbing the stream where the original
   // stopped.
   auto grown2 = shared_grid(13, 10);
   const GraphDelta delta = diff_graphs(*grown, *grown2);
-  PartitionSession original_copy(grown, a->assignment, basic_config(k));
-  const RepairReport ra = original_copy.apply_update(grown2, delta);
-  const RepairReport rb = restored->apply_update(grown2, delta);
+  const RepairReport ra = service.submit_update(id, grown2, delta);
+  const RepairReport rb = service.submit_update(id2, grown2, delta);
   EXPECT_EQ(ra.damage, rb.damage);
-  EXPECT_EQ(original_copy.snapshot()->assignment,
-            restored->snapshot()->assignment);
+  EXPECT_EQ(ra.update_epoch, rb.update_epoch);
+  EXPECT_EQ(service.snapshot(id)->assignment,
+            service.snapshot(id2)->assignment);
 }
 
 TEST(PartitionService, SaveAndReopenSessionThroughFiles) {

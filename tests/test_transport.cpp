@@ -5,9 +5,15 @@
 // the replication protocol through the same seam.
 #include "service/transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -209,6 +215,68 @@ TEST(TransportSocket, TcpRoundTripAndEof) {
     GTEST_SKIP() << "loopback port " << port << " unavailable";
   }
   exercise_stream_pair(*client, *server);
+}
+
+/// A plain TCP socket connected to 127.0.0.1:`port`, or -1.
+int connect_raw_tcp(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TransportSocket, TcpResetAfterFramesDeliversThemThenEnds) {
+  // A peer killed with data still unread in its own receive queue resets
+  // the connection (RST) instead of closing it (FIN).  The frames it sent
+  // before the reset must still be delivered, and the reset must then read
+  // as end of stream rather than as an error.
+  const int port = 38418;  // fixed loopback port; skipped below if busy
+  std::unique_ptr<SocketTransport> server;
+  std::thread accepter([&] {
+    try {
+      server = SocketTransport::listen_tcp(port);
+    } catch (const TransportError&) {
+      // bind failed (port in use); the client loop below will give up too
+    }
+  });
+  int peer = -1;
+  for (int attempt = 0; attempt < 200 && peer < 0; ++attempt) {
+    peer = connect_raw_tcp(port);
+    if (peer < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  accepter.join();
+  if (peer < 0 || server == nullptr) {
+    if (peer >= 0) ::close(peer);
+    GTEST_SKIP() << "loopback port " << port << " unavailable";
+  }
+
+  server->send("never read");  // stays queued at the peer
+  for (const std::string frame : {"first", "second"}) {
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    std::string wire(sizeof(len), '\0');
+    std::memcpy(wire.data(), &len, sizeof(len));
+    wire += frame;
+    ASSERT_EQ(::write(peer, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+  }
+  const linger reset_on_close{1, 0};
+  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_LINGER, &reset_on_close,
+                         sizeof(reset_on_close)),
+            0);
+  ::close(peer);
+
+  EXPECT_EQ(server->receive(5.0), "first");
+  EXPECT_EQ(server->receive(5.0), "second");
+  EXPECT_FALSE(server->receive(5.0).has_value());
+  EXPECT_TRUE(server->peer_closed());
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
+#include "service/wal.hpp"
 
 namespace gapart::testing {
 
@@ -80,6 +83,34 @@ inline int max_size_deviation(const Assignment& a, PartId num_parts) {
     dev = std::max(dev, std::abs(static_cast<double>(s) - ideal));
   }
   return static_cast<int>(dev + 0.999999);
+}
+
+/// `g` with non-integer vertex and edge weights that carry more significant
+/// digits than a short decimal keeps, each a fixed function of vertex ids —
+/// so a grown graph agrees with its predecessor on every survivor.
+inline Graph with_fractional_weights(const Graph& g) {
+  GraphBuilder b(g.num_vertices());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    b.set_vertex_weight(u, 1.0 + (u % 7) / 3.0);
+    for (const VertexId v : g.neighbors(u)) {
+      if (v > u) b.add_edge(u, v, 1.0 + ((u + v) % 5) / 7.0);
+    }
+  }
+  return b.build();
+}
+
+/// A session image of (g, a) at `epoch` under the default fitness, with
+/// the from-scratch digest and sums a freshly built state would carry.
+inline SessionImage image_of(const Graph& g, Assignment a, PartId num_parts,
+                             std::uint64_t epoch) {
+  SessionImage image;
+  image.num_parts = num_parts;
+  image.epoch = epoch;
+  image.digest = assignment_content_hash(g, a, num_parts);
+  image.graph = std::make_shared<const Graph>(g);
+  image.sums = compute_metrics(g, a, num_parts);
+  image.assignment = std::move(a);
+  return image;
 }
 
 /// True when every part id in [0, num_parts) is used at least once.

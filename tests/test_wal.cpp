@@ -19,6 +19,7 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "service/refine_policy.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -164,7 +165,7 @@ std::unique_ptr<SessionWal> make_wal(const std::string& dir,
   const Graph g = make_grid(4, 4);
   Assignment a(16, 0);
   for (std::size_t i = 8; i < 16; ++i) a[i] = 1;
-  return SessionWal::create(dir, cfg, 2, FitnessParams{}, g, a);
+  return SessionWal::create(dir, cfg, testing::image_of(g, a, 2, 0));
 }
 
 std::uint64_t file_size(const std::string& path) {
@@ -277,7 +278,7 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
 
   const Graph g = make_grid(4, 4);
   const Assignment a(16, 1);
-  wal->compact(2, g, a);
+  wal->compact(testing::image_of(g, a, 2, 2));
   WalStats st = wal->stats();
   EXPECT_EQ(st.compactions, 1u);
   EXPECT_EQ(st.snapshot_epoch, 2u);
@@ -296,8 +297,8 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
   std::uint64_t epoch = 99;
   cur >> epoch;
   EXPECT_EQ(epoch, 2u);
-  EXPECT_FALSE(fs::exists(dir + "/snap-0.graph"));
-  EXPECT_TRUE(fs::exists(dir + "/snap-2.graph"));
+  EXPECT_FALSE(fs::exists(dir + "/snap-0"));
+  EXPECT_TRUE(fs::exists(dir + "/snap-2"));
 }
 
 TEST(WalLog, FsyncPolicyGovernsSyncCount) {
@@ -562,31 +563,33 @@ TEST(WalLog, SnapshotDigestPersistsThroughCurrentFile) {
   for (std::size_t i = 8; i < 16; ++i) a[i] = 1;
   const std::uint64_t digest = assignment_content_hash(g, a, 2);
 
-  // A follower bootstrapping from a mid-life leader snapshot: epoch and
-  // digest land in CURRENT and survive recovery.
+  // A follower bootstrapping from a mid-life leader snapshot: epoch (in
+  // CURRENT and the image) and digest (in the image) survive recovery.
   const std::string dir = fresh_dir("current_digest");
   DurabilityConfig cfg;
   cfg.dir = dir;
   {
-    auto wal = SessionWal::create(dir, cfg, 2, FitnessParams{}, g, a,
-                                  /*snapshot_epoch=*/7, digest);
+    auto wal = SessionWal::create(dir, cfg,
+                                  testing::image_of(g, a, 2, /*epoch=*/7));
     EXPECT_EQ(wal->stats().snapshot_epoch, 7u);
     EXPECT_EQ(wal->stats().snapshot_digest, digest);
   }
   auto rec = SessionWal::recover(dir, cfg);
-  EXPECT_EQ(rec.snapshot_epoch, 7u);
-  EXPECT_EQ(rec.snapshot_digest, digest);
+  EXPECT_EQ(rec.image.epoch, 7u);
+  EXPECT_EQ(rec.image.digest, digest);
   EXPECT_TRUE(rec.records.empty());
 
   // compact() refreshes both.
   auto wal = std::move(rec.wal);
   wal->append(WalRecordType::kDelta, 8, 0, "x", 1);
-  wal->compact(8, g, a, digest ^ 0x1234u);
+  SessionImage image = testing::image_of(g, a, 2, 8);
+  image.digest = digest ^ 0x1234u;
+  wal->compact(image);
   EXPECT_EQ(wal->stats().snapshot_epoch, 8u);
   EXPECT_EQ(wal->stats().snapshot_digest, digest ^ 0x1234u);
   const auto rec2 = SessionWal::recover(dir, cfg);
-  EXPECT_EQ(rec2.snapshot_epoch, 8u);
-  EXPECT_EQ(rec2.snapshot_digest, digest ^ 0x1234u);
+  EXPECT_EQ(rec2.image.epoch, 8u);
+  EXPECT_EQ(rec2.image.digest, digest ^ 0x1234u);
 }
 
 }  // namespace
