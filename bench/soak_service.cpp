@@ -665,8 +665,9 @@ ReplicationResult run_replication(int num_sessions, int updates, VertexId n,
 
   SessionConfig cfg;
   cfg.num_parts = k;
-  // A large budget makes the admitted verification rounds a pure function
-  // of the trace, so leader, follower, and reference replays are bit-equal.
+  // A large budget makes the leader's admitted verification rounds a pure
+  // function of the trace, so its state equals the in-process reference's;
+  // the follower applies the leader's logged moves.
   cfg.repair_budget_seconds = 60.0;
 
   // Never-crashed reference: per session, the content digest at every epoch

@@ -88,9 +88,11 @@ Assignment bands(VertexId n, PartId k) {
   return a;
 }
 
-/// Both replicas and the reference must make identical repair decisions: a
+/// The leader and the reference must make identical repair decisions: a
 /// budget far above any single repair makes the admitted verification
-/// rounds a pure function of the trace.
+/// rounds a pure function of the trace.  The follower makes none — it
+/// applies the leader's logged moves — so its copy of this config only
+/// matters once it is promoted.
 SessionConfig replica_session_config(PartId k) {
   SessionConfig cfg;
   cfg.num_parts = k;

@@ -44,6 +44,45 @@ GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown) {
   return delta;
 }
 
+void check_delta_seam(const Graph& prev, const Graph& grown,
+                      const GraphDelta& delta) {
+  const VertexId n_old = delta.old_num_vertices;
+  GAPART_REQUIRE(n_old == prev.num_vertices() &&
+                     n_old <= grown.num_vertices(),
+                 "delta spans ", n_old, " survivors of graphs with ",
+                 prev.num_vertices(), " and ", grown.num_vertices(),
+                 " vertices");
+  const std::vector<VertexId>& touched = delta.touched_old;
+  VertexId last = -1;
+  for (const VertexId v : touched) {
+    GAPART_REQUIRE(v > last && v < n_old, "touched list must be sorted ",
+                   "survivors; got ", v);
+    last = v;
+  }
+  // Every edge of r's row in `from` that leads to an unrecorded survivor x
+  // must sit unchanged in x's row of `to`: x's row did not change.  Rows
+  // are sorted, so the survivors come first.
+  const auto check_row = [&](const Graph& from, const Graph& to, VertexId r) {
+    const auto nbrs = from.neighbors(r);
+    const auto wgts = from.edge_weights(r);
+    for (std::size_t i = 0; i < nbrs.size() && nbrs[i] < n_old; ++i) {
+      const VertexId x = nbrs[i];
+      if (std::binary_search(touched.begin(), touched.end(), x)) continue;
+      const auto w = to.edge_weight(x, r);
+      GAPART_REQUIRE(w.has_value() && *w == wgts[i], "inexact delta: edge (",
+                     r, ", ", x, ") changed, but survivor ", x,
+                     " is not declared touched");
+    }
+  };
+  for (const VertexId v : touched) {
+    check_row(grown, prev, v);
+    check_row(prev, grown, v);
+  }
+  for (VertexId v = n_old; v < grown.num_vertices(); ++v) {
+    check_row(grown, prev, v);
+  }
+}
+
 std::vector<VertexId> repair_seeds(const GraphDelta& delta,
                                    const Graph& grown) {
   const VertexId n = grown.num_vertices();

@@ -48,6 +48,22 @@ GraphDelta appended_delta(const Graph& grown, VertexId old_num_vertices);
 /// differ between the snapshots.  O(V + E) span comparisons.
 GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown);
 
+/// The input check a delta passes before anything is mutated or logged:
+/// throws gapart::Error unless `delta` (old_num_vertices = |prev|, touched
+/// survivors sorted) accounts for every change visible at the seam between
+/// recorded vertices — touched survivors and appended ones — and unrecorded
+/// survivors.  It requires
+///   * every edge in a recorded vertex's row of `grown` that leads to an
+///     unrecorded survivor to exist in `prev`, with the same weight;
+///   * every edge in a touched survivor's row of `prev` that leads to an
+///     unrecorded survivor to still exist in `grown`, with the same weight.
+/// An inexact delta would otherwise corrupt the maintained metrics and log
+/// a record the rebuilt graph disagrees with.  A change between two
+/// undeclared survivors alone (an edge, or a vertex weight) stays invisible
+/// to this O(damage * deg * log deg) check, which needs no O(V) scratch.
+void check_delta_seam(const Graph& prev, const Graph& grown,
+                      const GraphDelta& delta);
+
 /// The repair worklist a delta implies: every new vertex, every touched
 /// survivor, and their immediate neighbours (one hop — a rewired vertex can
 /// strand a previously-settled neighbour on the wrong side).  Sorted

@@ -22,14 +22,22 @@ RepairReport repair_step(PartitionState& state, const Graph& grown,
   GAPART_REQUIRE(grown.num_vertices() >= n_old,
                  "partitioned graphs can only grow (got ", grown.num_vertices(),
                  " after ", n_old, ")");
+  check_delta_seam(state.graph(), grown, delta);
 
   WallTimer timer;
   RepairReport rep;
   rep.damage = delta.damage(grown);
+  // Every migration from here on lands in the outcome, whichever tier made
+  // it; the journal is off again however the step exits.
+  struct JournalOff {
+    PartitionState& state;
+    ~JournalOff() { state.set_move_journal(nullptr); }
+  } journal_off{state};
+  state.set_move_journal(&rep.outcome.moves);
 
   // Extension + rebind: assign the new vertices against the pre-update
   // state, then absorb the grown graph.
-  std::vector<PartId> new_parts;
+  std::vector<PartId>& new_parts = rep.outcome.new_parts;
   {
     GAPART_SPAN("repair.extend");
     const PartId k = state.num_parts();

@@ -19,13 +19,17 @@
 //                   while the round cap and the latency budget allow; they
 //                   restore the sweep fixed-point class.
 //
-// The streaming service runs it for every delta, live, replayed from the WAL
-// and applied on a follower (service/session.hpp).  The §3.5 incremental GA
-// is an optional tier on top: a DPGA seeded with the repaired solution
-// (the service's kDeep refinement; examples/adaptive_mesh runs it inline).
+// The streaming service runs it for every live delta (service/session.hpp)
+// and logs its outcome — the part each new vertex took, then every move in
+// order, captured by the state's move journal — so WAL replay and a
+// follower apply the decision instead of re-making it.  The §3.5
+// incremental GA is an optional tier on top: a DPGA seeded with the
+// repaired solution (the service's kDeep refinement; examples/adaptive_mesh
+// runs it inline).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/graph_delta.hpp"
 #include "graph/graph.hpp"
@@ -33,6 +37,14 @@
 #include "graph/types.hpp"
 
 namespace gapart {
+
+/// What a repair decided, in the form a WAL record carries it: the part the
+/// extension gave each appended vertex, then every migration in the order it
+/// was made.  An adopted refinement logs only moves.
+struct RepairOutcome {
+  std::vector<PartId> new_parts;
+  std::vector<PartMove> moves;
+};
 
 /// What one repair_step did.
 struct RepairReport {
@@ -46,6 +58,7 @@ struct RepairReport {
   int verify_rounds = 0;        ///< rounds the cap and budget admitted
   double seconds = 0.0;         ///< wall time of the repair step
   double fitness_after = 0.0;
+  RepairOutcome outcome;  ///< extend_moves parts, then repair_moves moves
 };
 
 /// Repairs `state` — a partition of the graph `grown` grew from — after the
@@ -53,11 +66,10 @@ struct RepairReport {
 /// count; `grown` may only add vertices).  Extends, rebinds and runs the
 /// seeded cascade, then at most `max_verify_rounds` verification rounds,
 /// each admitted only while the step's elapsed time is under
-/// `budget_seconds` and stopping early at a verified fixed point.  With an
-/// infinite budget the rounds ignore the clock, so the step is
-/// deterministic (WAL replay relies on it).  A delta that does not fit
-/// throws before the state is touched.  The old graph must stay alive for
-/// the call; afterwards the state references `grown`.
+/// `budget_seconds` and stopping early at a verified fixed point.  A delta
+/// that does not fit, or that check_delta_seam finds inexact, throws before
+/// the state is touched.  The old graph must stay alive for the call;
+/// afterwards the state references `grown`.
 RepairReport repair_step(PartitionState& state, const Graph& grown,
                          const GraphDelta& delta, const FitnessParams& fitness,
                          int max_verify_rounds, double budget_seconds);

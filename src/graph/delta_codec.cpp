@@ -73,8 +73,7 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
   return out;
 }
 
-DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
-  ByteReader in(bytes);
+DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
   GAPART_REQUIRE(in.get<std::uint32_t>() == kCodecMagic,
                  "delta record has wrong magic");
   const auto flags = in.get<std::uint8_t>();
@@ -143,9 +142,8 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
 
   // Recorded vertices (touched survivors in record order, then the appended
   // range): rows come from the record.  A recorded-recorded edge is added
-  // from its lower endpoint; a recorded-untouched edge is added here and
-  // cross-checked against the predecessor (an untouched endpoint's row did
-  // not change, so the edge must already exist there with the same weight).
+  // from its lower endpoint; a recorded-untouched edge is added here, and
+  // the seam check below holds it against the predecessor.
   const auto read_row = [&](VertexId r) {
     b.set_vertex_weight(r, weighted ? in.get<double>() : 1.0);
     const auto deg = in.get<std::uint32_t>();
@@ -160,23 +158,24 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
       GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
       GAPART_REQUIRE(x > prev_nbr, "adjacency of ", r, " not sorted at ", x);
       prev_nbr = x;
-      if (recorded[static_cast<std::size_t>(x)]) {
-        if (x > r) b.add_edge(r, x, w);
-      } else {
-        const auto prev_w = prev.edge_weight(x, r);
-        GAPART_REQUIRE(prev_w.has_value() && *prev_w == w,
-                       "record edge (", r, ", ", x, ") disagrees with the ",
-                       "predecessor at its untouched endpoint");
+      if (!recorded[static_cast<std::size_t>(x)] || x > r) {
         b.add_edge(r, x, w);
       }
     }
   };
   for (const VertexId v : out.delta.touched_old) read_row(v);
   for (VertexId v = old_n; v < new_n; ++v) read_row(v);
-  GAPART_REQUIRE(in.remaining() == 0, "delta record has ", in.remaining(),
-                 " trailing bytes");
 
   out.grown = b.build();
+  check_delta_seam(prev, out.grown, out.delta);
+  return out;
+}
+
+DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
+  ByteReader in(bytes);
+  DecodedDelta out = decode_delta(prev, in);
+  GAPART_REQUIRE(in.remaining() == 0, "delta record has ", in.remaining(),
+                 " trailing bytes");
   return out;
 }
 

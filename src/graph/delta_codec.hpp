@@ -6,8 +6,7 @@
 // every touched survivor — so one record costs O(damage * degree) bytes,
 // never O(V + E), and `decode_delta` can rebuild the grown graph from the
 // previous snapshot plus the record alone.  This is what makes a delta WAL
-// cheaper than logging graph snapshots: replaying a log of records is the
-// same damage-proportional work the live repair plane already did.  A whole
+// cheaper than logging graph snapshots.  A whole
 // graph is the delta from the empty graph (`GraphDelta{0, {}}` against
 // `Graph()`), which is how the session image (service/wal.hpp) stores one.
 //
@@ -26,10 +25,10 @@
 // exact: touched_old lists every survivor whose adjacency, edge weights, or
 // vertex weight changed).  An untouched survivor's row is copied from the
 // previous graph verbatim; a recorded vertex's row comes from the record.
-// decode_delta cross-checks the seam (an edge between a recorded and an
-// untouched vertex must exist identically in the previous graph) and throws
-// gapart::Error on any inconsistency — a corrupt or inexact record is a
-// typed error, never a silently wrong graph.
+// decode_delta runs the live path's seam check (check_delta_seam, both
+// ways) on the rebuilt graph and throws gapart::Error on any inconsistency
+// — a corrupt or inexact record is a typed error, never a silently wrong
+// graph.
 //
 // Coordinates are deliberately not carried: the repair/refinement pipeline
 // never reads them after initialization.  Reconstructed graphs are
@@ -39,6 +38,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/graph.hpp"
 
@@ -59,5 +59,8 @@ struct DecodedDelta {
 /// (framing CRCs upstream make this unreachable for honest torn writes; the
 /// validation here is the defense against logic-level corruption).
 DecodedDelta decode_delta(const Graph& prev, std::string_view bytes);
+/// As above, reading one record from `in` and leaving the bytes after it
+/// (a WAL record's outcome section) unread.
+DecodedDelta decode_delta(const Graph& prev, ByteReader& in);
 
 }  // namespace gapart

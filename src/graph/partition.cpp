@@ -244,6 +244,7 @@ void PartitionState::move(VertexId v, PartId to) {
   GAPART_ASSERT(to >= 0 && to < num_parts_);
   const PartId from = assign_[static_cast<std::size_t>(v)];
   if (from == to) return;
+  if (journal_ != nullptr) journal_->push_back({v, to});
 
   const auto nbrs = g_->neighbors(v);
   const auto wgts = g_->edge_weights(v);

@@ -70,6 +70,13 @@ double evaluate_fitness(const Graph& g, const Assignment& a, PartId num_parts,
 std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
                                       PartId num_parts);
 
+/// One migration as a log records it: vertex `v` moved to part `to`.
+struct PartMove {
+  VertexId v = 0;
+  PartId to = 0;
+  bool operator==(const PartMove&) const = default;
+};
+
 /// Best candidate move for one vertex, as found by the single-scan gain
 /// kernel (PartitionState::best_move).
 struct BestMove {
@@ -133,6 +140,13 @@ class PartitionState {
 
   /// Moves v to part `to` (no-op when already there).
   void move(VertexId v, PartId to);
+
+  /// While a journal is set, every move() that changes a part appends
+  /// (v, to) to it, so whatever ran in between can be replayed by making
+  /// the same moves in the same order — the same floating-point work, so
+  /// the maintained sums come out bit for bit the same.  nullptr switches
+  /// it off.  Copies of the state share the pointer.
+  void set_move_journal(std::vector<PartMove>* journal) { journal_ = journal; }
 
   /// Rebinds the state to `grown` — a graph whose first num_vertices()
   /// vertices survive from the current graph — updating every maintained
@@ -267,6 +281,8 @@ class PartitionState {
   // Reusable kernel scratch (see class comment re: thread safety).
   mutable ConnectivityScratch conn_;
   EpochFlags visit_flags_;
+
+  std::vector<PartMove>* journal_ = nullptr;  ///< see set_move_journal
 };
 
 }  // namespace gapart

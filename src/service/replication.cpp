@@ -18,9 +18,9 @@ namespace gapart {
 namespace {
 
 constexpr std::uint32_t kRepMagic = 0x50524147u;  // "GARP"
-// magic + type + sub + generation + session + seq + epoch + flags +
-// payload_len + crc.
-constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
+// magic + type + sub + generation + session + seq + epoch + payload_len +
+// crc.
+constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
 // CRC covers header bytes [4, kRepCrcOffset) chained with the payload.
 constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
 
@@ -46,7 +46,6 @@ std::string encode_rep_frame(const RepFrame& frame) {
   put<std::uint64_t>(out, frame.session);
   put<std::uint64_t>(out, frame.seq);
   put<std::uint64_t>(out, frame.epoch);
-  put<std::uint32_t>(out, frame.flags);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(frame.payload.size()));
   std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
   crc = crc32(frame.payload.data(), frame.payload.size(), crc);
@@ -68,7 +67,6 @@ std::optional<RepFrame> decode_rep_frame(const std::string& wire) {
   frame.session = header.get<std::uint64_t>();
   frame.seq = header.get<std::uint64_t>();
   frame.epoch = header.get<std::uint64_t>();
-  frame.flags = header.get<std::uint32_t>();
   const auto payload_len = header.get<std::uint32_t>();
   if (wire.size() != kRepHeaderSize + payload_len) return std::nullopt;
   std::uint32_t crc = crc32(wire.data() + 4, kRepCrcOffset - 4);
@@ -232,7 +230,6 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
       frame.sub = static_cast<std::uint8_t>(record.type);
       frame.session = id;
       frame.epoch = record.epoch;
-      frame.flags = record.flags;
       frame.payload = record.payload;
       enqueue(ship, std::move(frame));
       ship.read_epoch = record.epoch;
@@ -442,7 +439,7 @@ std::vector<RecoveryReport> ReplicationFollower::start_follower() {
   std::vector<RecoveryReport> reports;
   if (service_.config().durability.enabled()) {
     // recover() generalized: the replica state already on disk replays
-    // through the same deterministic pipeline, then tail mode continues it.
+    // its logged outcomes, then tail mode continues it.
     // applied_seq restarts at 0 — the leader notices the backwards ack and
     // re-bootstraps or resumes as needed.
     reports = service_.recover(config_.base);
@@ -608,13 +605,17 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
     return;
   }
 
-  // kRecord: the WAL epoch chain must hold exactly — the frame is
-  // CRC-valid and in sequence, so a broken chain is protocol divergence,
-  // not noise.
+  // kRecord: a type byte no WAL record has is junk that passed the CRC; it
+  // must never reach this follower's own log.
+  if (!is_record_type(frame.sub)) {
+    ++stats_.corrupt_rejected;
+    return;
+  }
+  // The WAL epoch chain must hold exactly — the frame is CRC-valid and in
+  // sequence, so a broken chain is protocol divergence, not noise.
   WalRecord record;
   record.type = static_cast<WalRecordType>(frame.sub);
   record.epoch = frame.epoch;
-  record.flags = frame.flags;
   record.payload = frame.payload;
   const bool chain_ok = record.type == WalRecordType::kDelta
                             ? record.epoch == replica.applied_epoch + 1
@@ -627,7 +628,7 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
         std::to_string(replica.applied_epoch));
   }
   try {
-    replay_wal_record(*session, record, /*log_locally=*/true);
+    session->apply_logged(record, /*log_locally=*/true);
   } catch (const std::bad_alloc&) {
     ++stats_.apply_failures;  // injected alloc fault; resume re-delivers
     return;

@@ -1,15 +1,18 @@
 // Leader/follower replication of a PartitionService over a Transport.
 //
 // The leader's durability layer already writes, per session, a CRC-framed
-// WAL whose replay is bit-deterministic (service/wal.hpp).  Replication
-// reuses that artifact wholesale: a ReplicationShipper tails each session's
-// wal.log — never past the leader's fsynced offset, so a follower can never
-// hold an update the leader could still lose — and streams the records to a
-// ReplicationFollower, which pushes them through the SAME deterministic
-// repair pipeline recovery uses (replay_wal_record), logging each one to its
-// own WAL first.  A follower is therefore just "recovery that never stops":
-// continuous tail-replay, including snapshot compactions applied in lockstep
-// with the leader's.
+// WAL of outcomes: each record carries the delta and what the leader's
+// repair or refinement decided (service/wal.hpp).  Replication reuses that
+// artifact wholesale: a ReplicationShipper tails each session's wal.log —
+// never past the leader's fsynced offset, so a follower can never hold an
+// update the leader could still lose — and streams the records to a
+// ReplicationFollower, which applies each logged outcome exactly as
+// recovery does (PartitionSession::apply_logged), logging it to its own WAL
+// first.  The follower never repairs, so it lands on the leader's state bit
+// for bit whatever its own repair config or binary would decide.  A
+// follower is therefore just "recovery that never stops": continuous
+// tail-replay, including snapshot compactions applied in lockstep with the
+// leader's.
 //
 // Wire protocol (GARP frames, CRC-framed like the WAL):
 //
@@ -96,7 +99,6 @@ struct RepFrame {
   std::uint64_t session = 0;     ///< SessionId
   std::uint64_t seq = 0;         ///< per-session monotone sequence number
   std::uint64_t epoch = 0;       ///< record epoch / open epoch / applied epoch
-  std::uint32_t flags = 0;       ///< kDelta: admitted verification rounds
   std::string payload;
 };
 
@@ -199,9 +201,10 @@ class ReplicationShipper {
     /// read_epoch + 1 (the WAL chain), a kRefine iff it equals read_epoch —
     /// anything else is a stale-prefix record already covered by the
     /// snapshot.  kRefine at the open epoch is deliberately shipped even
-    /// when the snapshot may already include it: re-applying a full
-    /// assignment is idempotent, and the ambiguity (adopted just before vs
-    /// just after the open was captured) is undecidable from the log.
+    /// when the snapshot may already include it: its moves name absolute
+    /// destinations, so re-applying them to the state they produced moves
+    /// nothing, and the ambiguity (adopted just before vs just after the
+    /// open was captured) is undecidable from the log.
     std::uint64_t read_epoch = 0;
     std::uint64_t shipped_snapshot_epoch = 0;
     struct Queued {
@@ -244,9 +247,11 @@ class ReplicationShipper {
 // --- Follower side ----------------------------------------------------------
 
 struct FollowerConfig {
-  /// Template for replica sessions (budgets, policy); identity fields come
-  /// from each open frame.  Background refinement on a follower service
-  /// should be off — the follower replays the leader's decisions.
+  /// Template for replica sessions: the policy and budgets they use once
+  /// promoted; identity fields come from each open frame.  Its repair
+  /// settings play no part in following — the follower applies the
+  /// leader's logged moves.  Background refinement on a follower service
+  /// should be off for the same reason.
   SessionConfig base;
   /// Floor for the accepted fencing term (the GENERATION file, when
   /// present and larger, wins).
@@ -265,7 +270,7 @@ struct FollowerStats {
   std::uint64_t duplicates_dropped = 0;  ///< seq <= applied (dup/reorder)
   std::uint64_t gaps_dropped = 0;        ///< seq jumped ahead (drop upstream)
   std::uint64_t fenced_rejected = 0;     ///< stale-generation frames
-  std::uint64_t corrupt_rejected = 0;    ///< framing/CRC failures
+  std::uint64_t corrupt_rejected = 0;    ///< framing/CRC failures, junk
   std::uint64_t apply_failures = 0;      ///< injected I/O or alloc faults
   bool diverged = false;
   bool promoted = false;

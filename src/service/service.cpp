@@ -115,12 +115,11 @@ std::vector<RecoveryReport> PartitionService::recover(
     rep.torn_tail = rec.torn_tail;
     auto session = session_from_image(std::move(rec.image), base, "recover");
 
-    // Replay: each kDelta re-runs the live repair pipeline with the logged
-    // verification-round count (deterministic — no wall clock); each
-    // kRefine swaps in the adopted assignment.  The same replay core drives
-    // the replication follower (log_locally=true there).
+    // Replay applies each record's logged outcome; the session's repair
+    // config plays no part.  The same core drives the replication follower
+    // (log_locally=true there).
     for (const WalRecord& record : rec.records) {
-      replay_wal_record(*session, record, /*log_locally=*/false);
+      session->apply_logged(record, /*log_locally=*/false);
     }
     session->attach_wal(std::move(rec.wal));
     rep.final_epoch = session->snapshot()->update_epoch;

@@ -138,12 +138,14 @@ class PartitionService {
                                     SessionConfig config);
 
   /// Rebuilds every session found under config.durability.dir (one
-  /// `session-<id>` directory each) from its checkpoint snapshot plus a
-  /// deterministic replay of its delta log — the same repair pipeline the
-  /// live sessions ran, wall clock removed.  Session ids are preserved.
-  /// `base` supplies the non-persisted session config knobs (budgets,
-  /// policy); num_parts and the fitness objective come from each session's
-  /// snapshot image.  Call on a fresh service before opening new sessions.
+  /// `session-<id>` directory each) from its checkpoint snapshot plus its
+  /// log, applying each record's logged outcome
+  /// (PartitionSession::apply_logged) — no repair runs, so the result is the
+  /// acked state whatever `base` says.  Session ids are preserved.  `base`
+  /// supplies the non-persisted session config knobs (budgets, policy) the
+  /// recovered sessions use from then on; num_parts and the fitness
+  /// objective come from each session's snapshot image.  Call on a fresh
+  /// service before opening new sessions.
   /// Throws WalCorruptError on mid-log corruption (a torn *tail* is
   /// tolerated and reported instead — it was never acknowledged).
   std::vector<RecoveryReport> recover(const SessionConfig& base);

@@ -1,10 +1,10 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stats.hpp"
 #include "core/eval.hpp"
@@ -70,11 +70,7 @@ PartitionSession::PartitionSession(SessionImage image, SessionConfig config,
   publish(origin);
 }
 
-RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
-                                            const GraphDelta& delta,
-                                            const ApplyOptions& opts) {
-  const Graph& g = require_graph(grown);
-  std::lock_guard<std::mutex> lock(mu_);
+void PartitionSession::admit_update() {
   GAPART_REQUIRE(!closed_, "session is closed");
   GAPART_REQUIRE(!wal_failed_,
                  "session fail-stopped: a WAL append exhausted its retries, "
@@ -86,63 +82,112 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   if (GAPART_FAULT_POINT(FaultSite::kDeltaAlloc)) {
     throw std::bad_alloc();
   }
+}
 
-  GAPART_SPAN("repair.apply");
-  // Replay runs exactly the round count the live run logged, whatever the
-  // clock says (the budget is the one nondeterministic input to the repair);
-  // shedding runs none.
-  const bool replay = opts.replay_verify_rounds >= 0;
-  const int max_rounds =
-      replay ? std::min(opts.replay_verify_rounds,
-                        config_.repair_max_verify_rounds)
-             : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
-  const double budget = replay ? std::numeric_limits<double>::infinity()
-                               : config_.repair_budget_seconds;
-  // repair_step reads the old graph's rows, so graph_ moves on only after it.
-  RepairReport rep =
-      repair_step(state_, g, delta, config_.fitness, max_rounds, budget);
-  graph_ = std::move(grown);
+void PartitionSession::log_or_fail_stop(WalRecordType type,
+                                        std::uint64_t epoch,
+                                        const std::string& payload,
+                                        VertexId damage) {
+  try {
+    wal_->append(type, epoch, payload, damage);
+  } catch (const IoError&) {
+    // Without this record every later one would replay against the wrong
+    // graph.  Fail-stop the session rather than let the log miss an update
+    // the state absorbs.
+    wal_failed_ = true;
+    throw;
+  }
+}
 
+void PartitionSession::count_update(VertexId damage,
+                                    const RepairOutcome& outcome) {
   ++update_epoch_;
   ++updates_since_refine_;
-  damage_since_refine_ += rep.damage;
-  damage_since_deep_ += rep.damage;
-
-  rep.update_epoch = update_epoch_;
-
+  damage_since_refine_ += damage;
+  damage_since_deep_ += damage;
   ++stats_.updates;
-  stats_.total_damage += static_cast<std::uint64_t>(rep.damage);
-  stats_.extend_moves += rep.extend_moves;
-  stats_.repair_moves += rep.repair_moves;
+  stats_.total_damage += static_cast<std::uint64_t>(damage);
+  stats_.extend_moves += static_cast<std::int64_t>(outcome.new_parts.size());
+  stats_.repair_moves += static_cast<std::int64_t>(outcome.moves.size());
+}
+
+RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
+                                            const GraphDelta& delta,
+                                            const ApplyOptions& opts) {
+  const Graph& g = require_graph(grown);
+  std::lock_guard<std::mutex> lock(mu_);
+  admit_update();
+
+  GAPART_SPAN("repair.apply");
+  // repair_step checks the delta against the current graph and reads its
+  // rows, so graph_ moves on only after it.
+  RepairReport rep = repair_step(
+      state_, g, delta, config_.fitness,
+      opts.shed_verification ? 0 : config_.repair_max_verify_rounds,
+      config_.repair_budget_seconds);
+  graph_ = std::move(grown);
+  count_update(rep.damage, rep.outcome);
+  rep.update_epoch = update_epoch_;
   stats_.examined += rep.examined;
   stats_.delta_evaluations += rep.repair_moves;  // one delta per move
   stats_.repair_latency.record(rep.seconds);
   GAPART_COUNTER_ADD("repair.updates", 1);
   GAPART_COUNTER_ADD("repair.damage", rep.damage);
+  GAPART_COUNTER_ADD("repair.moves", rep.repair_moves);
   GAPART_HISTOGRAM_RECORD("repair.latency_seconds", rep.seconds);
 
-  // Write-ahead logging: the record — delta bytes plus the verification
-  // round count the budget actually admitted — must be durable before this
-  // call returns, because the returned report is the acknowledgement.
-  if (wal_ != nullptr && !opts.replaying) {
-    try {
-      wal_->append(WalRecordType::kDelta, update_epoch_,
-                   static_cast<std::uint32_t>(rep.verify_rounds),
-                   encode_delta(*graph_, delta), rep.damage);
-    } catch (const IoError&) {
-      // The repair already mutated the state; without its record every later
-      // record would replay against the wrong graph.  Fail-stop the session
-      // rather than silently dropping an acknowledged-looking update.
-      wal_failed_ = true;
-      throw;
-    }
+  // Write-ahead logging: the record — the delta plus the repair's outcome,
+  // which replay applies as is — must be durable before this call returns,
+  // because the returned report is the acknowledgement.
+  if (wal_ != nullptr) {
+    std::string payload = encode_delta(*graph_, delta);
+    encode_outcome(payload, rep.outcome, config_.num_parts);
+    log_or_fail_stop(WalRecordType::kDelta, update_epoch_, payload,
+                     rep.damage);
   }
 
   publish("repair");
-  if (wal_ != nullptr && !opts.replaying && wal_->should_compact()) {
-    compact_wal();
-  }
+  if (wal_ != nullptr && wal_->should_compact()) compact_wal();
   return rep;
+}
+
+void PartitionSession::apply_logged(const WalRecord& record,
+                                    bool log_locally) {
+  GAPART_REQUIRE(is_record_type(static_cast<std::uint8_t>(record.type)),
+                 "logged record of unknown type ",
+                 static_cast<int>(record.type));
+  // Decode outside the session lock: a kDelta record rebuilds the grown
+  // graph from the current one in O(V + E).
+  std::shared_ptr<const Graph> grown = snapshot()->graph;
+  GraphDelta delta{grown->num_vertices(), {}};
+  ByteReader in(record.payload);
+  const bool is_delta = record.type == WalRecordType::kDelta;
+  if (is_delta) {
+    DecodedDelta decoded = decode_delta(*grown, in);
+    grown = std::make_shared<const Graph>(std::move(decoded.grown));
+    delta = std::move(decoded.delta);
+  }
+  const RepairOutcome outcome =
+      decode_outcome(in, delta.num_new(*grown), grown->num_vertices(),
+                     config_.num_parts);
+  const VertexId damage = delta.damage(*grown);
+
+  std::lock_guard<std::mutex> lock(mu_);
+  admit_update();
+  if (log_locally && wal_ != nullptr) {
+    log_or_fail_stop(record.type, record.epoch, record.payload, damage);
+  }
+  if (is_delta) {
+    state_.rebind_grown(*grown, delta.touched_old, outcome.new_parts);
+    graph_ = std::move(grown);
+    count_update(damage, outcome);
+  }
+  for (const PartMove& m : outcome.moves) state_.move(m.v, m.to);
+  if (!is_delta) {
+    ++stats_.refinements_applied;
+    baseline_fitness_ = state_.fitness(config_.fitness);
+  }
+  publish(log_locally ? "replicate" : "recover");
 }
 
 void PartitionSession::publish(const char* source) {
@@ -206,18 +251,27 @@ bool PartitionSession::complete_refinement(const RefineJob& job,
                                            double refined_fitness,
                                            std::int64_t full_evaluations,
                                            std::int64_t delta_evaluations) {
-  // Build the replacement state OUTSIDE the session lock (it is the one
-  // O(V+E) step of adoption); a delta racing us just makes it dead weight.
-  std::optional<PartitionState> candidate;
-  if (refined_fitness > job.fitness) {
-    candidate.emplace(*job.graph, std::move(refined), config_.num_parts);
+  // Diff the refined assignment against the captured one OUTSIDE the
+  // session lock (the one O(V) step of adoption); a delta racing us just
+  // makes the moves dead weight.
+  const bool better = refined_fitness > job.fitness;
+  RepairOutcome adopted;
+  if (better) {
+    GAPART_REQUIRE(is_valid_assignment(*job.graph, refined, config_.num_parts),
+                   "refined assignment is not a ", config_.num_parts,
+                   "-way partition of the job's graph");
+    for (std::size_t v = 0; v < refined.size(); ++v) {
+      if (refined[v] != job.assignment[v]) {
+        adopted.moves.push_back({static_cast<VertexId>(v), refined[v]});
+      }
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   refine_in_flight_ = false;
   refine_cancel_.reset();
   refine_done_cv_.notify_all();
-  stats_.full_evaluations += full_evaluations + (candidate ? 1 : 0);
+  stats_.full_evaluations += full_evaluations;
   stats_.delta_evaluations += delta_evaluations;
 
   if (closed_) return false;  // close() is draining: never adopt into it
@@ -227,40 +281,45 @@ bool PartitionSession::complete_refinement(const RefineJob& job,
     // no longer matches the live graph.  Leave the accumulators primed so
     // the policy refires on the new state.
     ++stats_.refinements_stale;
+    GAPART_COUNTER_ADD("refine.stale", 1);
     return false;
   }
 
   // Epoch intact: between capture and now only refinement could have touched
-  // the state, and in-flight exclusion rules that out — the live fitness is
-  // still job.fitness.  Reset the accumulators either way: the current
+  // the state, and in-flight exclusion rules that out — the live state is
+  // still job.assignment.  Reset the accumulators either way: the current
   // quality has just been (re)certified.
   baseline_fitness_ = std::max(job.fitness, refined_fitness);
   updates_since_refine_ = 0;
   damage_since_refine_ = 0;
   if (job.depth == RefineDepth::kDeep) damage_since_deep_ = 0;
 
-  if (!candidate) {
+  if (!better) {
     ++stats_.refinements_no_better;
+    GAPART_COUNTER_ADD("refine.no_better", 1);
     return false;
   }
-  // Log the adopted assignment BEFORE adopting it, so recovery lands on the
-  // refined partition and the log is always a superset of the state.  The
-  // old order (adopt, then log best-effort) could absorb a refinement the
-  // log never saw — harmless for single-node recovery quality, but fatal
-  // for replication, where the follower replays the log and the digests
-  // must match bit-for-bit.  On append failure the refinement is dropped:
+  // Log the moves BEFORE making them, so recovery lands on the refined
+  // partition and the log is always a superset of the state — replication
+  // digests depend on it.  On append failure the refinement is dropped:
   // quality only, the session stays healthy.
   if (wal_ != nullptr) {
+    std::string payload;
+    encode_outcome(payload, adopted, config_.num_parts);
     try {
-      wal_->append(WalRecordType::kRefine, update_epoch_, 0,
-                   encode_assignment(candidate->assignment()), /*damage=*/0);
+      wal_->append(WalRecordType::kRefine, update_epoch_, payload,
+                   /*damage=*/0);
     } catch (const IoError&) {
       ++stats_.refinements_unlogged;
+      GAPART_COUNTER_ADD("refine.unlogged", 1);
       return false;
     }
   }
-  state_ = std::move(*candidate);
+  for (const PartMove& m : adopted.moves) state_.move(m.v, m.to);
+  stats_.delta_evaluations += static_cast<std::int64_t>(adopted.moves.size());
   ++stats_.refinements_applied;
+  GAPART_COUNTER_ADD("refine.applied", 1);
+  GAPART_COUNTER_ADD("refine.moves", adopted.moves.size());
   publish("refine");
   return true;
 }
@@ -283,42 +342,9 @@ bool PartitionSession::durable() const {
   return wal_ != nullptr;
 }
 
-void PartitionSession::force_assignment(Assignment refined,
-                                        const char* source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  state_ = PartitionState(*graph_, std::move(refined), config_.num_parts);
-  ++stats_.full_evaluations;
-  baseline_fitness_ = state_.fitness(config_.fitness);
-  publish(source);
-}
-
 std::uint64_t PartitionSession::state_digest() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_.content_hash();
-}
-
-void PartitionSession::apply_replicated_refine(Assignment refined) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GAPART_REQUIRE(!closed_, "session is closed");
-  GAPART_REQUIRE(!wal_failed_,
-                 "session fail-stopped: its log already missed a record");
-  // Log first (same order as complete_refinement): the follower's own log
-  // must cover everything its state absorbed, or its next recovery replays
-  // to a diverged state.
-  if (wal_ != nullptr) {
-    try {
-      wal_->append(WalRecordType::kRefine, update_epoch_, 0,
-                   encode_assignment(refined), /*damage=*/0);
-    } catch (const IoError&) {
-      wal_failed_ = true;
-      throw;
-    }
-  }
-  state_ = PartitionState(*graph_, std::move(refined), config_.num_parts);
-  ++stats_.full_evaluations;
-  ++stats_.refinements_applied;
-  baseline_fitness_ = state_.fitness(config_.fitness);
-  publish("replicate");
 }
 
 void PartitionSession::set_ship_gate(std::shared_ptr<WalShipGate> gate) {
@@ -466,25 +492,6 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   out.full_evaluations += eval.full_evaluations();
   out.delta_evaluations += eval.delta_evaluations();
   return out;
-}
-
-void replay_wal_record(PartitionSession& session, const WalRecord& record,
-                       bool log_locally) {
-  if (record.type == WalRecordType::kDelta) {
-    const auto prev = session.snapshot()->graph;
-    DecodedDelta decoded = decode_delta(*prev, record.payload);
-    ApplyOptions opts;
-    // Replay the verification-round count the leader's live run admitted —
-    // the one wall-clock-dependent input — so the pipeline is deterministic.
-    opts.replay_verify_rounds = static_cast<int>(record.flags);
-    opts.replaying = !log_locally;
-    session.apply_update(std::make_shared<Graph>(std::move(decoded.grown)),
-                         decoded.delta, opts);
-  } else if (log_locally) {
-    session.apply_replicated_refine(decode_assignment(record.payload));
-  } else {
-    session.force_assignment(decode_assignment(record.payload), "recover");
-  }
 }
 
 SessionImage snapshot_image(const SessionConfig& config,

@@ -2,7 +2,7 @@
 // a stream of GraphDeltas.
 //
 // The session is the unit of the streaming service (service.hpp).  Its
-// contract splits work into two planes:
+// contract splits work into two planes, and replay:
 //
 //   synchronous (apply_update, caller's thread, O(damage) + budget):
 //     repair_step (core/incremental.hpp) on the live state — greedy
@@ -10,7 +10,8 @@
 //     seeded frontier cascade, then full-boundary verification rounds only
 //     while the configured latency budget allows (an adaptive cost/quality
 //     knob per update) — followed by the service's own work: epochs and
-//     stats, the WAL append, compaction and publication.
+//     stats, the WAL append of the delta and the repair's outcome,
+//     compaction and publication.
 //
 //   asynchronous (plan_refinement / run_refinement / complete_refinement,
 //   service-scheduled on the shared Executor):
@@ -19,6 +20,9 @@
 //     as a background job).  Refinement runs on a captured epoch snapshot;
 //     publication back into the live state is epoch-checked, so a refinement
 //     raced by newer deltas is discarded, never merged wrongly.
+//
+//   replay (apply_logged, recovery and the replication follower): makes
+//     the leader's logged decisions, never repairing or refining itself.
 //
 // Readers never block on either plane: snapshot() hands out the latest
 // epoch-versioned, immutable SessionSnapshot via shared_ptr swap.
@@ -98,19 +102,11 @@ struct SessionSnapshot {
 };
 
 /// Per-call modifiers for apply_update.  Defaults describe the normal live
-/// path; the service's overload ladder and the recovery replay set the rest.
+/// path; the service's overload ladder sets the rest.
 struct ApplyOptions {
   /// Overload shedding: skip the budgeted verification rounds entirely
   /// (cascade only) — the cheapest admissible repair.
   bool shed_verification = false;
-  /// >= 0: run exactly this many verification rounds, ignoring the wall
-  /// clock — recovery replays the round count the live run logged, so the
-  /// replayed repair_step is bit-deterministic.  Capped by
-  /// repair_max_verify_rounds.
-  int replay_verify_rounds = -1;
-  /// Recovery replay: do not log the delta to the WAL again (it is being
-  /// read FROM the WAL) and do not trigger compaction.
-  bool replaying = false;
 };
 
 /// Point-in-time statistics copy (see PartitionService for aggregation).
@@ -193,10 +189,12 @@ class PartitionSession {
   /// snapshot() and the refinement plane; concurrent apply_update calls on
   /// ONE session serialize on the session lock.
   ///
-  /// When a WAL is attached, the delta is appended (and fsynced per the
-  /// durability config) before this call returns — the returned report IS
-  /// the acknowledgement, so ack implies durable.  An append that exhausts
-  /// its retries throws IoError and fail-stops the session (wal_failed).
+  /// When a WAL is attached, the delta and the repair's outcome are appended
+  /// (and fsynced per the durability config) before this call returns — the
+  /// returned report IS the acknowledgement, so ack implies durable.  An
+  /// append that exhausts its retries throws IoError and fail-stops the
+  /// session (wal_failed).  An inexact delta (check_delta_seam) throws
+  /// gapart::Error before anything is mutated or logged.
   RepairReport apply_update(std::shared_ptr<const Graph> grown,
                             const GraphDelta& delta,
                             const ApplyOptions& opts = {});
@@ -230,10 +228,11 @@ class PartitionSession {
   /// Applies a finished refinement: adopted only when no delta raced it
   /// (job.update_epoch still current) AND it improved the fitness; always
   /// clears the in-flight mark and resets the policy accumulators on
-  /// adoption.  On a durable session the kRefine record is appended BEFORE
-  /// the state is adopted; if the append fails the refinement is dropped
-  /// (refinements_unlogged) so log and state never diverge.  Returns true
-  /// when adopted.
+  /// adoption.  Adoption makes the moves that turn job.assignment into
+  /// `refined` on the live state, in ascending vertex order; on a durable
+  /// session they are logged as a kRefine record BEFORE they are made, and
+  /// if the append fails the refinement is dropped (refinements_unlogged)
+  /// so log and state never diverge.  Returns true when adopted.
   bool complete_refinement(const RefineJob& job, Assignment refined,
                            double refined_fitness,
                            std::int64_t full_evaluations,
@@ -251,23 +250,23 @@ class PartitionSession {
   void attach_wal(std::unique_ptr<SessionWal> wal);
   bool durable() const;
 
-  /// Recovery replay of a logged kRefine record: swaps in `refined` as the
-  /// live assignment (one O(V + E) state rebuild), without consulting the
-  /// policy or the WAL.
-  void force_assignment(Assignment refined, const char* source);
-
   // --- Replication (service/replication.hpp) ------------------------------
 
   /// PartitionState::content_hash() of the live state — the divergence-
   /// detection digest leaders and followers exchange at snapshot boundaries.
   std::uint64_t state_digest() const;
 
-  /// Follower-side kRefine application: logs the record to this session's
-  /// own WAL first, then adopts the assignment.  Unlike the leader's
-  /// best-effort refinement logging, a failed append here fail-stops the
-  /// session (wal_failed) — a follower whose log silently missed a shipped
-  /// record would replay to a diverged state after ITS next restart.
-  void apply_replicated_refine(Assignment refined);
+  /// Applies the next WAL record of this session's chain (recovery and the
+  /// replication follower): a kDelta record rebuilds the grown graph and
+  /// rebinds it with the logged parts of the appended vertices, then both
+  /// kinds make the logged moves in order — the floating-point work the
+  /// leader did, so state, digest and maintained sums match it bit for bit
+  /// whatever this session's config says.  Malformed records throw
+  /// gapart::Error before the state is touched.  `log_locally` (a follower)
+  /// first appends the record to this session's own WAL; a failed append
+  /// fail-stops the session, since a log that missed a shipped record would
+  /// replay to a diverged state after the follower's next restart.
+  void apply_logged(const WalRecord& record, bool log_locally);
 
   /// Follower-side lockstep compaction, triggered by the leader's shipped
   /// snapshot boundary rather than the local policy.  Checkpoints the
@@ -299,6 +298,15 @@ class PartitionSession {
  private:
   /// Publishes the current state as the newest snapshot (mu_ held).
   void publish(const char* source);
+  /// Throws unless the session takes updates (mu_ held).
+  void admit_update();
+  /// Appends one record; a failed append fail-stops the session (mu_ held,
+  /// wal_ set).
+  void log_or_fail_stop(WalRecordType type, std::uint64_t epoch,
+                        const std::string& payload, VertexId damage);
+  /// Advances the epoch, the policy accumulators and the update stats for
+  /// one absorbed delta (mu_ held).
+  void count_update(VertexId damage, const RepairOutcome& outcome);
   /// Checkpoints the latest snapshot into the WAL (mu_ held, wal_ set).
   /// False when that failed: the log is intact and the next trigger retries.
   bool compact_wal();
@@ -354,17 +362,6 @@ struct RefineOutcome {
 RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
                              const SessionConfig& config, Rng rng,
                              Executor* executor);
-
-/// Applies one WAL record to a session through the same deterministic
-/// repair_step the live run used — the shared core of
-/// PartitionService::recover (log_locally = false: the record is being read
-/// FROM this session's log) and the replication follower's continuous
-/// tail-replay (log_locally = true: the record arrived from the leader and
-/// must enter the follower's own log).  kDelta records rebuild the grown
-/// graph from the session's current one and replay the logged
-/// verification-round count; kRefine records swap in the logged assignment.
-void replay_wal_record(PartitionSession& session, const WalRecord& record,
-                       bool log_locally);
 
 /// The session image (service/wal.hpp) of one published snapshot under
 /// `config`'s identity: what compaction checkpoints, save_session's file

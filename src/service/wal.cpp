@@ -26,13 +26,13 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint32_t kFileMagic = 0x4c574147u;    // "GAWL"
-constexpr std::uint32_t kFileVersion = 1u;
+constexpr std::uint32_t kFileVersion = 2u;
 constexpr std::uint32_t kRecordMagic = 0x524c4157u;  // "WALR"
 constexpr std::size_t kFileHeaderSize = 8;
 static_assert(kFileHeaderSize == kWalLogHeaderBytes,
               "kWalLogHeaderBytes (wal.hpp) must match the file header");
-// magic u32 + type u8 + flags u32 + epoch u64 + payload_len u32 + crc u32
-constexpr std::size_t kFrameHeaderSize = 25;
+// magic u32 + type u8 + epoch u64 + payload_len u32 + crc u32
+constexpr std::size_t kFrameHeaderSize = 21;
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
 constexpr std::uint32_t kImageMagic = 0x31495347u;  // "GSI1"
@@ -41,14 +41,13 @@ constexpr std::uint32_t kImageMagic = 0x31495347u;  // "GSI1"
 constexpr std::size_t kImageHeaderSize = 44;
 
 std::string build_frame(WalRecordType type, std::uint64_t epoch,
-                        std::uint32_t flags, const std::string& payload) {
+                        const std::string& payload) {
   GAPART_REQUIRE(payload.size() <= kMaxPayload, "WAL payload of ",
                  payload.size(), " bytes exceeds the 1 GiB frame limit");
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
   put<std::uint32_t>(frame, kRecordMagic);
   put<std::uint8_t>(frame, static_cast<std::uint8_t>(type));
-  put<std::uint32_t>(frame, flags);
   put<std::uint64_t>(frame, epoch);
   put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
   // The CRC covers the header fields after the magic plus the payload, so a
@@ -69,11 +68,7 @@ std::optional<WalRecord> try_parse_frame(const std::string& bytes,
   ByteReader header(std::string_view(bytes).substr(pos, kFrameHeaderSize));
   if (header.get<std::uint32_t>() != kRecordMagic) return std::nullopt;
   const auto type = header.get<std::uint8_t>();
-  if (type != static_cast<std::uint8_t>(WalRecordType::kDelta) &&
-      type != static_cast<std::uint8_t>(WalRecordType::kRefine)) {
-    return std::nullopt;
-  }
-  const auto flags = header.get<std::uint32_t>();
+  if (!is_record_type(type)) return std::nullopt;
   const auto epoch = header.get<std::uint64_t>();
   const auto payload_len = header.get<std::uint32_t>();
   if (payload_len > kMaxPayload) return std::nullopt;
@@ -86,7 +81,6 @@ std::optional<WalRecord> try_parse_frame(const std::string& bytes,
   WalRecord rec;
   rec.type = static_cast<WalRecordType>(type);
   rec.epoch = epoch;
-  rec.flags = flags;
   rec.payload = bytes.substr(pos + kFrameHeaderSize, payload_len);
   pos += kFrameHeaderSize + payload_len;
   return rec;
@@ -152,6 +146,9 @@ void rename_file(const std::string& from, const std::string& to) {
 std::string snap_path(const std::string& dir, std::uint64_t epoch) {
   return dir + "/snap-" + std::to_string(epoch);
 }
+
+/// An outcome's parts take one byte while every part id fits in one.
+bool narrow_parts(PartId num_parts) { return num_parts <= 256; }
 
 }  // namespace
 
@@ -280,6 +277,54 @@ Assignment decode_assignment(std::string_view payload) {
   Assignment a(static_cast<std::size_t>(n));
   for (PartId& p : a) p = in.get<std::int32_t>();
   return a;
+}
+
+void encode_outcome(std::string& out, const RepairOutcome& outcome,
+                    PartId num_parts) {
+  const auto put_part = [&](PartId p) {
+    if (narrow_parts(num_parts)) {
+      put<std::uint8_t>(out, static_cast<std::uint8_t>(p));
+    } else {
+      put<std::uint32_t>(out, static_cast<std::uint32_t>(p));
+    }
+  };
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(outcome.moves.size()));
+  for (const PartId p : outcome.new_parts) put_part(p);
+  for (const PartMove& m : outcome.moves) {
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(m.v));
+    put_part(m.to);
+  }
+}
+
+RepairOutcome decode_outcome(ByteReader& in, VertexId num_new,
+                             VertexId num_vertices, PartId num_parts) {
+  const std::uint64_t part_bytes = narrow_parts(num_parts) ? 1 : 4;
+  const auto num_moves = in.get<std::uint32_t>();
+  // Size the section before anything is allocated from its counts.
+  const std::uint64_t size = part_bytes * static_cast<std::uint64_t>(num_new) +
+                             (4 + part_bytes) * num_moves;
+  GAPART_REQUIRE(in.remaining() == size, "outcome section of ", in.remaining(),
+                 " bytes does not hold ", num_new, " new parts and ",
+                 num_moves, " moves");
+  const auto get_part = [&] {
+    const std::uint32_t p =
+        part_bytes == 1 ? in.get<std::uint8_t>() : in.get<std::uint32_t>();
+    GAPART_REQUIRE(p < static_cast<std::uint32_t>(num_parts), "logged part ",
+                   p, " out of range for ", num_parts, " parts");
+    return static_cast<PartId>(p);
+  };
+  RepairOutcome out;
+  out.new_parts.resize(static_cast<std::size_t>(num_new));
+  for (PartId& p : out.new_parts) p = get_part();
+  out.moves.resize(num_moves);
+  for (PartMove& m : out.moves) {
+    const auto v = in.get<std::uint32_t>();
+    GAPART_REQUIRE(v < static_cast<std::uint32_t>(num_vertices),
+                   "logged move of vertex ", v, " in a ", num_vertices,
+                   "-vertex graph");
+    m = {static_cast<VertexId>(v), get_part()};
+  }
+  return out;
 }
 
 std::string encode_session_image(const SessionImage& image) {
@@ -434,10 +479,9 @@ void SessionWal::fsync_log() {
 }
 
 void SessionWal::append(WalRecordType type, std::uint64_t epoch,
-                        std::uint32_t flags, const std::string& payload,
-                        VertexId damage) {
+                        const std::string& payload, VertexId damage) {
   GAPART_SPAN("wal.append");
-  const std::string frame = build_frame(type, epoch, flags, payload);
+  const std::string frame = build_frame(type, epoch, payload);
   stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
       config_.io_retry, [&] { append_frame_once(frame); }));
   file_bytes_ += frame.size();
@@ -560,10 +604,16 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
   // rename and the log truncation leaves records <= snapshot epoch at the
   // front), then demand a gapless epoch chain: delta records advance the
   // epoch by exactly one, refinement records re-certify the current epoch.
+  // A refinement at the snapshot epoch is kept: it may have been adopted
+  // after the compaction, and one the snapshot already holds moves nothing.
   std::uint64_t epoch = snapshot_epoch;
   bool past_prefix = false;
   for (auto& rec : log.records) {
-    if (!past_prefix && rec.epoch <= snapshot_epoch) continue;
+    if (!past_prefix &&
+        (rec.epoch < snapshot_epoch ||
+         (rec.epoch == snapshot_epoch && rec.type == WalRecordType::kDelta))) {
+      continue;
+    }
     past_prefix = true;
     if (rec.type == WalRecordType::kDelta) {
       if (rec.epoch != epoch + 1) {

@@ -1,15 +1,25 @@
 // Per-session durability: a CRC-framed write-ahead delta log with snapshot
 // compaction.
 //
-// Every accepted GraphDelta is serialized (graph/delta_codec: O(damage)
-// bytes) and appended as one framed record — with the number of verification
-// rounds the repair actually admitted, so replay re-runs the *same*
-// deterministic pipeline the live session ran, wall clock removed — before
-// the synchronous repair acknowledges to the client.  Adopted background
-// refinements are logged too (full assignment; they are rare and already
-// O(V + E) in compute).  When the damage accumulated in the log crosses the
-// compaction policy's threshold, the session state is checkpointed as one
-// session image (temp file + fsync + rename) and the log is truncated.
+// A record logs an outcome, not a recipe: every accepted GraphDelta
+// (graph/delta_codec: O(damage) bytes) together with what the live repair
+// decided, appended as one framed record before the synchronous repair
+// acknowledges to the client; an adopted refinement logs only its moves.
+// Replay applies the logged decisions and never repairs, so a log replays
+// to the acked state under any reader's config.  When the damage
+// accumulated in the log crosses the compaction policy's threshold, the
+// session state is checkpointed as one session image (temp file + fsync +
+// rename) and the log is truncated.
+//
+// wal.log is magic "GAWL" | version 2, then frames of magic u32 | type u8 |
+// epoch u64 | payload length u32 | crc u32 | payload, where a payload is
+//
+//   kDelta    encode_delta(grown, delta) | outcome
+//   kRefine   outcome
+//   outcome   move count u32 | one part per appended vertex |
+//             moves as (vertex u32, part), in the order they were made
+//
+// and a part takes 1 byte when the session's num_parts <= 256, else 4.
 //
 // The session image is gapart's one internal snapshot format: the WAL's
 // checkpoint, the replication kOpenSession payload and save_session's file
@@ -29,10 +39,13 @@
 //
 //   snap-<E>           session image at update epoch E
 //   CURRENT            the epoch E of the authoritative snapshot
-//   wal.log            framed records with epochs > E (plus possibly stale
+//   wal.log            framed records past E — deltas with epochs > E,
+//                      refinements at epochs >= E — plus possibly stale
 //                      records <= E left by a compaction that crashed
-//                      between the CURRENT rename and the log truncation —
-//                      replay skips them)
+//                      between the CURRENT rename and the log truncation
+//                      (replay skips them, except refinements at E: one
+//                      may postdate the snapshot, and re-applying one the
+//                      snapshot holds moves nothing)
 //
 // Crash-consistency argument: CURRENT is only renamed over after the new
 // snapshot image is fully written and fsynced, and the log is only
@@ -56,6 +69,8 @@
 
 #include "common/assert.hpp"
 #include "common/backoff.hpp"
+#include "common/bytes.hpp"
+#include "core/incremental.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
@@ -99,9 +114,16 @@ struct DurabilityConfig {
 };
 
 enum class WalRecordType : std::uint8_t {
-  kDelta = 1,   ///< payload = delta_codec bytes; flags = verify rounds run
-  kRefine = 2,  ///< payload = adopted assignment (u64 n + n * i32 parts)
+  kDelta = 1,   ///< payload = delta_codec bytes + the repair's outcome
+  kRefine = 2,  ///< payload = the adopted refinement's outcome (moves only)
 };
+
+/// True for the byte of a WalRecordType above; every reader of a type byte
+/// (a WAL frame, a shipped record) rejects any other value.
+inline bool is_record_type(std::uint8_t type) {
+  return type == static_cast<std::uint8_t>(WalRecordType::kDelta) ||
+         type == static_cast<std::uint8_t>(WalRecordType::kRefine);
+}
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kDelta;
@@ -109,11 +131,18 @@ struct WalRecord {
   /// epoch is the epoch the delta produced; a kRefine record's epoch is the
   /// epoch whose state the refinement replaced.
   std::uint64_t epoch = 0;
-  /// kDelta: verification rounds the live repair admitted (replay runs
-  /// exactly these instead of consulting the wall clock).
-  std::uint32_t flags = 0;
   std::string payload;
 };
+
+/// Appends a record's outcome section (see file comment) to `out`.
+void encode_outcome(std::string& out, const RepairOutcome& outcome,
+                    PartId num_parts);
+/// Reads the outcome section that ends a record, for `num_new` appended
+/// vertices of a `num_vertices`-vertex graph.  Throws gapart::Error unless
+/// every vertex id is < num_vertices, every part < num_parts, and the
+/// section ends exactly at the end of `in`.
+RepairOutcome decode_outcome(ByteReader& in, VertexId num_new,
+                             VertexId num_vertices, PartId num_parts);
 
 struct WalReadResult {
   std::vector<WalRecord> records;
@@ -163,7 +192,7 @@ struct WalShipGate {
   std::atomic<std::uint64_t> consumed_offset{0};
 };
 
-/// Serializes the kRefine payload (u64 n + n x i32 parts).
+/// Serializes the session image's parts section (u64 n + n x i32 parts).
 std::string encode_assignment(const Assignment& assignment);
 Assignment decode_assignment(std::string_view payload);
 
@@ -228,8 +257,9 @@ class SessionWal {
                                             const SessionImage& image);
 
   /// Everything recovery needs from one session directory: the snapshot
-  /// image, the records to replay (epochs > image.epoch, stale records
-  /// skipped), and the reopened WAL positioned after the last valid record.
+  /// image, the records to replay (deltas with epochs > image.epoch and
+  /// refinements from image.epoch on; stale records skipped), and the
+  /// reopened WAL positioned after the last valid record.
   struct Recovered {
     std::unique_ptr<SessionWal> wal;
     SessionImage image;
@@ -246,7 +276,7 @@ class SessionWal {
   /// applies the fsync policy.  `damage` feeds the compaction accumulator.
   /// Throws IoError once retries are exhausted — the caller must then treat
   /// the session's log as broken (fail-stop) or surface the error.
-  void append(WalRecordType type, std::uint64_t epoch, std::uint32_t flags,
+  void append(WalRecordType type, std::uint64_t epoch,
               const std::string& payload, VertexId damage);
 
   /// decide_compaction over the current log accumulators.

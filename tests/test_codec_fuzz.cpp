@@ -1,7 +1,8 @@
-// Codec fuzz for the two binary decoders that read durable or shipped
-// state: decode_delta (WAL records, replicated records, the graph section
-// of a snapshot) and decode_session_image (WAL snapshots, kOpenSession
-// payloads, save_session files).  Each decoder is fed every truncation of a
+// Codec fuzz for the binary decoders that read durable or shipped state:
+// decode_delta (WAL records, replicated records, the graph section of a
+// snapshot), decode_outcome (the logged decisions every record ends with)
+// and decode_session_image (WAL snapshots, kOpenSession payloads,
+// save_session files).  Each decoder is fed every truncation of a
 // valid encoding plus seeded single-byte flips, and may only answer with
 // its value or a gapart::Error subclass — never another exception type,
 // never undefined behaviour.  The suite name matches the sanitizer CI job's
@@ -15,8 +16,10 @@
 #include <string>
 #include <string_view>
 #include <typeinfo>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
@@ -96,6 +99,38 @@ TEST(WalCodecFuzz, DeltaRecordRejectsTruncationsAndSurvivesFlips) {
 
     expect_truncations_rejected(decode, valid);
     Rng rng(weighted ? 0xf1f2 : 0xf1f1);
+    for (int i = 0; i < kFlips; ++i) {
+      expect_only_typed_errors(decode, flip_one_byte(valid, rng), i);
+    }
+  }
+}
+
+TEST(WalCodecFuzz, OutcomeSectionRejectsTruncationsAndSurvivesFlips) {
+  // The tail of a kDelta record with 3 appended vertices in a 40-vertex
+  // graph, with 1-byte parts (k <= 256) and with 4-byte parts.
+  for (const PartId k : {4, 256, 300}) {
+    SCOPED_TRACE(::testing::Message() << k << " parts");
+    const RepairOutcome outcome{{1, 0, k - 1}, {{39, 2}, {0, k - 1}, {39, 0}}};
+    std::string valid;
+    encode_outcome(valid, outcome, k);
+    EXPECT_EQ(valid.size(), k <= 256 ? 4u + 3 + 3 * 5 : 4u + 3 * 4 + 3 * 8);
+    const auto decode = [k](std::string_view bytes) {
+      ByteReader in(bytes);
+      return decode_outcome(in, 3, 40, k);
+    };
+    const RepairOutcome out = decode(valid);
+    EXPECT_EQ(out.new_parts, outcome.new_parts);
+    EXPECT_EQ(out.moves, outcome.moves);
+    // Vertex ids are checked against the graph, parts against the session.
+    ByteReader smaller_graph(valid);
+    EXPECT_THROW(decode_outcome(smaller_graph, 3, 39, k), Error);
+    ByteReader fewer_parts(valid);
+    EXPECT_THROW(decode_outcome(fewer_parts, 3, 40, k - 1), Error);
+    // The section ends the record.
+    EXPECT_THROW(decode(valid + '\0'), Error);
+
+    expect_truncations_rejected(decode, valid);
+    Rng rng(0x0c0e + static_cast<std::uint64_t>(k));
     for (int i = 0; i < kFlips; ++i) {
       expect_only_typed_errors(decode, flip_one_byte(valid, rng), i);
     }

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -246,10 +249,10 @@ TEST(Durability, CorruptMidLogFailsRecovery) {
   const std::string log = dir + "/session-1/wal.log";
   std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.good());
-  f.seekg(8 + 25 + 2);  // file header + first frame header + 2
+  f.seekg(8 + 21 + 2);  // file header + first frame header + 2
   char byte = 0;
   f.get(byte);
-  f.seekp(8 + 25 + 2);
+  f.seekp(8 + 21 + 2);
   f.put(static_cast<char>(byte ^ 0x5a));
   f.close();
 
@@ -414,6 +417,337 @@ TEST(Durability, KillPointFuzzMatchesReference) {
     // kWorstComm gains read the maintained part cuts directly.
     SCOPED_TRACE("weighted worst-comm trace");
     kill_point_fuzz(true, Objective::kWorstComm);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A record logs the repair's outcome, so replay never consults the reader's
+// repair config.
+
+/// Step s of a churn stream: a 32 x 32 grid with fractional weights plus a
+/// 6 x 6 window of diagonals whose place moves with s.
+std::shared_ptr<const Graph> churn_graph(int step) {
+  const VertexId side = 32;
+  GraphBuilder b(side * side);
+  const auto at = [side](VertexId r, VertexId c) { return r * side + c; };
+  for (VertexId r = 0; r < side; ++r) {
+    for (VertexId c = 0; c < side; ++c) {
+      if (c + 1 < side) b.add_edge(at(r, c), at(r, c + 1));
+      if (r + 1 < side) b.add_edge(at(r, c), at(r + 1, c));
+    }
+  }
+  const VertexId r0 = (7 * step) % 24;
+  const VertexId c0 = (11 * step) % 24;
+  for (VertexId r = r0; r < r0 + 6; ++r) {
+    for (VertexId c = c0; c < c0 + 6; ++c) {
+      b.add_edge(at(r, c), at(r + 1, c + 1));
+    }
+  }
+  return std::make_shared<const Graph>(
+      testing::with_fractional_weights(b.build()));
+}
+
+TEST(Durability, RecoveryIgnoresTheReadersRepairConfig) {
+  const PartId k = 4;
+  const int kUpdates = 14;
+  // A scrambled start leaves the verification rounds plenty to move.
+  Rng rng(0x1b);
+  Assignment start(32 * 32);
+  for (PartId& p : start) p = static_cast<PartId>(rng.uniform_int(k));
+  struct End {
+    std::uint64_t digest = 0;
+    double fitness = 0.0;
+  };
+  const auto stream = [&](const std::string& dir, const SessionConfig& cfg) {
+    PartitionService service(durable_config(dir));
+    auto prev = churn_graph(0);
+    const SessionId id = service.open_session(prev, start, cfg);
+    for (int s = 1; s <= kUpdates; ++s) {
+      auto next = churn_graph(s);
+      service.submit_update(id, next, diff_graphs(*prev, *next));
+      prev = next;
+    }
+    return End{service.session_handle(id)->state_digest(),
+               service.snapshot(id)->fitness};
+  };
+  SessionConfig writer = session_config(k);  // cap 4, 60 s budget
+  SessionConfig cap1 = writer;
+  cap1.repair_max_verify_rounds = 1;
+  SessionConfig cascade_only = writer;
+  cascade_only.repair_max_verify_rounds = 0;
+  cascade_only.repair_budget_seconds = 0.0;
+
+  const std::string dir = fresh_dir("reader_config");
+  const End live = stream(dir, writer);
+  // Re-running the stream under another cap ends elsewhere: the verification
+  // rounds matter, so a replay that re-ran the repair could not match.
+  ASSERT_NE(stream(fresh_dir("reader_config_cap0"), cascade_only).digest,
+            live.digest);
+
+  for (const SessionConfig& reader : {cap1, cascade_only}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "reader cap " << reader.repair_max_verify_rounds);
+    PartitionService service(durable_config(dir));
+    const auto reports = service.recover(reader);
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].records_replayed,
+              static_cast<std::size_t>(kUpdates));
+    EXPECT_EQ(service.session_handle(1)->state_digest(), live.digest);
+    EXPECT_EQ(service.snapshot(1)->fitness, live.fitness);
+    expect_snapshot_consistent(*service.snapshot(1), k);
+  }
+}
+
+// A session directory the durable service wrote, committed byte for byte:
+// a 3 x 4 grid with fractional weights (testing::with_fractional_weights),
+// k = 2, opened on a random start (parts drawn by Rng(1)), then two updates
+// that each append a row under the default repair config (cap 4, 60 s
+// budget: the repairs made 11 and 2 moves), then one adopted refinement
+// (3 moves) at epoch 2.  The log is the format's contract with every later
+// binary: a change to the record format or to replay must regenerate these
+// bytes, and the pinned results below, in the same diff.
+// CURRENT: 2 bytes.
+constexpr const char* kCurrent =
+    "300a";
+// snap-0: 721 bytes.
+constexpr const char* kSnap0 =
+    "475349310200000000000000000000000000f03f00000000000000000cf3f02d69ca9038"
+    "39020000000000004744433201000000000c00000000000000000000000000f03f020000"
+    "0001000000922449922449f23f03000000b76ddbb66ddbf63f555555555555f53f030000"
+    "0000000000922449922449f23f02000000b76ddbb66ddbf63f04000000000000000000f0"
+    "3faaaaaaaaaaaafa3f0200000001000000b76ddbb66ddbf63f05000000244992244992f4"
+    "3f00000000000000400300000000000000b76ddbb66ddbf63f04000000244992244992f4"
+    "3f06000000499224499224f93faaaaaaaaaaaa02400400000001000000000000000000f0"
+    "3f03000000244992244992f43f05000000499224499224f93f07000000922449922449f2"
+    "3f56555555555505400300000002000000244992244992f43f04000000499224499224f9"
+    "3f08000000b76ddbb66ddbf63f00000000000008400300000003000000499224499224f9"
+    "3f07000000b76ddbb66ddbf63f09000000000000000000f03f000000000000f03f040000"
+    "0004000000922449922449f23f06000000b76ddbb66ddbf63f08000000000000000000f0"
+    "3f0a000000244992244992f43f555555555555f53f0300000005000000b76ddbb66ddbf6"
+    "3f07000000000000000000f03f0b000000499224499224f93faaaaaaaaaaaafa3f020000"
+    "0006000000000000000000f03f0a000000499224499224f93f0000000000000040030000"
+    "0007000000244992244992f43f09000000499224499224f93f0b000000922449922449f2"
+    "3faaaaaaaaaaaa02400200000008000000499224499224f93f0a000000922449922449f2"
+    "3f0c00000000000000010000000100000000000000010000000000000001000000010000"
+    "000100000000000000000000000100000000000000aaaaaaaaaaaa22400000000000002a"
+    "406ddbb66ddbb62b406ddbb66ddbb62b406ddbb66ddbb63b403e8ee3388ee31a402dc934"
+    "81";
+// wal.log: 779 bytes.
+constexpr const char* kWalLog =
+    "4741574c0200000057414c520101000000000000006f01000095e1e76847444332010c00"
+    "00000f00000003000000090000000a0000000b000000aaaaaaaaaaaafa3f030000000600"
+    "0000000000000000f03f0a000000499224499224f93f0c000000922449922449f23f0000"
+    "0000000000400400000007000000244992244992f43f09000000499224499224f93f0b00"
+    "0000922449922449f23f0d000000b76ddbb66ddbf63faaaaaaaaaaaa0240030000000800"
+    "0000499224499224f93f0a000000922449922449f23f0e000000000000000000f03f5655"
+    "5555555505400200000009000000922449922449f23f0d000000000000000000f03f0000"
+    "000000000840030000000a000000b76ddbb66ddbf63f0c000000000000000000f03f0e00"
+    "0000244992244992f43f000000000000f03f020000000b000000000000000000f03f0d00"
+    "0000244992244992f43f0b00000000010106000000000700000000080000000102000000"
+    "0103000000000b000000010d0000000004000000010a0000000003000000010e00000000"
+    "57414c5201020000000000000042010000048c726447444332010f000000120000000300"
+    "00000c0000000d0000000e00000056555555555505400300000009000000922449922449"
+    "f23f0d000000000000000000f03f0f000000244992244992f43f00000000000008400400"
+    "00000a000000b76ddbb66ddbf63f0c000000000000000000f03f0e000000244992244992"
+    "f43f10000000499224499224f93f000000000000f03f030000000b000000000000000000"
+    "f03f0d000000244992244992f43f11000000922449922449f23f555555555555f53f0200"
+    "00000c000000244992244992f43f10000000922449922449f23faaaaaaaaaaaafa3f0300"
+    "00000d000000499224499224f93f0f000000922449922449f23f11000000b76ddbb66ddb"
+    "f63f0000000000000040020000000e000000922449922449f23f10000000b76ddbb66ddb"
+    "f63f020000000000000a00000001070000000157414c5202020000000000000013000000"
+    "281a476b0300000006000000010a000000000b00000000";
+
+std::string from_hex(std::string_view hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(Durability, CommittedLogReplaysToPinnedDigest) {
+  const std::string dir = fresh_dir("committed_log");
+  fs::create_directories(dir + "/session-1");
+  for (const auto& [name, hex] : {std::pair{"CURRENT", kCurrent},
+                                  std::pair{"snap-0", kSnap0},
+                                  std::pair{"wal.log", kWalLog}}) {
+    std::ofstream(dir + "/session-1/" + name, std::ios::binary)
+        << from_hex(hex);
+  }
+  // A reader whose repair config is unlike the writer's.
+  SessionConfig reader;
+  reader.num_parts = 2;
+  reader.repair_max_verify_rounds = 0;
+  reader.repair_budget_seconds = 0.0;
+  PartitionService service(durable_config(dir));
+  const auto reports = service.recover(reader);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].records_replayed, 3u);
+  EXPECT_EQ(reports[0].final_epoch, 2u);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), 16790083805578881333ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(service.snapshot(1)->fitness),
+            0xc02134d34d34d350ull);
+  expect_snapshot_consistent(*service.snapshot(1), 2);
+}
+
+TEST(Durability, RefineRecordHoldsOnlyItsMoves) {
+  const PartId k = 4;
+  const std::string dir = fresh_dir("refine_record");
+  SessionConfig cfg = session_config(k);
+  cfg.repair_budget_seconds = 0.0;  // cascade only: refinement finds more
+  cfg.policy.damage_threshold = 1;
+  cfg.policy.allow_deep = false;
+  Rng rng(0x5eed);
+  Assignment scrambled(256);
+  for (PartId& p : scrambled) p = static_cast<PartId>(rng.uniform_int(k));
+  auto g = shared_grid(16, 16);
+  auto grown = shared_grid(17, 16);
+
+  std::uint64_t digest = 0;
+  double fitness = 0.0;
+  {
+    PartitionService service(durable_config(dir));
+    const SessionId id = service.open_session(g, scrambled, cfg);
+    service.submit_update(id, grown, diff_graphs(*g, *grown));
+    const auto session = service.session_handle(id);
+    const auto job = session->plan_refinement();
+    ASSERT_TRUE(job.has_value());
+    const RefineOutcome out = run_refinement(*job, cfg, Rng(1), nullptr);
+    std::size_t moves = 0;
+    for (std::size_t v = 0; v < out.assignment.size(); ++v) {
+      moves += out.assignment[v] != job->assignment[v] ? 1 : 0;
+    }
+    const std::uint64_t before = service.session_stats(id).wal.bytes_appended;
+    ASSERT_TRUE(session->complete_refinement(*job, out.assignment, out.fitness,
+                                             out.full_evaluations,
+                                             out.delta_evaluations));
+    const std::uint64_t record =
+        service.session_stats(id).wal.bytes_appended - before;
+    // Frame header, move count, then 5 B per move: no per-vertex bytes.
+    ASSERT_GT(moves, 0u);
+    EXPECT_EQ(record, 21 + 4 + 5 * moves);
+    EXPECT_LT(record, 8 + 4 * out.assignment.size());
+    EXPECT_EQ(service.snapshot(id)->assignment, out.assignment);
+    digest = session->state_digest();
+    fitness = service.snapshot(id)->fitness;
+  }
+  PartitionService service(durable_config(dir));
+  service.recover(cfg);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+  EXPECT_EQ(service.snapshot(1)->fitness, fitness);
+}
+
+// A refinement at the snapshot's epoch is replayed, not skipped as part of
+// a stale prefix: adopted right after a compaction, it is the log's first
+// record and the snapshot lacks it.  When the snapshot already holds it (the
+// crash window of StaleLogPrefixSkipped, forged after the refinement),
+// re-applying it moves nothing.
+TEST(Durability, RefinementAtTheSnapshotEpochIsReplayed) {
+  const PartId k = 4;
+  SessionConfig cfg = session_config(k);
+  cfg.repair_budget_seconds = 0.0;  // cascade only: refinement finds more
+  cfg.policy.damage_threshold = 1;
+  cfg.policy.allow_deep = false;
+  Rng rng(0x5eed);
+  Assignment scrambled(256);
+  for (PartId& p : scrambled) p = static_cast<PartId>(rng.uniform_int(k));
+  auto g = shared_grid(16, 16);
+  auto g17 = shared_grid(17, 16);
+  auto g18 = shared_grid(18, 16);
+
+  for (const bool snapshot_holds_it : {false, true}) {
+    SCOPED_TRACE(snapshot_holds_it ? "snapshot holds the refinement"
+                                   : "refinement postdates the snapshot");
+    const std::string dir = fresh_dir(
+        snapshot_holds_it ? "refine_in_snapshot" : "refine_after_snapshot");
+    std::uint64_t digest = 0;
+    double fitness = 0.0;
+    {
+      PartitionService service(durable_config(dir));
+      const SessionId id = service.open_session(g, scrambled, cfg);
+      service.submit_update(id, g17, diff_graphs(*g, *g17));
+      const auto session = service.session_handle(id);
+      if (!snapshot_holds_it) {
+        ASSERT_TRUE(session->compact_now());  // snapshot at epoch 1
+      }
+      const auto job = session->plan_refinement();
+      ASSERT_TRUE(job.has_value());
+      const RefineOutcome out = run_refinement(*job, cfg, Rng(1), nullptr);
+      ASSERT_TRUE(session->complete_refinement(
+          *job, out.assignment, out.fitness, out.full_evaluations,
+          out.delta_evaluations));
+      if (snapshot_holds_it) {
+        service.save_session(id, dir + "/session-1/snap-1");
+      }
+      service.submit_update(id, g18, diff_graphs(*g17, *g18));
+      digest = session->state_digest();
+      fitness = service.snapshot(id)->fitness;
+    }
+    if (snapshot_holds_it) {
+      std::ofstream cur(dir + "/session-1/CURRENT", std::ios::trunc);
+      cur << "1\n";
+    }
+    PartitionService service(durable_config(dir));
+    const auto reports = service.recover(cfg);
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].snapshot_epoch, 1u);
+    EXPECT_EQ(reports[0].records_replayed, 2u);  // the refinement, epoch 2
+    EXPECT_EQ(reports[0].final_epoch, 2u);
+    EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+    EXPECT_EQ(service.snapshot(1)->fitness, fitness);
+  }
+}
+
+// An inexact delta is rejected before anything is mutated or logged: the
+// session stays healthy, and its log keeps replaying to the live state.
+TEST(Durability, InexactDeltaIsRejectedBeforeItIsLogged) {
+  const PartId k = 4;
+  struct Repro {
+    const char* name;
+    bool add_old_edge;  // add (0, 63); otherwise drop the cut edge (55, 63)
+  };
+  for (const Repro repro : {Repro{"old-old edge added", true},
+                            Repro{"seam edge dropped", false}}) {
+    SCOPED_TRACE(repro.name);
+    const std::string dir =
+        fresh_dir(std::string("inexact_") + (repro.add_old_edge ? "a" : "b"));
+    auto prev = shared_grid(8, 8);
+    Assignment start = column_bands(8, 8, k);
+    start[55] = 0;  // the edge (55, 63) is cut
+    // One appended row, plus the rewire appended_delta cannot see.
+    const Graph row = make_grid(9, 8);
+    GraphBuilder b(row.num_vertices());
+    for (VertexId u = 0; u < row.num_vertices(); ++u) {
+      for (const VertexId v : row.neighbors(u)) {
+        const bool dropped = !repro.add_old_edge && u == 55 && v == 63;
+        if (v > u && !dropped) b.add_edge(u, v);
+      }
+    }
+    if (repro.add_old_edge) b.add_edge(0, 63);
+    auto inexact = std::make_shared<const Graph>(b.build());
+
+    std::uint64_t digest = 0;
+    {
+      PartitionService service(durable_config(dir));
+      const SessionId id = service.open_session(prev, start, session_config(k));
+      EXPECT_THROW(
+          service.submit_update(id, inexact, appended_delta(*inexact, 64)),
+          Error);
+      EXPECT_EQ(service.snapshot(id)->update_epoch, 0u);
+      EXPECT_EQ(service.session_stats(id).wal.appends, 0u);
+      EXPECT_FALSE(service.session_stats(id).wal_failed);
+      // The exact delta for the same graph goes through.
+      service.submit_update(id, inexact, diff_graphs(*prev, *inexact));
+      EXPECT_EQ(service.snapshot(id)->update_epoch, 1u);
+      expect_snapshot_consistent(*service.snapshot(id), k);
+      digest = service.session_handle(id)->state_digest();
+    }
+    PartitionService service(durable_config(dir));
+    const auto reports = service.recover(session_config(k));
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].final_epoch, 1u);
+    EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
   }
 }
 

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
+#include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "graph/mesh.hpp"
+#include "graph/partition.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -118,6 +126,115 @@ TEST(GraphDelta, Validation) {
   EXPECT_THROW(repair_seeds(bad_touched, g), Error);
   const Graph big = make_grid(4, 4);
   EXPECT_THROW(diff_graphs(big, g), Error);
+}
+
+// Random rewires, each with at least one declared endpoint (a declared
+// survivor or an appended vertex), against diff_graphs as the oracle: the
+// seam check accepts a delta exactly when it declares every survivor whose
+// row changed.  The live path agrees: repair_step throws with the state
+// untouched, or repairs to metrics equal to a from-scratch count.
+TEST(GraphDelta, SeamCheckAcceptsExactlyTheCoveringDeltas) {
+  using Edges = std::map<std::pair<VertexId, VertexId>, double>;
+  const auto build = [](VertexId n, const Edges& edges) {
+    GraphBuilder b(n);
+    for (const auto& [e, w] : edges) b.add_edge(e.first, e.second, w);
+    return b.build();
+  };
+  const PartId k = 3;
+  const VertexId n_old = 36;
+  const Graph grid = make_grid(6, 6);
+  Rng rng(0x5ea3);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    Edges base;
+    for (VertexId u = 0; u < n_old; ++u) {
+      for (const VertexId v : grid.neighbors(u)) {
+        if (v > u) base[{u, v}] = 1 + rng.uniform_int(3);
+      }
+    }
+    const Graph prev = build(n_old, base);
+    const VertexId n_new = n_old + rng.uniform_int(3);
+    std::vector<VertexId> declared;
+    for (VertexId v = 0; v < n_old; ++v) {
+      if (rng.uniform_int(6) == 0) declared.push_back(v);
+    }
+    std::vector<VertexId> anchors = declared;  // a rewire's declared end
+    for (VertexId v = n_old; v < n_new; ++v) anchors.push_back(v);
+    if (anchors.empty()) continue;
+
+    Edges edges = base;
+    for (int edit = 1 + rng.uniform_int(4); edit > 0; --edit) {
+      // The other end is declared too half the time, else any vertex.
+      const VertexId a = anchors[rng.uniform_u64(anchors.size())];
+      const VertexId b = rng.uniform_int(2) == 0
+                             ? anchors[rng.uniform_u64(anchors.size())]
+                             : rng.uniform_int(n_new);
+      if (a == b) continue;
+      const std::pair<VertexId, VertexId> e{std::min(a, b), std::max(a, b)};
+      const auto it = edges.find(e);
+      if (it == edges.end()) {
+        edges[e] = 1 + rng.uniform_int(3);
+      } else if (rng.uniform_int(2) == 0) {
+        edges.erase(it);
+      } else {
+        it->second = 1 + static_cast<int>(it->second) % 3;  // reweight
+      }
+    }
+    const Graph grown = build(n_new, edges);
+    const GraphDelta delta{n_old, declared};
+    const GraphDelta exact = diff_graphs(prev, grown);
+    const bool covered =
+        std::includes(declared.begin(), declared.end(),
+                      exact.touched_old.begin(), exact.touched_old.end());
+
+    bool passed = true;
+    try {
+      check_delta_seam(prev, grown, delta);
+    } catch (const Error&) {
+      passed = false;
+    }
+    EXPECT_EQ(passed, covered) << "trial " << trial;
+
+    Assignment a(static_cast<std::size_t>(n_old));
+    for (PartId& p : a) p = static_cast<PartId>(rng.uniform_int(k));
+    PartitionState state(prev, a, k);
+    if (covered) {
+      repair_step(state, grown, delta, {}, 2,
+                  std::numeric_limits<double>::infinity());
+      testing::expect_metrics_near(
+          state.metrics(), compute_metrics(grown, state.assignment(), k));
+      ++accepted;
+    } else {
+      EXPECT_THROW(repair_step(state, grown, delta, {}, 2,
+                               std::numeric_limits<double>::infinity()),
+                   Error)
+          << "trial " << trial;
+      EXPECT_EQ(&state.graph(), &prev);
+      EXPECT_EQ(state.assignment(), a);
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(GraphDelta, SeamCheckRejectsMalformedDeltas) {
+  const Graph prev = make_grid(3, 3);
+  const Graph grown = make_grid(4, 3);
+  GraphDelta delta = diff_graphs(prev, grown);
+  EXPECT_NO_THROW(check_delta_seam(prev, grown, delta));
+  GraphDelta unsorted = delta;
+  std::swap(unsorted.touched_old.front(), unsorted.touched_old.back());
+  EXPECT_THROW(check_delta_seam(prev, grown, unsorted), Error);
+  GraphDelta wrong_size = delta;
+  wrong_size.old_num_vertices = 8;
+  EXPECT_THROW(check_delta_seam(prev, grown, wrong_size), Error);
+  // Growth alone declares the last old row; dropping one of its vertices
+  // leaves that survivor's new edge undeclared.
+  GraphDelta missing = delta;
+  missing.touched_old.pop_back();
+  EXPECT_THROW(check_delta_seam(prev, grown, missing), Error);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // convergence, lockstep compaction with digest exchange, resume after link
 // partitions, slow-follower backpressure and snapshot resync, the seeded
 // transport fault matrix ("converges or fail-stops, never silently
-// diverges"), fencing/split-brain prevention, divergence fail-stop, follower
-// restart, and the kill-point-fuzzed failover sweep against a never-crashed
-// reference.  Companions: test_transport.cpp (the seam itself),
-// test_durability.cpp (single-node recovery).
+// diverges"), fencing/split-brain prevention, divergence fail-stop, junk
+// record rejection, follower restart, and the kill-point-fuzzed failover
+// sweep against a never-crashed reference.  Companions: test_transport.cpp
+// (the seam itself), test_durability.cpp (single-node recovery).
 #include "service/replication.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -49,9 +50,10 @@ std::shared_ptr<const Graph> weighted_grid(VertexId rows, VertexId cols) {
       testing::with_fractional_weights(make_grid(rows, cols)));
 }
 
-/// Deterministic-replay session knobs (see test_durability.cpp): a huge
+/// Deterministic-repair session knobs (see test_durability.cpp): a huge
 /// budget makes the admitted verification rounds a pure function of the
-/// delta stream, so leader, follower, and reference replays are bit-equal.
+/// delta stream, so the leader and a reference session decide identically.
+/// The follower decides nothing: it applies the leader's logged moves.
 SessionConfig session_config(PartId k) {
   SessionConfig cfg;
   cfg.num_parts = k;
@@ -102,8 +104,13 @@ struct Rig {
         follower_config(fresh_dir(name + "_follower")));
     shipper =
         std::make_unique<ReplicationShipper>(*leader, *leader_end, ship);
+    // The follower's repair config differs from the leader's on purpose:
+    // it applies the leader's logged moves and never repairs, so its own
+    // round cap and budget must not matter.
     FollowerConfig fcfg;
     fcfg.base = session_config(3);
+    fcfg.base.repair_max_verify_rounds = 0;
+    fcfg.base.repair_budget_seconds = 0.0;
     follower = std::make_unique<ReplicationFollower>(*follower_service,
                                                      *follower_end, fcfg);
     follower->start_follower();
@@ -513,20 +520,23 @@ TEST(Replication, DivergenceFailStopsWithTypedError) {
   rig.settle();
   expect_converged(rig, id);
 
-  // Tamper with the replica: relabel parts 0 and 1 wholesale.  The cut and
-  // the balance are unchanged, so the deterministic repair pass will never
-  // heal it back — only the content digest can tell the states apart.
-  Assignment tampered =
-      rig.follower_service->session_handle(id)->snapshot()->assignment;
-  for (PartId& part : tampered) {
-    if (part == 0) {
-      part = 1;
-    } else if (part == 1) {
-      part = 0;
-    }
+  // Tamper with the replica: relabel parts 0 and 1 wholesale, through a
+  // refinement record the leader never logged.  The cut and the balance are
+  // unchanged, and the follower only ever applies the leader's moves, so
+  // nothing heals it back — only the content digest can tell the states
+  // apart.
+  const auto replica = rig.follower_service->session_handle(id);
+  const auto before = replica->snapshot();
+  RepairOutcome swap;
+  for (std::size_t v = 0; v < before->assignment.size(); ++v) {
+    const PartId part = before->assignment[v];
+    if (part < 2) swap.moves.push_back({static_cast<VertexId>(v), 1 - part});
   }
-  rig.follower_service->session_handle(id)->force_assignment(tampered,
-                                                             "tamper");
+  WalRecord tamper;
+  tamper.type = WalRecordType::kRefine;
+  tamper.epoch = before->update_epoch;
+  encode_outcome(tamper.payload, swap, k);
+  replica->apply_logged(tamper, /*log_locally=*/false);
 
   // The next snapshot boundary exchanges digests and must fail-stop.
   auto g14 = shared_grid(14, 12);
@@ -543,6 +553,66 @@ TEST(Replication, DivergenceFailStopsWithTypedError) {
   EXPECT_TRUE(rig.follower->stats().diverged);
   // A diverged replica must never be promoted.
   EXPECT_THROW(rig.follower->promote(), Error);
+}
+
+// A CRC-valid, in-sequence record frame whose type byte no WAL record has
+// is junk: the follower rejects it before it reaches its own log.
+TEST(Replication, RecordOfUnknownTypeIsRejectedUnlogged) {
+  const PartId k = 3;
+  Rig rig("bad_type");
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  auto g13 = shared_grid(13, 12);
+  rig.leader->submit_update(id, g13, diff_graphs(*prev, *g13));
+  prev = g13;
+  rig.settle();
+  expect_converged(rig, id);
+
+  const auto read_log = [&] {
+    std::ifstream in(rig.follower_service->session_wal_dir(id) + "/wal.log",
+                     std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string log_before = read_log();
+  const std::uint64_t applied = rig.follower->stats().records_applied;
+  // The shape of a kRefine with nothing to move, at the next seq.
+  const ShipperStats ss = rig.shipper->stats();
+  RepFrame junk;
+  junk.type = RepFrameType::kRecord;
+  junk.generation = ss.generation;
+  junk.session = id;
+  junk.seq = ss.opens_shipped + ss.records_shipped + ss.compacts_shipped + 1;
+  junk.epoch = rig.follower->applied_epoch(id);
+  encode_outcome(junk.payload, RepairOutcome{}, k);
+  for (const std::uint8_t sub : {0, 3}) {
+    junk.sub = sub;
+    rig.leader_end->send(encode_rep_frame(junk));
+    rig.follower->pump();
+  }
+  FollowerStats fs_ = rig.follower->stats();
+  EXPECT_EQ(fs_.corrupt_rejected, 2u);
+  EXPECT_EQ(fs_.records_applied, applied);
+  EXPECT_FALSE(fs_.diverged);
+  EXPECT_EQ(read_log(), log_before);
+  // A direct caller gets a typed error, not a record of unknown type.
+  WalRecord record;
+  record.type = static_cast<WalRecordType>(3);
+  record.epoch = junk.epoch;
+  record.payload = junk.payload;
+  EXPECT_THROW(rig.follower_service->session_handle(id)->apply_logged(
+                   record, /*log_locally=*/true),
+               Error);
+  EXPECT_EQ(read_log(), log_before);
+
+  // The real stream goes on past the junk.
+  auto g14 = shared_grid(14, 12);
+  rig.leader->submit_update(id, g14, diff_graphs(*prev, *g14));
+  rig.settle();
+  expect_converged(rig, id);
+  fs_ = rig.follower->stats();
+  EXPECT_EQ(fs_.records_applied, applied + 1);
+  EXPECT_FALSE(fs_.diverged);
 }
 
 TEST(Replication, FollowerRestartResumesFromItsOwnDisk) {

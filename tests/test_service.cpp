@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "core/graph_delta.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
@@ -222,9 +223,9 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
 
 TEST(PartitionSession, UpdateMatchesRepairStep) {
   // apply_update is repair_step on the live state: the session's
-  // repair_max_verify_rounds is the round cap, shedding drops it to 0 and a
-  // replayed round count caps it further.  With no latency budget the
-  // session and a bare PartitionState must decide identically.
+  // repair_max_verify_rounds is the round cap and shedding drops it to 0.
+  // With no latency budget the session and a bare PartitionState must decide
+  // identically, down to the logged outcome.
   const PartId k = 4;
   auto g = shared_grid(12, 12);
   SessionConfig cfg = basic_config(k);
@@ -242,12 +243,8 @@ TEST(PartitionSession, UpdateMatchesRepairStep) {
   };
   ApplyOptions shed;
   shed.shed_verification = true;
-  ApplyOptions replay_one;
-  replay_one.replay_verify_rounds = 1;
-  ApplyOptions replay_many;
-  replay_many.replay_verify_rounds = 10;
   const std::vector<Step> steps = {
-      {ApplyOptions{}, 3}, {shed, 0}, {replay_one, 1}, {replay_many, 3},
+      {ApplyOptions{}, 3}, {shed, 0}, {ApplyOptions{}, 3}, {shed, 0},
       {ApplyOptions{}, 3}};
 
   std::vector<std::shared_ptr<const Graph>> graphs{g};
@@ -267,6 +264,10 @@ TEST(PartitionSession, UpdateMatchesRepairStep) {
     EXPECT_EQ(got.examined, want.examined);
     EXPECT_EQ(got.extend_moves, want.extend_moves);
     EXPECT_EQ(got.damage, want.damage);
+    EXPECT_EQ(got.outcome.new_parts, want.outcome.new_parts);
+    EXPECT_EQ(got.outcome.moves, want.outcome.moves);
+    EXPECT_EQ(got.outcome.moves.size(),
+              static_cast<std::size_t>(got.repair_moves));
     EXPECT_NEAR(got.fitness_after, want.fitness_after, 1e-9);
     EXPECT_EQ(got.update_epoch, static_cast<std::uint64_t>(i + 1));
   }
@@ -545,6 +546,15 @@ TEST(PartitionService, BackgroundRefinementPublishesBetterSnapshots) {
   Assignment scrambled(256);
   for (auto& p : scrambled) p = static_cast<PartId>(rng.uniform_int(k));
   const SessionId id = service.open_session(g, scrambled, cfg);
+  // The registry is process-wide: its counters are read as increments.
+  const auto counter = [](const char* name) {
+    return TelemetryRegistry::instance().counter(name).value();
+  };
+  const char* const kCounters[] = {"repair.moves",    "refine.moves",
+                                   "refine.applied",  "refine.stale",
+                                   "refine.no_better", "refine.unlogged"};
+  std::vector<std::uint64_t> at_open;
+  for (const char* name : kCounters) at_open.push_back(counter(name));
 
   // One update, then quiesce: the scheduled refinement finishes with its
   // captured epoch still current, and the scrambled cascade-only repair
@@ -583,6 +593,20 @@ TEST(PartitionService, BackgroundRefinementPublishesBetterSnapshots) {
   EXPECT_EQ(agg.sessions, 1);
   EXPECT_EQ(agg.updates, 5u);
   EXPECT_GE(agg.p99_repair_seconds, agg.p50_repair_seconds);
+
+#ifdef GAPART_TELEMETRY
+  // Migration volume and refinement outcomes reach the registry.
+  std::vector<std::uint64_t> added;
+  for (std::size_t i = 0; i < at_open.size(); ++i) {
+    added.push_back(counter(kCounters[i]) - at_open[i]);
+  }
+  EXPECT_EQ(added[0], static_cast<std::uint64_t>(agg.repair_moves));
+  EXPECT_GE(added[1], static_cast<std::uint64_t>(st.refinements_applied));
+  EXPECT_EQ(added[2], static_cast<std::uint64_t>(st.refinements_applied));
+  EXPECT_EQ(added[3], static_cast<std::uint64_t>(st.refinements_stale));
+  EXPECT_EQ(added[4], static_cast<std::uint64_t>(st.refinements_no_better));
+  EXPECT_EQ(added[5], 0u);  // no WAL: nothing to fail
+#endif
 }
 
 TEST(PartitionService, ConcurrentSessionsWithConcurrentReaders) {

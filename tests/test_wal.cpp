@@ -176,9 +176,9 @@ TEST(WalLog, AppendReadRoundTrip) {
   const std::string dir = fresh_dir("roundtrip");
   {
     auto wal = make_wal(dir);
-    wal->append(WalRecordType::kDelta, 1, 2, "first-delta", 5);
-    wal->append(WalRecordType::kDelta, 2, 0, "second-delta", 3);
-    wal->append(WalRecordType::kRefine, 2, 0, std::string("a\0b", 3), 0);
+    wal->append(WalRecordType::kDelta, 1, "first-delta", 5);
+    wal->append(WalRecordType::kDelta, 2, "second-delta", 3);
+    wal->append(WalRecordType::kRefine, 2, std::string("a\0b", 3), 0);
     const WalStats st = wal->stats();
     EXPECT_EQ(st.appends, 3u);
     EXPECT_EQ(st.log_records, 3u);
@@ -190,7 +190,6 @@ TEST(WalLog, AppendReadRoundTrip) {
   ASSERT_EQ(read.records.size(), 3u);
   EXPECT_EQ(read.records[0].type, WalRecordType::kDelta);
   EXPECT_EQ(read.records[0].epoch, 1u);
-  EXPECT_EQ(read.records[0].flags, 2u);
   EXPECT_EQ(read.records[0].payload, "first-delta");
   EXPECT_EQ(read.records[1].payload, "second-delta");
   EXPECT_EQ(read.records[2].type, WalRecordType::kRefine);
@@ -203,10 +202,10 @@ TEST(WalLog, TornTailIsDroppedNotFatal) {
   std::uint64_t after_two = 0;
   {
     auto wal = make_wal(dir);
-    wal->append(WalRecordType::kDelta, 1, 0, "one", 1);
-    wal->append(WalRecordType::kDelta, 2, 0, "two", 1);
+    wal->append(WalRecordType::kDelta, 1, "one", 1);
+    wal->append(WalRecordType::kDelta, 2, "two", 1);
     after_two = file_size(dir + "/wal.log");
-    wal->append(WalRecordType::kDelta, 3, 0, "three-longer-payload", 1);
+    wal->append(WalRecordType::kDelta, 3, "three-longer-payload", 1);
   }
   // Chop bytes off the final record at several depths: partial payload,
   // partial header, a single stray byte.
@@ -231,9 +230,9 @@ TEST(WalLog, CorruptionBeforeValidRecordsIsFatal) {
   std::uint64_t after_one = 0;
   {
     auto wal = make_wal(dir);
-    wal->append(WalRecordType::kDelta, 1, 0, "payload-number-one", 1);
+    wal->append(WalRecordType::kDelta, 1, "payload-number-one", 1);
     after_one = file_size(dir + "/wal.log");
-    wal->append(WalRecordType::kDelta, 2, 0, "payload-number-two", 1);
+    wal->append(WalRecordType::kDelta, 2, "payload-number-two", 1);
   }
   // Flip one payload byte of record 1: its CRC fails, and because record 2
   // still parses, this is mid-log corruption — reading must refuse.
@@ -273,8 +272,8 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
   const std::string dir = fresh_dir("compact");
   DurabilityConfig cfg;
   auto wal = make_wal(dir, cfg);
-  wal->append(WalRecordType::kDelta, 1, 0, "aaa", 4);
-  wal->append(WalRecordType::kDelta, 2, 0, "bbb", 4);
+  wal->append(WalRecordType::kDelta, 1, "aaa", 4);
+  wal->append(WalRecordType::kDelta, 2, "bbb", 4);
 
   const Graph g = make_grid(4, 4);
   const Assignment a(16, 1);
@@ -287,7 +286,7 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
 
   // The log is empty again and appends pick up after the checkpoint.
   EXPECT_TRUE(read_log_file(dir + "/wal.log").records.empty());
-  wal->append(WalRecordType::kDelta, 3, 1, "ccc", 4);
+  wal->append(WalRecordType::kDelta, 3, "ccc", 4);
   const WalReadResult read = read_log_file(dir + "/wal.log");
   ASSERT_EQ(read.records.size(), 1u);
   EXPECT_EQ(read.records[0].epoch, 3u);
@@ -310,8 +309,7 @@ TEST(WalLog, FsyncPolicyGovernsSyncCount) {
     auto wal = make_wal(dir_n, every_n);
     const std::uint64_t base = wal->stats().fsyncs;  // creation syncs
     for (int i = 1; i <= 7; ++i) {
-      wal->append(WalRecordType::kDelta, static_cast<std::uint64_t>(i), 0,
-                  "x", 1);
+      wal->append(WalRecordType::kDelta, static_cast<std::uint64_t>(i), "x", 1);
     }
     EXPECT_EQ(wal->stats().fsyncs - base, 2u);  // after records 3 and 6
     wal->sync();                                // flushes the 7th
@@ -326,8 +324,8 @@ TEST(WalLog, FsyncPolicyGovernsSyncCount) {
   {
     auto wal = make_wal(dir_never, never);
     const std::uint64_t base = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, 0, "x", 1);
-    wal->append(WalRecordType::kDelta, 2, 0, "x", 1);
+    wal->append(WalRecordType::kDelta, 1, "x", 1);
+    wal->append(WalRecordType::kDelta, 2, "x", 1);
     EXPECT_EQ(wal->stats().fsyncs - base, 0u);
   }
 
@@ -465,8 +463,8 @@ TEST(WalLog, EveryNFlushesResidualRecordsOnClose) {
   {
     auto wal = make_wal(dir, every_n);
     synced_before_close = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, 0, "only-record", 1);
-    wal->append(WalRecordType::kDelta, 2, 0, "still-buffered", 1);
+    wal->append(WalRecordType::kDelta, 1, "only-record", 1);
+    wal->append(WalRecordType::kDelta, 2, "still-buffered", 1);
     synced_after_appends = wal->stats().fsyncs;
     EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes)
         << "interval not reached: nothing past the header is durable yet";
@@ -486,15 +484,15 @@ TEST(WalLog, DurableBytesTracksTheFsyncFrontier) {
   const std::string dir = fresh_dir("durable_bytes");
   auto wal = make_wal(dir, every_n);
   EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
-  wal->append(WalRecordType::kDelta, 1, 0, "a", 1);
+  wal->append(WalRecordType::kDelta, 1, "a", 1);
   // One record appended, none synced: the frontier holds at the header.
   EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
   EXPECT_GT(wal->stats().log_bytes, 0u);
-  wal->append(WalRecordType::kDelta, 2, 0, "b", 1);
+  wal->append(WalRecordType::kDelta, 2, "b", 1);
   // Interval hit: everything written is now durable.
   EXPECT_EQ(wal->stats().durable_bytes,
             kWalLogHeaderBytes + wal->stats().log_bytes);
-  wal->append(WalRecordType::kDelta, 3, 0, "c", 1);
+  wal->append(WalRecordType::kDelta, 3, "c", 1);
   EXPECT_LT(wal->stats().durable_bytes,
             kWalLogHeaderBytes + wal->stats().log_bytes);
   wal->sync();
@@ -505,9 +503,9 @@ TEST(WalLog, DurableBytesTracksTheFsyncFrontier) {
 TEST(WalLog, TailReadResumesAtFrameBoundaries) {
   const std::string dir = fresh_dir("tail");
   auto wal = make_wal(dir);
-  wal->append(WalRecordType::kDelta, 1, 0, "one", 1);
-  wal->append(WalRecordType::kDelta, 2, 0, "two", 1);
-  wal->append(WalRecordType::kRefine, 2, 0, "ref", 0);
+  wal->append(WalRecordType::kDelta, 1, "one", 1);
+  wal->append(WalRecordType::kDelta, 2, "two", 1);
+  wal->append(WalRecordType::kRefine, 2, "ref", 0);
   const std::string path = dir + "/wal.log";
   const std::uint64_t end = kWalLogHeaderBytes + wal->stats().log_bytes;
 
@@ -542,7 +540,7 @@ TEST(WalLog, TailReadResumesAtFrameBoundaries) {
 TEST(WalLog, TailReadTreatsInvalidFrameAsInFlightAppend) {
   const std::string dir = fresh_dir("tail_torn");
   auto wal = make_wal(dir);
-  wal->append(WalRecordType::kDelta, 1, 0, "whole", 1);
+  wal->append(WalRecordType::kDelta, 1, "whole", 1);
   const std::string path = dir + "/wal.log";
   const std::uint64_t whole_end = kWalLogHeaderBytes + wal->stats().log_bytes;
   {
@@ -581,7 +579,7 @@ TEST(WalLog, SnapshotDigestPersistsThroughCurrentFile) {
 
   // compact() refreshes both.
   auto wal = std::move(rec.wal);
-  wal->append(WalRecordType::kDelta, 8, 0, "x", 1);
+  wal->append(WalRecordType::kDelta, 8, "x", 1);
   SessionImage image = testing::image_of(g, a, 2, 8);
   image.digest = digest ^ 0x1234u;
   wal->compact(image);
