@@ -19,23 +19,32 @@
 //             and seconds, so the damage-proportionality of the whole step
 //             — not just the climb — is on record.
 //
+//   replay:   what a follower or a recovery pays per record and per image:
+//             decode_delta of one appended grid row onto the n x n grid,
+//             and decode_session_image of the grown grid, with the bytes
+//             and median seconds per call.
+//
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
+#include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "core/hill_climb.hpp"
 #include "core/incremental.hpp"
+#include "graph/delta_codec.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "service/wal.hpp"
 
 namespace {
 
@@ -132,8 +141,60 @@ PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
   return row;
 }
 
+struct ReplayRow {
+  const char* op = "";
+  VertexId n = 0;  // grid side of the predecessor
+  std::size_t bytes = 0;
+  int calls = 0;
+  double seconds_per_call = 0.0;  // median
+};
+
+/// Median seconds of `decode(bytes)` over at least 5 calls and `budget`
+/// seconds, after one untimed call.
+template <typename Decode>
+ReplayRow time_decode(const char* op, VertexId n, const std::string& bytes,
+                      Decode decode, double budget) {
+  ReplayRow row;
+  row.op = op;
+  row.n = n;
+  row.bytes = bytes.size();
+  decode(bytes);
+  std::vector<double> seconds;
+  double elapsed = 0.0;
+  while (elapsed < budget || seconds.size() < 5) {
+    WallTimer timer;
+    decode(bytes);
+    seconds.push_back(timer.seconds());
+    elapsed += seconds.back();
+  }
+  row.calls = static_cast<int>(seconds.size());
+  row.seconds_per_call = quantile(seconds, 0.5);
+  return row;
+}
+
+std::vector<ReplayRow> bench_replay(VertexId n, double budget) {
+  const Graph prev = make_grid(n, n);
+  const auto grown = std::make_shared<const Graph>(make_grid(n + 1, n));
+  const std::string record = encode_delta(*grown, diff_graphs(prev, *grown));
+
+  SessionImage image;
+  image.num_parts = 8;
+  image.graph = grown;
+  image.assignment = bench::column_bands(n + 1, n, image.num_parts);
+  image.sums = compute_metrics(*grown, image.assignment, image.num_parts);
+
+  return {time_decode(
+              "decode_delta", n, record,
+              [&prev](const std::string& b) { decode_delta(prev, b); },
+              budget),
+          time_decode("decode_session_image", n, encode_session_image(image),
+                      [](const std::string& b) { decode_session_image(b); },
+                      budget)};
+}
+
 void emit_json(const std::vector<RepairRow>& repair,
-               const std::vector<PipelineRow>& pipeline) {
+               const std::vector<PipelineRow>& pipeline,
+               const std::vector<ReplayRow>& replay) {
   std::printf("{\n");
   std::printf("  \"bench\": \"micro_incremental_repair\",\n");
   std::printf("  \"repair\": [\n");
@@ -165,6 +226,16 @@ void emit_json(const std::vector<RepairRow>& repair,
         static_cast<int>(p.k), static_cast<int>(r.damage), r.extend_moves,
         r.repair_moves, static_cast<long long>(r.examined), r.verify_rounds,
         r.fitness_after, r.seconds, i + 1 < pipeline.size() ? "," : "");
+  }
+  std::printf("  ],\n");
+  std::printf("  \"replay\": [\n");
+  for (std::size_t i = 0; i < replay.size(); ++i) {
+    const ReplayRow& r = replay[i];
+    std::printf(
+        "    {\"op\": \"%s\", \"n\": %d, \"bytes\": %zu, \"calls\": %d, "
+        "\"seconds_per_call\": %.6f}%s\n",
+        r.op, static_cast<int>(r.n), r.bytes, r.calls, r.seconds_per_call,
+        i + 1 < replay.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
 }
@@ -208,6 +279,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  emit_json(repair, pipeline);
+  std::vector<ReplayRow> replay;
+  for (const VertexId n : quick ? std::vector<VertexId>{256}
+                                : std::vector<VertexId>{256, 1000}) {
+    for (ReplayRow& row : bench_replay(n, budget)) replay.push_back(row);
+  }
+
+  emit_json(repair, pipeline, replay);
   return 0;
 }

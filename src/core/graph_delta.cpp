@@ -59,27 +59,30 @@ void check_delta_seam(const Graph& prev, const Graph& grown,
                    "survivors; got ", v);
     last = v;
   }
-  // Every edge of r's row in `from` that leads to an unrecorded survivor x
-  // must sit unchanged in x's row of `to`: x's row did not change.  Rows
-  // are sorted, so the survivors come first.
-  const auto check_row = [&](const Graph& from, const Graph& to, VertexId r) {
+  // Every edge (r, x) of r's row in `from` that leads to an unrecorded
+  // survivor x must sit, with the same weight, in the row `find` reads.
+  // Rows are sorted, so the survivors come first.
+  const auto check_row = [&](const Graph& from, VertexId r, auto find) {
     const auto nbrs = from.neighbors(r);
     const auto wgts = from.edge_weights(r);
     for (std::size_t i = 0; i < nbrs.size() && nbrs[i] < n_old; ++i) {
       const VertexId x = nbrs[i];
       if (std::binary_search(touched.begin(), touched.end(), x)) continue;
-      const auto w = to.edge_weight(x, r);
+      const auto w = find(x);
       GAPART_REQUIRE(w.has_value() && *w == wgts[i], "inexact delta: edge (",
                      r, ", ", x, ") changed, but survivor ", x,
                      " is not declared touched");
     }
   };
   for (const VertexId v : touched) {
-    check_row(grown, prev, v);
-    check_row(prev, grown, v);
+    // A new edge must already sit in x's row, which did not change.
+    check_row(grown, v, [&](VertexId x) { return prev.edge_weight(x, v); });
+    // An old edge must still sit in v's own new row: decode_delta copies
+    // x's row verbatim, so only v's row can show the edge dropped.
+    check_row(prev, v, [&](VertexId x) { return grown.edge_weight(v, x); });
   }
   for (VertexId v = n_old; v < grown.num_vertices(); ++v) {
-    check_row(grown, prev, v);
+    check_row(grown, v, [&](VertexId x) { return prev.edge_weight(x, v); });
   }
 }
 

@@ -56,7 +56,9 @@ GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown);
 ///   * every edge in a recorded vertex's row of `grown` that leads to an
 ///     unrecorded survivor to exist in `prev`, with the same weight;
 ///   * every edge in a touched survivor's row of `prev` that leads to an
-///     unrecorded survivor to still exist in `grown`, with the same weight.
+///     unrecorded survivor to still sit in that touched survivor's own row
+///     of `grown`, with the same weight (decode_delta copies the unrecorded
+///     survivor's row verbatim, so only the touched row can show it gone).
 /// An inexact delta would otherwise corrupt the maintained metrics and log
 /// a record the rebuilt graph disagrees with.  A change between two
 /// undeclared survivors alone (an edge, or a vertex weight) stays invisible

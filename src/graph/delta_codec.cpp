@@ -1,7 +1,9 @@
 #include "graph/delta_codec.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -73,6 +75,164 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
   return out;
 }
 
+// Writes the grown graph's arrays in one ascending pass: each run of
+// untouched survivors is block-copied from the predecessor with its offsets
+// shifted by a constant, and each recorded row — touched survivors, then the
+// appended range, both in vertex order — is appended from the record.
+// Graph befriends this class.
+class GraphSplice {
+ public:
+  GraphSplice(const Graph& prev, const GraphDelta& delta, VertexId new_n,
+              bool weighted, ByteReader& in)
+      : prev_(prev),
+        touched_(delta.touched_old),
+        old_n_(delta.old_num_vertices),
+        new_n_(new_n),
+        weighted_(weighted),
+        in_(in),
+        mate_(touched_.size() + static_cast<std::size_t>(new_n - old_n_)) {}
+
+  Graph splice() {
+    const std::size_t entries = count_entries();
+    g_.xadj_.reserve(static_cast<std::size_t>(new_n_) + 1);
+    g_.adjncy_.reserve(entries);
+    g_.ewgt_.reserve(entries);
+    g_.vwgt_.reserve(static_cast<std::size_t>(new_n_));
+    for (const VertexId t : touched_) {
+      copy_survivors(t);
+      read_row(t);
+    }
+    copy_survivors(old_n_);
+    for (VertexId v = old_n_; v < new_n_; ++v) read_row(v);
+    // Each lower listing matched a distinct upper one, so equal counts
+    // leave no upper listing unmatched.
+    GAPART_REQUIRE(lower_listings_ == upper_listings_, "delta record lists ",
+                   upper_listings_ - lower_listings_,
+                   " edge(s) between recorded vertices from one end only");
+
+    // Summed in vertex order, as GraphBuilder::build does: rebind_grown
+    // takes the mean load from this total.
+    g_.total_vwgt_ = std::accumulate(g_.vwgt_.begin(), g_.vwgt_.end(), 0.0);
+    const auto is_one = [](double w) { return w == 1.0; };
+    g_.unit_weights_ =
+        (!weighted_ && prev_.unit_weights_) ||
+        (std::all_of(g_.vwgt_.begin(), g_.vwgt_.end(), is_one) &&
+         std::all_of(g_.ewgt_.begin(), g_.ewgt_.end(), is_one));
+    return std::move(g_);
+  }
+
+ private:
+  /// Entries of the grown adjacency: the predecessor's, less the touched
+  /// survivors' old rows, plus every recorded degree.  Walks the rows on a
+  /// copy of the reader, so every row's bytes are known to be there before
+  /// anything is allocated from its degree.
+  std::size_t count_entries() const {
+    ByteReader rows = in_;
+    std::uint64_t entries = prev_.adjncy_.size();
+    for (const VertexId t : touched_) {
+      entries -= static_cast<std::uint64_t>(prev_.degree(t));
+    }
+    for (std::size_t i = 0; i < mate_.size(); ++i) {
+      if (weighted_) rows.take(sizeof(double));
+      const auto deg = rows.get<std::uint32_t>();
+      GAPART_REQUIRE(deg < static_cast<std::uint32_t>(new_n_), "row ", i,
+                     " claims degree ", deg, " in a ", new_n_,
+                     "-vertex graph");
+      rows.take(std::size_t{deg} * (weighted_ ? 12 : 4));
+      entries += deg;
+    }
+    GAPART_REQUIRE(entries <= static_cast<std::uint64_t>(
+                                  std::numeric_limits<std::int32_t>::max()),
+                   "grown graph of ", entries,
+                   " adjacency entries overflows its int32 offsets");
+    return static_cast<std::size_t>(entries);
+  }
+
+  /// Untouched survivors [next_, end): the predecessor's rows verbatim.
+  void copy_survivors(VertexId end) {
+    const auto& xadj = prev_.xadj_;
+    const auto from = xadj[static_cast<std::size_t>(next_)];
+    const auto to = xadj[static_cast<std::size_t>(end)];
+    const auto shift = static_cast<std::int32_t>(g_.adjncy_.size()) - from;
+    for (VertexId v = next_; v < end; ++v) {
+      g_.xadj_.push_back(xadj[static_cast<std::size_t>(v) + 1] + shift);
+    }
+    g_.adjncy_.insert(g_.adjncy_.end(), prev_.adjncy_.begin() + from,
+                      prev_.adjncy_.begin() + to);
+    g_.ewgt_.insert(g_.ewgt_.end(), prev_.ewgt_.begin() + from,
+                    prev_.ewgt_.begin() + to);
+    g_.vwgt_.insert(g_.vwgt_.end(), prev_.vwgt_.begin() + next_,
+                    prev_.vwgt_.begin() + end);
+    next_ = end;
+  }
+
+  /// Index of x among the recorded rows, or -1 for an unrecorded survivor.
+  std::ptrdiff_t row_of(VertexId x) const {
+    if (x >= old_n_) {
+      return static_cast<std::ptrdiff_t>(touched_.size()) + (x - old_n_);
+    }
+    const auto it = std::lower_bound(touched_.begin(), touched_.end(), x);
+    return it != touched_.end() && *it == x ? it - touched_.begin() : -1;
+  }
+
+  /// Recorded vertex r's row, from the record.  An edge to an unrecorded
+  /// survivor is left to check_delta_seam; one to a recorded vertex x < r
+  /// must match the next unmatched entry above x in x's row, which
+  /// mate_[row_of(x)] tracks as r ascends.
+  void read_row(VertexId r) {
+    const double vw = weighted_ ? in_.get<double>() : 1.0;
+    GAPART_REQUIRE(vw > 0.0, "vertex ", r, " has weight ", vw);
+    g_.vwgt_.push_back(vw);
+    const auto deg = in_.get<std::uint32_t>();  // bounded by count_entries
+    std::size_t first_above = g_.adjncy_.size();
+    VertexId last = -1;
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      const auto x32 = in_.get<std::uint32_t>();
+      const double w = weighted_ ? in_.get<double>() : 1.0;
+      GAPART_REQUIRE(x32 < static_cast<std::uint32_t>(new_n_), "neighbour ",
+                     x32, " out of range");
+      const auto x = static_cast<VertexId>(x32);
+      GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
+      GAPART_REQUIRE(x > last, "adjacency of ", r, " not sorted at ", x);
+      GAPART_REQUIRE(w > 0.0, "edge (", r, ", ", x, ") has weight ", w);
+      last = x;
+      g_.adjncy_.push_back(x);
+      g_.ewgt_.push_back(w);
+      if (x < r) ++first_above;
+      const std::ptrdiff_t row = row_of(x);
+      if (row < 0) continue;
+      if (x > r) {
+        ++upper_listings_;
+        continue;
+      }
+      std::size_t& c = mate_[static_cast<std::size_t>(row)];
+      const auto end =
+          static_cast<std::size_t>(g_.xadj_[static_cast<std::size_t>(x) + 1]);
+      while (c < end && g_.adjncy_[c] < r) ++c;
+      GAPART_REQUIRE(c < end && g_.adjncy_[c] == r && g_.ewgt_[c] == w,
+                     "delta record lists edge (", r, ", ", x,
+                     ") but not the same edge in the row of ", x);
+      ++c;
+      ++lower_listings_;
+    }
+    mate_[static_cast<std::size_t>(row_of(r))] = first_above;
+    g_.xadj_.push_back(static_cast<std::int32_t>(g_.adjncy_.size()));
+    next_ = r + 1;
+  }
+
+  const Graph& prev_;
+  const std::vector<VertexId>& touched_;
+  const VertexId old_n_;
+  const VertexId new_n_;
+  const bool weighted_;
+  ByteReader& in_;
+  Graph g_;
+  VertexId next_ = 0;              // first vertex not written yet
+  std::vector<std::size_t> mate_;  // per recorded row: next unmatched entry
+  std::uint64_t lower_listings_ = 0;
+  std::uint64_t upper_listings_ = 0;
+};
+
 DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
   GAPART_REQUIRE(in.get<std::uint32_t>() == kCodecMagic,
                  "delta record has wrong magic");
@@ -105,7 +265,6 @@ DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
   DecodedDelta out;
   out.delta.old_num_vertices = old_n;
   out.delta.touched_old.reserve(touched_count);
-  std::vector<bool> recorded(static_cast<std::size_t>(new_n), false);
   VertexId prev_id = -1;
   for (std::uint32_t i = 0; i < touched_count; ++i) {
     const auto v32 = in.get<std::uint32_t>();
@@ -114,59 +273,9 @@ DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
     GAPART_REQUIRE(v > prev_id, "touched list not sorted ascending at ", v);
     prev_id = v;
     out.delta.touched_old.push_back(v);
-    recorded[static_cast<std::size_t>(v)] = true;
-  }
-  for (VertexId v = old_n; v < new_n; ++v) {
-    recorded[static_cast<std::size_t>(v)] = true;
   }
 
-  GraphBuilder b(new_n);
-
-  // Untouched survivors: rows copied verbatim from the predecessor.  Each
-  // undirected edge must reach the builder exactly once (duplicates are
-  // merged by SUMMING weights), so an untouched-untouched edge is added from
-  // its lower endpoint and an untouched-recorded edge is left to the
-  // recorded side.
-  for (VertexId u = 0; u < old_n; ++u) {
-    if (recorded[static_cast<std::size_t>(u)]) continue;
-    b.set_vertex_weight(u, prev.vertex_weight(u));
-    const auto nbrs = prev.neighbors(u);
-    const auto wgts = prev.edge_weights(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId v = nbrs[i];
-      if (v > u && !recorded[static_cast<std::size_t>(v)]) {
-        b.add_edge(u, v, wgts[i]);
-      }
-    }
-  }
-
-  // Recorded vertices (touched survivors in record order, then the appended
-  // range): rows come from the record.  A recorded-recorded edge is added
-  // from its lower endpoint; a recorded-untouched edge is added here, and
-  // the seam check below holds it against the predecessor.
-  const auto read_row = [&](VertexId r) {
-    b.set_vertex_weight(r, weighted ? in.get<double>() : 1.0);
-    const auto deg = in.get<std::uint32_t>();
-    GAPART_REQUIRE(deg < new_n32, "vertex ", r, " claims degree ", deg,
-                   " in a ", new_n32, "-vertex graph");
-    VertexId prev_nbr = -1;
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      const auto x32 = in.get<std::uint32_t>();
-      const double w = weighted ? in.get<double>() : 1.0;
-      GAPART_REQUIRE(x32 < new_n32, "neighbour ", x32, " out of range");
-      const auto x = static_cast<VertexId>(x32);
-      GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
-      GAPART_REQUIRE(x > prev_nbr, "adjacency of ", r, " not sorted at ", x);
-      prev_nbr = x;
-      if (!recorded[static_cast<std::size_t>(x)] || x > r) {
-        b.add_edge(r, x, w);
-      }
-    }
-  };
-  for (const VertexId v : out.delta.touched_old) read_row(v);
-  for (VertexId v = old_n; v < new_n; ++v) read_row(v);
-
-  out.grown = b.build();
+  out.grown = GraphSplice(prev, out.delta, new_n, weighted, in).splice();
   check_delta_seam(prev, out.grown, out.delta);
   return out;
 }

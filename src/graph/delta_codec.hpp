@@ -4,11 +4,10 @@
 // A serialized delta carries exactly what the grown graph changed relative
 // to its predecessor — the appended vertex range and the *new* adjacency of
 // every touched survivor — so one record costs O(damage * degree) bytes,
-// never O(V + E), and `decode_delta` can rebuild the grown graph from the
-// previous snapshot plus the record alone.  This is what makes a delta WAL
-// cheaper than logging graph snapshots.  A whole
-// graph is the delta from the empty graph (`GraphDelta{0, {}}` against
-// `Graph()`), which is how the session image (service/wal.hpp) stores one.
+// never O(V + E).  This is what makes a delta WAL cheaper than logging graph
+// snapshots.  A whole graph is the delta from the empty graph
+// (`GraphDelta{0, {}}` against `Graph()`), which is how the session image
+// (service/wal.hpp) stores one.
 //
 // Layout (host byte order, little-endian on every supported target):
 //
@@ -21,14 +20,22 @@
 // old_n..new_n-1.  Weights are written only when the grown graph is not
 // unit-weighted, signalled by flag bit 0; without it decode fills in 1.0.
 //
-// The reconstruction contract requires the delta to be *exact* (diff_graphs
-// exact: touched_old lists every survivor whose adjacency, edge weights, or
-// vertex weight changed).  An untouched survivor's row is copied from the
-// previous graph verbatim; a recorded vertex's row comes from the record.
-// decode_delta runs the live path's seam check (check_delta_seam, both
-// ways) on the rebuilt graph and throws gapart::Error on any inconsistency
-// — a corrupt or inexact record is a typed error, never a silently wrong
-// graph.
+// decode_delta splices the grown graph from the predecessor and the record
+// in one ascending pass: each run of untouched survivors is block-copied
+// from the predecessor's arrays, and each recorded row is appended from the
+// record.  That is an O(V + E) sequential copy, no edge list is built, and
+// the result is the graph GraphBuilder would build from the same rows, bit
+// for bit.  The contract that makes the copy safe, checked on every decode
+// (gapart::Error otherwise, so a corrupt or inexact record never becomes a
+// silently wrong graph):
+//   * the delta is exact (diff_graphs exact): touched_old lists every
+//     survivor whose adjacency, edge weights or vertex weight changed, and
+//     the seam between recorded and untouched vertices agrees with the
+//     predecessor both ways (check_delta_seam);
+//   * every edge between two recorded vertices is listed by both, with the
+//     same weight;
+//   * rows are sorted without duplicates or self-loops, ids in range, and
+//     every weight positive.
 //
 // Coordinates are deliberately not carried: the repair/refinement pipeline
 // never reads them after initialization.  Reconstructed graphs are
@@ -54,7 +61,7 @@ struct DecodedDelta {
   GraphDelta delta;  ///< The delta as originally described.
 };
 
-/// Rebuilds the grown graph from the previous snapshot and a record written
+/// Splices the grown graph from the previous snapshot and a record written
 /// by encode_delta.  Throws gapart::Error on malformed/inconsistent bytes
 /// (framing CRCs upstream make this unreachable for honest torn writes; the
 /// validation here is the defense against logic-level corruption).

@@ -18,6 +18,7 @@
 namespace gapart {
 
 class GraphBuilder;
+class GraphSplice;
 
 class Graph {
  public:
@@ -66,12 +67,6 @@ class Graph {
   const std::vector<Point2>& coordinates() const { return coords_; }
   Point2 coordinate(VertexId v) const { return coords_[static_cast<std::size_t>(v)]; }
 
-  /// Raw CSR access for numerical kernels (Laplacian matvec etc.).
-  const std::vector<std::int32_t>& xadj() const { return xadj_; }
-  const std::vector<VertexId>& adjncy() const { return adjncy_; }
-  const std::vector<double>& ewgt() const { return ewgt_; }
-  const std::vector<double>& vwgt() const { return vwgt_; }
-
   /// Sum of weights of edges incident to v (weighted degree).
   double weighted_degree(VertexId v) const;
 
@@ -79,7 +74,10 @@ class Graph {
   std::string summary() const;
 
  private:
+  // The only writers of the arrays: the builder, and the delta decoder's
+  // splice (graph/delta_codec.cpp), which copies untouched rows verbatim.
   friend class GraphBuilder;
+  friend class GraphSplice;
 
   std::vector<std::int32_t> xadj_ = {0};
   std::vector<VertexId> adjncy_;

@@ -156,23 +156,27 @@ void PartitionSession::apply_logged(const WalRecord& record,
   GAPART_REQUIRE(is_record_type(static_cast<std::uint8_t>(record.type)),
                  "logged record of unknown type ",
                  static_cast<int>(record.type));
-  // Decode outside the session lock: a kDelta record rebuilds the grown
-  // graph from the current one in O(V + E).
+  // Decode outside the session lock: a kDelta record splices the grown
+  // graph from the current one's rows and its own, an O(V + E) copy.
   std::shared_ptr<const Graph> grown = snapshot()->graph;
   GraphDelta delta{grown->num_vertices(), {}};
   ByteReader in(record.payload);
   const bool is_delta = record.type == WalRecordType::kDelta;
-  if (is_delta) {
-    DecodedDelta decoded = decode_delta(*grown, in);
-    grown = std::make_shared<const Graph>(std::move(decoded.grown));
-    delta = std::move(decoded.delta);
+  RepairOutcome outcome;
+  {
+    GAPART_SPAN("replay.decode");
+    if (is_delta) {
+      DecodedDelta decoded = decode_delta(*grown, in);
+      grown = std::make_shared<const Graph>(std::move(decoded.grown));
+      delta = std::move(decoded.delta);
+    }
+    outcome = decode_outcome(in, delta.num_new(*grown), grown->num_vertices(),
+                             config_.num_parts);
   }
-  const RepairOutcome outcome =
-      decode_outcome(in, delta.num_new(*grown), grown->num_vertices(),
-                     config_.num_parts);
   const VertexId damage = delta.damage(*grown);
 
   std::lock_guard<std::mutex> lock(mu_);
+  GAPART_SPAN("replay.apply");
   admit_update();
   if (log_locally && wal_ != nullptr) {
     log_or_fail_stop(record.type, record.epoch, record.payload, damage);

@@ -257,7 +257,7 @@ class PartitionSession {
   std::uint64_t state_digest() const;
 
   /// Applies the next WAL record of this session's chain (recovery and the
-  /// replication follower): a kDelta record rebuilds the grown graph and
+  /// replication follower): a kDelta record splices the grown graph and
   /// rebinds it with the logged parts of the appended vertices, then both
   /// kinds make the logged moves in order — the floating-point work the
   /// leader did, so state, digest and maintained sums match it bit for bit

@@ -351,6 +351,7 @@ std::string encode_session_image(const SessionImage& image) {
 }
 
 SessionImage decode_session_image(std::string_view bytes) {
+  GAPART_SPAN("image.decode");
   GAPART_REQUIRE(bytes.size() >= kImageHeaderSize + 4, "session image of ",
                  bytes.size(), " bytes is truncated");
   const std::string_view body = bytes.substr(0, bytes.size() - 4);

@@ -76,14 +76,6 @@ void expect_truncations_rejected(Decode decode, const std::string& valid) {
   }
 }
 
-void expect_bit_identical(const Graph& a, const Graph& b) {
-  EXPECT_EQ(a.xadj(), b.xadj());
-  EXPECT_EQ(a.adjncy(), b.adjncy());
-  EXPECT_EQ(a.ewgt(), b.ewgt());
-  EXPECT_EQ(a.vwgt(), b.vwgt());
-  EXPECT_EQ(a.unit_weights(), b.unit_weights());
-}
-
 TEST(WalCodecFuzz, DeltaRecordRejectsTruncationsAndSurvivesFlips) {
   // Growth plus churn against a non-empty predecessor, once unit-weighted
   // and once weighted, so both settings of the weight flag are mutated.
@@ -95,7 +87,7 @@ TEST(WalCodecFuzz, DeltaRecordRejectsTruncationsAndSurvivesFlips) {
     const auto decode = [&prev](std::string_view bytes) {
       return decode_delta(prev, bytes);
     };
-    expect_bit_identical(decode(valid).grown, grown);
+    testing::expect_graphs_identical(decode(valid).grown, grown);
 
     expect_truncations_rejected(decode, valid);
     Rng rng(weighted ? 0xf1f2 : 0xf1f1);
@@ -157,7 +149,7 @@ TEST(WalCodecFuzz, SessionImageRejectsTruncationsAndSurvivesFlips) {
   EXPECT_EQ(image.epoch, 11u);
   EXPECT_EQ(image.digest, source.digest);
   EXPECT_EQ(image.assignment, a);
-  expect_bit_identical(*image.graph, g);
+  testing::expect_graphs_identical(*image.graph, g);
   EXPECT_EQ(image.sums.part_weight, source.sums.part_weight);
   EXPECT_EQ(image.sums.part_cut, source.sums.part_cut);
   EXPECT_EQ(image.sums.sum_part_cut, source.sums.sum_part_cut);

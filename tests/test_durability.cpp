@@ -22,6 +22,7 @@
 #include "bench_common.hpp"
 #include "common/assert.hpp"
 #include "common/fault_injection.hpp"
+#include "common/telemetry.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -580,6 +581,14 @@ TEST(Durability, CommittedLogReplaysToPinnedDigest) {
   reader.num_parts = 2;
   reader.repair_max_verify_rounds = 0;
   reader.repair_budget_seconds = 0.0;
+  // Replay's spans: one image decode, then a decode and an apply per record.
+  const auto span_count = [](const char* name) {
+    return TelemetryRegistry::instance().histogram(name).merged().count();
+  };
+  const char* const spans[] = {"span.image.decode", "span.replay.decode",
+                               "span.replay.apply"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : spans) before.push_back(span_count(name));
   PartitionService service(durable_config(dir));
   const auto reports = service.recover(reader);
   ASSERT_EQ(reports.size(), 1u);
@@ -589,6 +598,12 @@ TEST(Durability, CommittedLogReplaysToPinnedDigest) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(service.snapshot(1)->fitness),
             0xc02134d34d34d350ull);
   expect_snapshot_consistent(*service.snapshot(1), 2);
+#ifdef GAPART_TELEMETRY
+  const std::uint64_t added[] = {1, 3, 3};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(span_count(spans[i]), before[i] + added[i]) << spans[i];
+  }
+#endif
 }
 
 TEST(Durability, RefineRecordHoldsOnlyItsMoves) {

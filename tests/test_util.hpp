@@ -66,6 +66,22 @@ inline void expect_metrics_near(const PartitionMetrics& x,
   EXPECT_NEAR(x.imbalance_sq, y.imbalance_sq, tol);
 }
 
+/// Asserts `a` and `b` hold the same rows, weights, weight flag and total
+/// vertex weight, compared exactly.
+inline void expect_graphs_identical(const Graph& a, const Graph& b) {
+  const auto vec = [](auto row) { return std::vector(row.begin(), row.end()); };
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    EXPECT_EQ(a.vertex_weight(v), b.vertex_weight(v)) << "vertex " << v;
+    EXPECT_EQ(vec(a.neighbors(v)), vec(b.neighbors(v))) << "vertex " << v;
+    EXPECT_EQ(vec(a.edge_weights(v)), vec(b.edge_weights(v)))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(a.unit_weights(), b.unit_weights());
+  EXPECT_EQ(a.total_vertex_weight(), b.total_vertex_weight());
+}
+
 /// Part sizes (vertex counts) of an assignment.
 inline std::vector<int> part_sizes(const Assignment& a, PartId num_parts) {
   std::vector<int> sizes(static_cast<std::size_t>(num_parts), 0);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/delta_codec.hpp"
@@ -59,22 +61,6 @@ TEST(WalChecksum, SensitiveToEveryByte) {
 // ---------------------------------------------------------------------------
 // Delta codec: damage-proportional record bytes -> exact graph rebuild.
 
-void expect_graphs_equal(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(a.vertex_weight(v), b.vertex_weight(v)) << "vertex " << v;
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_EQ(na.size(), nb.size()) << "vertex " << v;
-    const auto wa = a.edge_weights(v);
-    const auto wb = b.edge_weights(v);
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i], nb[i]) << "vertex " << v << " slot " << i;
-      EXPECT_DOUBLE_EQ(wa[i], wb[i]) << "vertex " << v << " slot " << i;
-    }
-  }
-}
-
 TEST(WalCodec, PureGrowthRoundTrip) {
   const Graph prev = make_grid(8, 8);
   const Graph grown = make_grid(10, 8);
@@ -86,32 +72,59 @@ TEST(WalCodec, PureGrowthRoundTrip) {
   EXPECT_LT(bytes.size(), 2000u);
 
   const DecodedDelta decoded = decode_delta(prev, bytes);
-  expect_graphs_equal(decoded.grown, grown);
+  testing::expect_graphs_identical(decoded.grown, grown);
   EXPECT_EQ(decoded.delta.old_num_vertices, delta.old_num_vertices);
   EXPECT_EQ(decoded.delta.touched_old, delta.touched_old);
 }
 
 TEST(WalCodec, ChurnRoundTripWithWeights) {
-  // Same vertex set, rewired + reweighted interior: every change must come
-  // through touched_old rows.
-  const auto build = [](bool churned) {
+  // Same vertex set, rewired, reweighted or thinned: every change must come
+  // through touched_old rows.  A weight of 0 leaves the edge out.
+  struct Shape {
+    double chain5 = 1.0;  // edge (5, 6)
+    double wrap = 2.0;    // edge (0, 11)
+    double chord = 0.0;   // edge (2, 9)
+    double vertex3 = 1.0;
+    double vertex10 = 1.0;
+  };
+  const auto build = [](const Shape& s) {
     GraphBuilder b(12);
     for (VertexId v = 0; v + 1 < 12; ++v) {
-      b.add_edge(v, v + 1, churned && v == 5 ? 3.5 : 1.0);
+      b.add_edge(v, v + 1, v == 5 ? s.chain5 : 1.0);
     }
-    b.add_edge(0, 11, 2.0);
-    if (churned) b.add_edge(2, 9, 0.75);
-    b.set_vertex_weight(3, churned ? 4.0 : 1.0);
+    if (s.wrap > 0) b.add_edge(0, 11, s.wrap);
+    if (s.chord > 0) b.add_edge(2, 9, s.chord);
+    b.set_vertex_weight(3, s.vertex3);
+    b.set_vertex_weight(10, s.vertex10);
     return b.build();
   };
-  const Graph prev = build(false);
-  const Graph grown = build(true);
-  const GraphDelta delta = diff_graphs(prev, grown);
-  ASSERT_GT(delta.touched_old.size(), 0u);
-
-  const DecodedDelta decoded = decode_delta(prev, encode_delta(grown, delta));
-  expect_graphs_equal(decoded.grown, grown);
-  EXPECT_EQ(decoded.delta.touched_old, delta.touched_old);
+  struct Case {
+    const char* name;
+    Graph prev;
+    Graph grown;
+  };
+  const Graph churned = build({.chain5 = 3.5, .chord = 0.75, .vertex3 = 4.0});
+  const Case cases[] = {
+      {"rewired and reweighted", build({}), churned},
+      {"edges removed only", build({.wrap = 1.0, .chord = 1.0}),
+       build({.wrap = 0.0})},
+      // The record is unweighted; the touched row drops the only weight.
+      {"weight only in a touched row", build({.wrap = 1.0, .vertex3 = 4.0}),
+       build({.wrap = 1.0, .chord = 1.0})},
+      // The record is weighted; every weight it carries is 1.
+      {"weights only in untouched rows", build({.vertex10 = 2.5}),
+       build({.chord = 1.0, .vertex10 = 2.5})},
+      {"empty predecessor", Graph(), churned},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const GraphDelta delta = diff_graphs(c.prev, c.grown);
+    ASSERT_TRUE(c.prev.num_vertices() == 0 || !delta.touched_old.empty());
+    const DecodedDelta decoded =
+        decode_delta(c.prev, encode_delta(c.grown, delta));
+    testing::expect_graphs_identical(decoded.grown, c.grown);
+    EXPECT_EQ(decoded.delta.touched_old, delta.touched_old);
+  }
 }
 
 TEST(WalCodec, GrowthPlusChurnRoundTrip) {
@@ -131,7 +144,7 @@ TEST(WalCodec, GrowthPlusChurnRoundTrip) {
 
   const GraphDelta delta = diff_graphs(prev, grown);
   const DecodedDelta decoded = decode_delta(prev, encode_delta(grown, delta));
-  expect_graphs_equal(decoded.grown, grown);
+  testing::expect_graphs_identical(decoded.grown, grown);
   EXPECT_EQ(decoded.delta.touched_old, delta.touched_old);
 }
 
@@ -148,6 +161,55 @@ TEST(WalCodec, RejectsTruncatedAndCorruptBytes) {
   // Decoding against the wrong previous snapshot must fail the seam checks,
   // not fabricate a graph.
   EXPECT_THROW(decode_delta(make_grid(5, 5), bytes), Error);
+}
+
+TEST(WalCodec, RejectsAsymmetricRecordedRows) {
+  // A 4x4 grid grows the diagonal (5, 10), written by hand with both
+  // endpoints touched.  A record whose rows disagree on the diagonal has no
+  // one graph it describes.
+  const Graph prev = make_grid(4, 4);
+  const auto record = [&prev](bool five_lists_ten, bool ten_lists_five,
+                               bool five_lists_four = true) {
+    std::string out;
+    put<std::uint32_t>(out, 0x32434447u);  // "GDC2"
+    put<std::uint8_t>(out, 0);             // unit weights: no weight fields
+    put<std::uint32_t>(out, 16);           // old_n
+    put<std::uint32_t>(out, 16);           // new_n
+    put<std::uint32_t>(out, 2);            // touched survivors 5 and 10
+    put<std::uint32_t>(out, 5);
+    put<std::uint32_t>(out, 10);
+    const auto row = [&](VertexId v, VertexId mate, bool lists_mate) {
+      std::vector<VertexId> nbrs(prev.neighbors(v).begin(),
+                                 prev.neighbors(v).end());
+      if (lists_mate) {
+        nbrs.insert(std::upper_bound(nbrs.begin(), nbrs.end(), mate), mate);
+      }
+      if (v == 5 && !five_lists_four) std::erase(nbrs, 4);
+      put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
+      for (const VertexId x : nbrs) put<std::uint32_t>(out, x);
+    };
+    row(5, 10, five_lists_ten);
+    row(10, 5, ten_lists_five);
+    return out;
+  };
+
+  GraphBuilder b(16);
+  for (VertexId u = 0; u < 16; ++u) {
+    for (const VertexId v : prev.neighbors(u)) {
+      if (v > u) b.add_edge(u, v);
+    }
+  }
+  b.add_edge(5, 10);
+  const Graph grown = b.build();
+  ASSERT_EQ(record(true, true), encode_delta(grown, diff_graphs(prev, grown)));
+  testing::expect_graphs_identical(
+      decode_delta(prev, record(true, true)).grown, grown);
+
+  EXPECT_THROW(decode_delta(prev, record(false, true)), Error);
+  EXPECT_THROW(decode_delta(prev, record(true, false)), Error);
+  // Untouched 4 keeps its row, copied verbatim; only 5's new row shows the
+  // edge (4, 5) dropped.
+  EXPECT_THROW(decode_delta(prev, record(true, true, false)), Error);
 }
 
 // ---------------------------------------------------------------------------
