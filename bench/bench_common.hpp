@@ -95,7 +95,7 @@ DamagedGrid damaged_block_grid(VertexId n, PartId k, int damage,
 /// Column-band partition of a row-major rows x cols grid (vertex r*cols+c in
 /// the band of its column).  Appended rows cross every band boundary, which
 /// is what makes it the canonical start for growth-trace experiments — the
-/// service tests and bench/soak_service share this one definition.
+/// service tests and the benches share this one definition.
 Assignment column_bands(VertexId rows, VertexId cols, PartId k);
 
 /// Formats a paper-vs-measured pair like "63 / 58.0".

@@ -9,8 +9,8 @@
 //               disabled (two clock reads + histogram record) and enabled
 //               (+ ring append), plus the raw steady_clock read for scale.
 //
-//   end_to_end: a PartitionSession repair loop on a growth trace (appended
-//               grid rows, the soak_service regime) run twice — tracer off,
+//   end_to_end: a PartitionSession repair loop on a growth trace (one
+//               appended grid row per update) run twice — tracer off,
 //               tracer on — reporting updates/sec for each.  The span/counter
 //               macros are live in both runs when GAPART_TELEMETRY is
 //               compiled in; re-running the same binary from a
@@ -115,8 +115,8 @@ struct EndToEndRow {
   double p50_repair_ms = 0.0;
 };
 
-/// The soak_service growth regime: n x n grid growing by one appended row per
-/// update, column-band start, synchronous repair only.
+/// A growth trace: n x n grid growing by one appended row per update,
+/// column-band start, synchronous repair only.
 EndToEndRow run_end_to_end(const std::string& mode, VertexId n, int updates) {
   EndToEndRow row;
   row.mode = mode;

@@ -11,10 +11,11 @@
 // Decisions are deterministic: every site keeps a call counter, and in
 // probability mode the verdict for call #n at site s is a pure hash of
 // (seed, s, n).  A single-threaded test therefore sees the exact same fault
-// schedule for the same seed, and a soak run's schedule is reproducible per
-// site up to thread interleaving of the counter increments.  Nth-call mode
-// (`arm_nth`) fails exactly one call at one site — the surgical tool for
-// "the second fsync of the checkpoint dies" regression tests.
+// schedule for the same seed, and a concurrent run's schedule is
+// reproducible per site up to thread interleaving of the counter
+// increments.  Nth-call mode (`arm_nth`) fails exactly one call at one site
+// — the surgical tool for "the second fsync of the checkpoint dies"
+// regression tests.
 #pragma once
 
 #include <array>

@@ -221,10 +221,7 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
       break;
     }
     const WalRecord& record = tail.records[i];
-    const bool ship_it = record.type == WalRecordType::kDelta
-                             ? record.epoch == ship.read_epoch + 1
-                             : record.epoch == ship.read_epoch;
-    if (ship_it) {
+    if (continues_epoch_chain(record, ship.read_epoch)) {
       RepFrame frame;
       frame.type = RepFrameType::kRecord;
       frame.sub = static_cast<std::uint8_t>(record.type);
@@ -307,8 +304,11 @@ int ReplicationShipper::pump() {
   for (const SessionId id : service_.session_ids()) {
     SessionShip& ship = ships_[id];
     SessionStats st;
+    std::uint64_t epoch = 0;
     try {
-      st = service_.session_handle(id)->stats();
+      const auto session = service_.session_handle(id);
+      st = session->stats();
+      epoch = session->snapshot()->update_epoch;
       if (!st.durable) continue;
       if (!ship.attached || ship.needs_resync) resync(id, ship);
       observe_compaction(id, ship, st.wal);
@@ -319,7 +319,7 @@ int ReplicationShipper::pump() {
       // forever.  This pump just consumed the tail, so run anything the
       // gate deferred; observe_compaction ships the boundary next pump.
       if (ship.attached && ship.file_offset >= st.wal.durable_bytes) {
-        service_.session_handle(id)->poll_compaction();
+        session->poll_compaction();
       }
     } catch (const Error&) {
       continue;  // the session closed under us; next pump drops it
@@ -344,8 +344,10 @@ int ReplicationShipper::pump() {
 
     sent += send_pending(ship);
 
+    // In epochs of the session's chain: its update count restarts at 0 on
+    // a recovered or promoted leader, its epochs do not.
     const std::uint64_t lag =
-        st.updates >= ship.acked_epoch ? st.updates - ship.acked_epoch : 0;
+        epoch >= ship.acked_epoch ? epoch - ship.acked_epoch : 0;
     if (lag_samples_.size() < kLagWindow) {
       lag_samples_.push_back(static_cast<double>(lag));
     } else {
@@ -617,10 +619,7 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
   record.type = static_cast<WalRecordType>(frame.sub);
   record.epoch = frame.epoch;
   record.payload = frame.payload;
-  const bool chain_ok = record.type == WalRecordType::kDelta
-                            ? record.epoch == replica.applied_epoch + 1
-                            : record.epoch == replica.applied_epoch;
-  if (!chain_ok) {
+  if (!continues_epoch_chain(record, replica.applied_epoch)) {
     stats_.diverged = true;
     throw ReplicationDivergedError(
         "session " + std::to_string(frame.session) + " record epoch " +

@@ -157,7 +157,7 @@ struct ShipperStats {
 
 /// Tails every session of a (durable) leader service and streams WAL
 /// records over one Transport.  Drive it with pump() — deterministic, used
-/// by tests and the soak — or start()/stop() a background thread.
+/// by tests — or start()/stop() a background thread.
 class ReplicationShipper {
  public:
   /// Persists config.generation into the leader's GENERATION file; throws
@@ -197,14 +197,14 @@ class ReplicationShipper {
     std::uint64_t acked_epoch = 0;
     std::uint64_t file_offset = kWalLogHeaderBytes;
     /// Highest record epoch read (or covered by the shipped open) so far.
-    /// The tail filter hangs off it: a kDelta ships iff its epoch is
-    /// read_epoch + 1 (the WAL chain), a kRefine iff it equals read_epoch —
-    /// anything else is a stale-prefix record already covered by the
-    /// snapshot.  kRefine at the open epoch is deliberately shipped even
-    /// when the snapshot may already include it: its moves name absolute
-    /// destinations, so re-applying them to the state they produced moves
-    /// nothing, and the ambiguity (adopted just before vs just after the
-    /// open was captured) is undecidable from the log.
+    /// The tail filter hangs off it: a record ships iff it continues the
+    /// chain from read_epoch (continues_epoch_chain) — anything else is a
+    /// stale-prefix record already covered by the snapshot.  kRefine at the
+    /// open epoch is deliberately shipped even when the snapshot may
+    /// already include it: its moves name absolute destinations, so
+    /// re-applying them to the state they produced moves nothing, and the
+    /// ambiguity (adopted just before vs just after the open was captured)
+    /// is undecidable from the log.
     std::uint64_t read_epoch = 0;
     std::uint64_t shipped_snapshot_epoch = 0;
     struct Queued {

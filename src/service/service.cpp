@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <utility>
 #include <vector>
@@ -96,12 +97,20 @@ std::vector<RecoveryReport> PartitionService::recover(
   if (!fs::exists(config_.durability.dir, ec)) return reports;
 
   // Deterministic recovery order: collect and sort the session ids first.
+  // Only a name session_dir() writes counts; anything else an operator left
+  // beside them ("session-1.bak", "session-01") is skipped.
+  const std::string prefix = "session-";
   std::vector<SessionId> ids;
   for (const auto& entry : fs::directory_iterator(config_.durability.dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("session-", 0) != 0) continue;
-    ids.push_back(static_cast<SessionId>(
-        std::stoull(name.substr(std::string("session-").size()))));
+    if (name.rfind(prefix, 0) != 0) continue;
+    SessionId id = 0;
+    const auto parsed = std::from_chars(name.data() + prefix.size(),
+                                        name.data() + name.size(), id);
+    if (parsed.ec != std::errc() || name != prefix + std::to_string(id)) {
+      continue;
+    }
+    ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
 

@@ -485,6 +485,7 @@ void SessionWal::append(WalRecordType type, std::uint64_t epoch,
   const std::string frame = build_frame(type, epoch, payload);
   stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
       config_.io_retry, [&] { append_frame_once(frame); }));
+  const std::uint64_t frame_start = file_bytes_;
   file_bytes_ += frame.size();
   ++records_since_fsync_;
   const bool want_fsync =
@@ -492,8 +493,20 @@ void SessionWal::append(WalRecordType type, std::uint64_t epoch,
       (config_.fsync == FsyncPolicy::kEveryN && config_.fsync_interval > 0 &&
        records_since_fsync_ >= config_.fsync_interval);
   if (want_fsync) {
-    stats_.append_retries += static_cast<std::uint64_t>(
-        retry_with_backoff(config_.io_retry, [&] { fsync_log(); }));
+    try {
+      stats_.append_retries += static_cast<std::uint64_t>(
+          retry_with_backoff(config_.io_retry, [&] { fsync_log(); }));
+    } catch (const IoError&) {
+      // The caller takes a thrown append as a record never logged, so roll
+      // the frame back as append_frame_once does: replay and the shipper
+      // must not find it.
+      if (::ftruncate(fd_, static_cast<off_t>(frame_start)) != 0) {
+        // The fsync error rethrown below is the one to report.
+      }
+      file_bytes_ = frame_start;
+      --records_since_fsync_;
+      throw;
+    }
   }
   ++stats_.appends;
   stats_.bytes_appended += frame.size();
@@ -603,8 +616,7 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
 
   // Skip the stale prefix (a compaction that crashed between the CURRENT
   // rename and the log truncation leaves records <= snapshot epoch at the
-  // front), then demand a gapless epoch chain: delta records advance the
-  // epoch by exactly one, refinement records re-certify the current epoch.
+  // front), then demand a gapless epoch chain (continues_epoch_chain).
   // A refinement at the snapshot epoch is kept: it may have been adopted
   // after the compaction, and one the snapshot already holds moves nothing.
   std::uint64_t epoch = snapshot_epoch;
@@ -616,20 +628,14 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
       continue;
     }
     past_prefix = true;
-    if (rec.type == WalRecordType::kDelta) {
-      if (rec.epoch != epoch + 1) {
-        throw WalCorruptError(
-            "'" + dir + "/wal.log' jumps from epoch " + std::to_string(epoch) +
-            " to " + std::to_string(rec.epoch) + " — records are missing");
-      }
-      epoch = rec.epoch;
-    } else {
-      if (rec.epoch != epoch) {
-        throw WalCorruptError(
-            "'" + dir + "/wal.log' has a refinement record for epoch " +
-            std::to_string(rec.epoch) + " at epoch " + std::to_string(epoch));
-      }
+    if (!continues_epoch_chain(rec, epoch)) {
+      throw WalCorruptError(
+          "'" + dir + "/wal.log' breaks the epoch chain: a " +
+          (rec.type == WalRecordType::kDelta ? "delta" : "refinement") +
+          " record for epoch " + std::to_string(rec.epoch) + " at epoch " +
+          std::to_string(epoch));
     }
+    epoch = rec.epoch;
     out.records.push_back(std::move(rec));
   }
 

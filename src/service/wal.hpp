@@ -134,6 +134,15 @@ struct WalRecord {
   std::string payload;
 };
 
+/// The epoch chain every reader of a log enforces (recovery, the shipper,
+/// the follower): a kDelta record advances a session at `epoch` to
+/// `epoch + 1`, a kRefine record re-certifies `epoch`.
+inline bool continues_epoch_chain(const WalRecord& record,
+                                  std::uint64_t epoch) {
+  return record.epoch ==
+         (record.type == WalRecordType::kDelta ? epoch + 1 : epoch);
+}
+
 /// Appends a record's outcome section (see file comment) to `out`.
 void encode_outcome(std::string& out, const RepairOutcome& outcome,
                     PartId num_parts);
@@ -224,7 +233,7 @@ void write_file_atomic(const std::string& path, const std::string& content);
 std::string read_file(const std::string& path);
 
 /// Cumulative durability counters for one session (scraped into
-/// SessionStats/ServiceStats and the soak JSON).
+/// SessionStats/ServiceStats).
 struct WalStats {
   std::uint64_t appends = 0;
   std::uint64_t append_retries = 0;  ///< transient I/O errors retried away

@@ -1,9 +1,11 @@
 // Durability end-to-end: crash recovery (kill-point fuzz against a
 // never-crashed reference, torn tails, stale snapshot prefixes, mid-log
-// corruption), the fault-injection storm ("no acknowledged delta is ever
-// lost"), fail-stop on exhausted WAL retries, the overload ladder, and the
-// close/drain handshake.  Companion suites: test_wal.cpp (log mechanics),
-// test_fault_injection.cpp (the injector itself).
+// corruption, foreign entries in the durability directory), the
+// fault-injection storms on one session and on concurrent sessions racing
+// background refinement ("no acknowledged delta is ever lost"), fail-stop on
+// exhausted WAL retries, the overload ladder, and the close/drain handshake.
+// Companion suites: test_wal.cpp (log mechanics), test_fault_injection.cpp
+// (the injector itself).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -261,6 +264,37 @@ TEST(Durability, CorruptMidLogFailsRecovery) {
   EXPECT_THROW(service.recover(session_config(k)), WalCorruptError);
 }
 
+// recover() reads only the names session_dir() writes: an operator's copy
+// beside a session, or any other "session-" entry, is skipped.
+TEST(Durability, RecoveryIgnoresForeignSessionEntries) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("foreign_entries");
+  std::uint64_t digest = 0;
+  {
+    PartitionService service(durable_config(dir));
+    auto prev = shared_grid(12, 12);
+    const SessionId id = service.open_session(prev, column_bands(12, 12, k),
+                                              session_config(k));
+    auto next = shared_grid(13, 12);
+    service.submit_update(id, next, diff_graphs(*prev, *next));
+    digest = service.session_handle(id)->state_digest();
+  }
+  // First a copy that parses as id 1, then names that parse to no id.
+  fs::copy(dir + "/session-1", dir + "/session-1.bak",
+           fs::copy_options::recursive);
+  for (const char* foreign : {"", "session-01", "session-x", "session-"}) {
+    SCOPED_TRACE(foreign);
+    if (*foreign != '\0') fs::create_directory(dir + "/" + foreign);
+    PartitionService service(durable_config(dir));
+    const auto reports = service.recover(session_config(k));
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].session_id, 1u);
+    EXPECT_EQ(reports[0].final_epoch, 1u);
+    EXPECT_EQ(service.session_ids(), std::vector<SessionId>{1});
+    EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kill-point fuzz: for every prefix length p of a growth + churn trace, kill
 // after p acknowledged deltas and recover — the recovered partition must
@@ -425,29 +459,6 @@ TEST(Durability, KillPointFuzzMatchesReference) {
 // A record logs the repair's outcome, so replay never consults the reader's
 // repair config.
 
-/// Step s of a churn stream: a 32 x 32 grid with fractional weights plus a
-/// 6 x 6 window of diagonals whose place moves with s.
-std::shared_ptr<const Graph> churn_graph(int step) {
-  const VertexId side = 32;
-  GraphBuilder b(side * side);
-  const auto at = [side](VertexId r, VertexId c) { return r * side + c; };
-  for (VertexId r = 0; r < side; ++r) {
-    for (VertexId c = 0; c < side; ++c) {
-      if (c + 1 < side) b.add_edge(at(r, c), at(r, c + 1));
-      if (r + 1 < side) b.add_edge(at(r, c), at(r + 1, c));
-    }
-  }
-  const VertexId r0 = (7 * step) % 24;
-  const VertexId c0 = (11 * step) % 24;
-  for (VertexId r = r0; r < r0 + 6; ++r) {
-    for (VertexId c = c0; c < c0 + 6; ++c) {
-      b.add_edge(at(r, c), at(r + 1, c + 1));
-    }
-  }
-  return std::make_shared<const Graph>(
-      testing::with_fractional_weights(b.build()));
-}
-
 TEST(Durability, RecoveryIgnoresTheReadersRepairConfig) {
   const PartId k = 4;
   const int kUpdates = 14;
@@ -461,10 +472,10 @@ TEST(Durability, RecoveryIgnoresTheReadersRepairConfig) {
   };
   const auto stream = [&](const std::string& dir, const SessionConfig& cfg) {
     PartitionService service(durable_config(dir));
-    auto prev = churn_graph(0);
+    auto prev = testing::churn_graph(0);
     const SessionId id = service.open_session(prev, start, cfg);
     for (int s = 1; s <= kUpdates; ++s) {
-      auto next = churn_graph(s);
+      auto next = testing::churn_graph(s);
       service.submit_update(id, next, diff_graphs(*prev, *next));
       prev = next;
     }
@@ -822,6 +833,182 @@ TEST(Durability, FaultStormLosesNoAckedDelta) {
   EXPECT_EQ(service.snapshot(1)->assignment, acked);
 }
 
+// Several durable sessions, one client thread each, with background
+// refinement racing them and 10% of every fault site failing; then the
+// service dies without a close.  Recovery must land every session at or
+// past its last ack, on the exact state the service died in: no session
+// fail-stopped, so every state change reached its log.
+TEST(Durability, ConcurrentFaultStormLosesNoAckedDelta) {
+  const PartId k = 4;
+  constexpr int kSessions = 4;
+  constexpr int kUpdates = 12;
+  const std::string dir = fresh_dir("concurrent_storm");
+  ServiceConfig sc;
+  sc.num_threads = 4;
+  sc.durability.dir = dir;
+  // Fires once per session mid-stream (~90 damaged vertices per update), so
+  // recovery replays a tail of deltas and raced refinements from the log.
+  sc.durability.compaction.damage_threshold = 640;
+  sc.durability.io_retry.max_attempts = 12;
+  sc.durability.io_retry.initial_seconds = 1e-5;
+  sc.durability.io_retry.max_seconds = 1e-3;
+  SessionConfig cfg;
+  cfg.num_parts = k;
+  cfg.repair_budget_seconds = 0.0;   // cascade only: refinements find more
+  cfg.policy.damage_threshold = 64;  // refinements race the stream
+  cfg.policy.staleness_updates = 16;
+  cfg.policy.allow_deep = false;
+  // Session s streams churn steps s * kUpdates .. (s + 1) * kUpdates.
+  const auto step = [](int s, int u) { return s * kUpdates + u; };
+
+  std::vector<SessionId> ids;
+  std::vector<std::uint64_t> acked(kSessions, 0);
+  std::vector<std::uint64_t> digest_at_death(kSessions, 0);
+  {
+    PartitionService service(sc);
+    for (int s = 0; s < kSessions; ++s) {
+      // Bands with 3% of the vertices scrambled leave the refinements work.
+      Assignment start = column_bands(32, 32, k);
+      Rng rng(0xd07aULL + static_cast<std::uint64_t>(s));
+      for (int i = 0; i < 30; ++i) {
+        start[rng.uniform_u64(start.size())] =
+            static_cast<PartId>(rng.uniform_int(k));
+      }
+      ids.push_back(
+          service.open_session(testing::churn_graph(step(s, 0)), start, cfg));
+    }
+#ifdef GAPART_TELEMETRY
+    Tracer::instance().clear();
+    Tracer::instance().enable();
+#endif
+    {
+      // Armed after the opens: their epoch-0 checkpoints are not under a
+      // client retry loop.
+      ScopedFaultInjection scope(/*seed=*/2026, /*probability=*/0.10);
+      std::vector<std::string> errors(kSessions);
+      std::vector<std::thread> clients;
+      for (int s = 0; s < kSessions; ++s) {
+        clients.emplace_back([&, s] {
+          const auto i = static_cast<std::size_t>(s);
+          auto prev = testing::churn_graph(step(s, 0));
+          for (int u = 1; u <= kUpdates; ++u) {
+            auto next = testing::churn_graph(step(s, u));
+            const GraphDelta delta = diff_graphs(*prev, *next);
+            for (;;) {
+              try {
+                acked[i] = service.submit_update(ids[i], next, delta)
+                               .update_epoch;
+                break;
+              } catch (const std::bad_alloc&) {
+                // Injected before any mutation: resubmit the same delta.
+              } catch (const std::exception& e) {
+                errors[i] = e.what();
+                return;
+              }
+            }
+            prev = next;
+          }
+        });
+      }
+      for (auto& c : clients) c.join();
+      service.quiesce();
+      // The scope clears the injector's counters on exit.
+      EXPECT_GT(FaultInjector::instance().total_injected(), 0u);
+      for (int s = 0; s < kSessions; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        EXPECT_EQ(errors[i], "") << "session " << ids[i];
+        EXPECT_EQ(acked[i], static_cast<std::uint64_t>(kUpdates));
+        EXPECT_FALSE(service.session_stats(ids[i]).wal_failed);
+        digest_at_death[i] = service.session_handle(ids[i])->state_digest();
+      }
+      const ServiceStats st = service.stats();
+      EXPECT_GT(st.wal_compactions, 0u);
+      EXPECT_GT(st.refinements_planned, 0);
+    }
+#ifdef GAPART_TELEMETRY
+    Tracer& tracer = Tracer::instance();
+    tracer.disable();
+    std::ostringstream trace;
+    tracer.export_chrome_trace(trace);
+    tracer.clear();
+    const auto spans = testing::parse_trace_spans(trace.str());
+    EXPECT_GE(spans.size(), 100u);
+    testing::expect_spans_nest(spans);
+#endif
+  }  // the service dies without a close
+
+  PartitionService service(sc);
+  const auto reports = service.recover(cfg);
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kSessions));
+  std::size_t replayed = 0;
+  for (const RecoveryReport& report : reports) {
+    replayed += report.records_replayed;
+  }
+  EXPECT_GT(replayed, 0u);
+  for (int s = 0; s < kSessions; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    SCOPED_TRACE("session " + std::to_string(ids[i]));
+    EXPECT_EQ(reports[i].session_id, ids[i]);
+    EXPECT_GE(reports[i].final_epoch, acked[i]);
+    expect_snapshot_consistent(*service.snapshot(ids[i]), k);
+    EXPECT_EQ(service.session_handle(ids[i])->state_digest(),
+              digest_at_death[i]);
+  }
+}
+
+// A refinement whose fsync fails after its retries is dropped unlogged, so
+// its frame must not stay in the log for recovery to replay.
+TEST(Durability, FailedRefinementFsyncLeavesNoRecord) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("refine_fsync");
+  ServiceConfig sc = durable_config(dir);
+  sc.durability.io_retry.max_attempts = 1;
+  SessionConfig cfg = session_config(k);
+  cfg.repair_budget_seconds = 0.0;  // cascade only: refinement finds more
+  cfg.policy.staleness_updates = 1;
+  cfg.policy.allow_deep = false;
+  Rng rng(7);
+  Assignment start(12 * 12);
+  for (PartId& p : start) p = static_cast<PartId>(rng.uniform_int(k));
+  auto g12 = shared_grid(12, 12);
+  auto g13 = shared_grid(13, 12);
+  auto g14 = shared_grid(14, 12);
+
+  std::uint64_t digest = 0;
+  double fitness = 0.0;
+  {
+    PartitionService service(sc);
+    const SessionId id = service.open_session(g12, start, cfg);
+    service.submit_update(id, g13, diff_graphs(*g12, *g13));
+    const auto session = service.session_handle(id);
+    const auto job = session->plan_refinement();
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(job->depth, RefineDepth::kLight);
+    const RefineOutcome out = run_refinement(*job, cfg, Rng(1), nullptr);
+    const std::string log = dir + "/session-1/wal.log";
+    const auto log_bytes = fs::file_size(log);
+    {
+      ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+      EXPECT_FALSE(session->complete_refinement(
+          *job, out.assignment, out.fitness, out.full_evaluations,
+          out.delta_evaluations));
+    }
+    EXPECT_EQ(service.session_stats(id).refinements_unlogged, 1);
+    EXPECT_EQ(fs::file_size(log), log_bytes);
+    service.submit_update(id, g14, diff_graphs(*g13, *g14));
+    EXPECT_FALSE(service.session_stats(id).wal_failed);
+    digest = session->state_digest();
+    fitness = service.snapshot(id)->fitness;
+  }
+  PartitionService service(sc);
+  const auto reports = service.recover(cfg);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].records_replayed, 2u);
+  EXPECT_EQ(reports[0].final_epoch, 2u);
+  EXPECT_EQ(service.snapshot(1)->fitness, fitness);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+}
+
 TEST(Durability, FailStopAfterExhaustedAppendRetries) {
   const PartId k = 3;
   const std::string dir = fresh_dir("failstop");
@@ -882,6 +1069,12 @@ TEST(Durability, TaskStartFaultAbandonsCleanly) {
 #else  // !GAPART_FAULT_INJECTION
 
 TEST(Durability, FaultStormLosesNoAckedDelta) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(Durability, ConcurrentFaultStormLosesNoAckedDelta) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(Durability, FailedRefinementFsyncLeavesNoRecord) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }
 TEST(Durability, FailStopAfterExhaustedAppendRetries) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -140,6 +141,13 @@ void expect_converged(Rig& rig, SessionId id) {
   // continues from the leader's sums rather than from fresh ones.
   EXPECT_EQ(fsnap->fitness, lsnap->fitness);
   EXPECT_EQ(rig.follower->applied_epoch(id), lsnap->update_epoch);
+}
+
+/// The bytes of the follower's own log for session `id`.
+std::string follower_log(Rig& rig, SessionId id) {
+  std::ifstream in(rig.follower_service->session_wal_dir(id) + "/wal.log",
+                   std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // ---------------------------------------------------------------------------
@@ -569,12 +577,7 @@ TEST(Replication, RecordOfUnknownTypeIsRejectedUnlogged) {
   rig.settle();
   expect_converged(rig, id);
 
-  const auto read_log = [&] {
-    std::ifstream in(rig.follower_service->session_wal_dir(id) + "/wal.log",
-                     std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  const std::string log_before = read_log();
+  const std::string log_before = follower_log(rig, id);
   const std::uint64_t applied = rig.follower->stats().records_applied;
   // The shape of a kRefine with nothing to move, at the next seq.
   const ShipperStats ss = rig.shipper->stats();
@@ -594,7 +597,7 @@ TEST(Replication, RecordOfUnknownTypeIsRejectedUnlogged) {
   EXPECT_EQ(fs_.corrupt_rejected, 2u);
   EXPECT_EQ(fs_.records_applied, applied);
   EXPECT_FALSE(fs_.diverged);
-  EXPECT_EQ(read_log(), log_before);
+  EXPECT_EQ(follower_log(rig, id), log_before);
   // A direct caller gets a typed error, not a record of unknown type.
   WalRecord record;
   record.type = static_cast<WalRecordType>(3);
@@ -603,7 +606,7 @@ TEST(Replication, RecordOfUnknownTypeIsRejectedUnlogged) {
   EXPECT_THROW(rig.follower_service->session_handle(id)->apply_logged(
                    record, /*log_locally=*/true),
                Error);
-  EXPECT_EQ(read_log(), log_before);
+  EXPECT_EQ(follower_log(rig, id), log_before);
 
   // The real stream goes on past the junk.
   auto g14 = shared_grid(14, 12);
@@ -613,6 +616,77 @@ TEST(Replication, RecordOfUnknownTypeIsRejectedUnlogged) {
   fs_ = rig.follower->stats();
   EXPECT_EQ(fs_.records_applied, applied + 1);
   EXPECT_FALSE(fs_.diverged);
+}
+
+// A CRC-valid, in-sequence record frame whose epoch skips one breaks the
+// WAL epoch chain: the follower fail-stops before the record reaches its
+// own log.
+TEST(Replication, RecordThatSkipsAnEpochFailStopsUnlogged) {
+  const PartId k = 3;
+  Rig rig("epoch_skip");
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  auto g13 = shared_grid(13, 12);
+  rig.leader->submit_update(id, g13, diff_graphs(*prev, *g13));
+  rig.settle();
+  expect_converged(rig, id);
+
+  const std::string log_before = follower_log(rig, id);
+  const ShipperStats ss = rig.shipper->stats();
+  RepFrame skip;
+  skip.type = RepFrameType::kRecord;
+  skip.sub = static_cast<std::uint8_t>(WalRecordType::kDelta);
+  skip.generation = ss.generation;
+  skip.session = id;
+  skip.seq = ss.opens_shipped + ss.records_shipped + ss.compacts_shipped + 1;
+  skip.epoch = rig.follower->applied_epoch(id) + 2;
+  // The chain is checked before the payload is decoded.
+  encode_outcome(skip.payload, RepairOutcome{}, k);
+  rig.leader_end->send(encode_rep_frame(skip));
+  EXPECT_THROW(rig.follower->pump(), ReplicationDivergedError);
+  EXPECT_TRUE(rig.follower->stats().diverged);
+  EXPECT_EQ(rig.follower->applied_epoch(id), 1u);
+  EXPECT_EQ(follower_log(rig, id), log_before);
+}
+
+// Ship lag counts epochs of the session's chain.  A leader recovered from a
+// compacted log has absorbed no update in this process, yet a follower that
+// misses the next updates trails it by that many epochs.
+TEST(Replication, ShipLagCountsEpochsAfterLeaderRestart) {
+  const PartId k = 3;
+  Rig rig("lag_restart");
+  const std::string leader_dir = rig.leader->config().durability.dir;
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  for (VertexId rows = 13; rows <= 20; ++rows) {
+    auto next = shared_grid(rows, 12);
+    rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+    prev = next;
+  }
+  ASSERT_TRUE(rig.leader->session_handle(id)->compact_now());
+
+  // Restart the leader; the fresh follower bootstraps to epoch 8.
+  rig.shipper.reset();
+  rig.leader.reset();
+  rig.leader = std::make_unique<PartitionService>(leader_config(leader_dir));
+  ASSERT_EQ(rig.leader->recover(session_config(k)).size(), 1u);
+  rig.shipper =
+      std::make_unique<ReplicationShipper>(*rig.leader, *rig.leader_end);
+  rig.settle();
+  ASSERT_EQ(rig.follower->applied_epoch(id), 8u);
+
+  // Four more updates; only the shipper runs, so nothing gets acked.
+  for (VertexId rows = 21; rows <= 24; ++rows) {
+    auto next = shared_grid(rows, 12);
+    rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+    prev = next;
+    rig.shipper->pump();
+  }
+  EXPECT_EQ(rig.leader->snapshot(id)->update_epoch, 12u);
+  EXPECT_EQ(rig.shipper->acked_epoch(id), 8u);
+  EXPECT_GE(rig.shipper->stats().lag_epochs_p99, 1.0);
 }
 
 TEST(Replication, FollowerRestartResumesFromItsOwnDisk) {
@@ -666,31 +740,46 @@ TEST(Replication, FollowerRestartResumesFromItsOwnDisk) {
 
 // ---------------------------------------------------------------------------
 // The acceptance sweep: kill the leader at EVERY point of a faulted trace,
-// promote the follower, and require (a) zero acked deltas lost and (b) the
-// promoted state bit-equal to a never-crashed reference at that epoch.
+// promote the follower, and require of every session (a) zero acked deltas
+// lost and (b) the promoted state bit-equal to a never-crashed reference at
+// that epoch.  Two sessions ship two record shapes: one grows by a row per
+// update, the other churns (rewired survivors, no appended vertex).
 
 TEST(Replication, KillPointFuzzedFailoverLosesNoAckedDelta) {
   const PartId k = 3;
-  const VertexId first_rows = 13, last_rows = 20;
+  constexpr int kTraceLen = 8;
+  struct Stream {
+    const char* name;
+    std::shared_ptr<const Graph> (*graph)(int step);
+    Assignment start;
+  };
+  const std::vector<Stream> streams = {
+      {"growth",
+       [](int step) {
+         return shared_grid(12 + static_cast<VertexId>(step), 12);
+       },
+       column_bands(12, 12, k)},
+      {"churn", testing::churn_graph, column_bands(32, 32, k)},
+  };
 
-  // Never-crashed reference: one plain session absorbing the same trace,
-  // digest recorded at every epoch.
-  std::vector<std::uint64_t> reference_digest(1, 0);  // [0] = epoch 0
-  {
-    auto prev = shared_grid(12, 12);
-    PartitionSession session(prev, column_bands(12, 12, k),
-                             session_config(k));
-    reference_digest[0] = session.state_digest();
-    for (VertexId rows = first_rows; rows <= last_rows; ++rows) {
-      auto next = shared_grid(rows, 12);
+  // Never-crashed reference per stream: one plain session absorbing the
+  // same trace, its digest recorded at every epoch ([0] = epoch 0).
+  std::vector<std::vector<std::uint64_t>> reference_digest;
+  for (const Stream& stream : streams) {
+    auto prev = stream.graph(0);
+    PartitionSession session(prev, stream.start, session_config(k));
+    std::vector<std::uint64_t> digests{session.state_digest()};
+    for (int step = 1; step <= kTraceLen; ++step) {
+      auto next = stream.graph(step);
       session.apply_update(next, diff_graphs(*prev, *next));
       prev = next;
-      reference_digest.push_back(session.state_digest());
+      digests.push_back(session.state_digest());
     }
+    reference_digest.push_back(std::move(digests));
   }
 
-  const int trace_len = static_cast<int>(last_rows - first_rows + 1);
-  for (int kill_point = 1; kill_point <= trace_len; ++kill_point) {
+  for (int kill_point = 1; kill_point <= kTraceLen; ++kill_point) {
+    SCOPED_TRACE("kill point " + std::to_string(kill_point));
     ShipperConfig ship;
     ship.resume_after_stalled_pumps = 2;
     Rig rig("kill" + std::to_string(kill_point), ship,
@@ -701,34 +790,41 @@ TEST(Replication, KillPointFuzzedFailoverLosesNoAckedDelta) {
               sc.durability.io_retry.max_seconds = 1e-5;
               return sc;
             });
-    auto prev = shared_grid(12, 12);
-    const SessionId id = rig.leader->open_session(
-        prev, column_bands(12, 12, k), session_config(k));
+    std::vector<SessionId> ids;
+    std::vector<std::shared_ptr<const Graph>> prevs;
+    for (const Stream& stream : streams) {
+      prevs.push_back(stream.graph(0));
+      ids.push_back(rig.leader->open_session(prevs.back(), stream.start,
+                                             session_config(k)));
+    }
 
-    // Stream with 10% faults on every transport and I/O site, tracking the
-    // highest epoch the FOLLOWER acknowledged — the replicated system's
-    // acks, the only ones failover promises to keep.
-    std::uint64_t follower_acked_epoch = 0;
+    // Stream with 10% faults on every transport and I/O site, tracking per
+    // session the highest epoch the FOLLOWER acknowledged — the replicated
+    // system's acks, the only ones failover promises to keep.
+    std::vector<std::uint64_t> follower_acked(streams.size(), 0);
     {
       ScopedFaultInjection scope(2026u + static_cast<std::uint64_t>(kill_point),
                                  0.10);
       for (int step = 1; step <= kill_point; ++step) {
-        auto next =
-            shared_grid(first_rows + static_cast<VertexId>(step) - 1, 12);
-        const GraphDelta delta = diff_graphs(*prev, *next);
-        for (;;) {
-          try {
-            rig.leader->submit_update(id, next, delta);
-            break;
-          } catch (const std::bad_alloc&) {
+        for (std::size_t s = 0; s < streams.size(); ++s) {
+          auto next = streams[s].graph(step);
+          const GraphDelta delta = diff_graphs(*prevs[s], *next);
+          for (;;) {
+            try {
+              rig.leader->submit_update(ids[s], next, delta);
+              break;
+            } catch (const std::bad_alloc&) {
+            }
           }
+          prevs[s] = next;
         }
-        prev = next;
         for (int pump = 0; pump < 3; ++pump) {
           rig.shipper->pump();
           rig.follower->pump();
         }
-        follower_acked_epoch = rig.shipper->acked_epoch(id);
+        for (std::size_t s = 0; s < streams.size(); ++s) {
+          follower_acked[s] = rig.shipper->acked_epoch(ids[s]);
+        }
       }
     }
 
@@ -738,33 +834,34 @@ TEST(Replication, KillPointFuzzedFailoverLosesNoAckedDelta) {
     rig.leader.reset();
 
     const PromotionReport report = rig.follower->promote();
-    if (report.sessions.empty()) {
-      // The storm kept even the session open from landing before the kill.
-      // That is a legal outcome only if nothing was ever acknowledged.
-      EXPECT_EQ(follower_acked_epoch, 0u) << "kill point " << kill_point;
-      continue;
-    }
-    ASSERT_EQ(report.sessions.size(), 1u);
-    const PromotedSession& promoted = report.sessions[0];
-
-    // (a) Zero acked deltas lost: promotion never lands below the last
-    // follower-acked epoch.
-    EXPECT_GE(promoted.epoch, follower_acked_epoch)
-        << "kill point " << kill_point;
-    // (b) Bit-identical to the never-crashed reference at that epoch.
-    ASSERT_LT(promoted.epoch, reference_digest.size());
-    EXPECT_EQ(promoted.digest, reference_digest[promoted.epoch])
-        << "kill point " << kill_point << " promoted at epoch "
-        << promoted.epoch;
     EXPECT_FALSE(rig.follower->stats().diverged);
+    ASSERT_LE(report.sessions.size(), streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      SCOPED_TRACE(streams[s].name);
+      const auto promoted = std::find_if(
+          report.sessions.begin(), report.sessions.end(),
+          [&](const PromotedSession& p) { return p.id == ids[s]; });
+      if (promoted == report.sessions.end()) {
+        // The storm kept this session's open from landing before the kill.
+        // That is a legal outcome only if nothing of it was acknowledged.
+        EXPECT_EQ(follower_acked[s], 0u);
+        continue;
+      }
+      // (a) Zero acked deltas lost: promotion never lands below the last
+      // follower-acked epoch.
+      EXPECT_GE(promoted->epoch, follower_acked[s]);
+      // (b) Bit-identical to the never-crashed reference at that epoch.
+      ASSERT_LT(promoted->epoch, reference_digest[s].size());
+      EXPECT_EQ(promoted->digest, reference_digest[s][promoted->epoch])
+          << "promoted at epoch " << promoted->epoch;
 
-    // The promoted service accepts writes — it is the leader now.
-    auto next = shared_grid(21, 12);
-    auto promoted_prev = rig.follower_service->snapshot(id)->graph;
-    const GraphDelta delta = diff_graphs(*promoted_prev, *next);
-    const RepairReport rep =
-        rig.follower_service->submit_update(id, next, delta);
-    EXPECT_EQ(rep.update_epoch, promoted.epoch + 1);
+      // The promoted service accepts writes — it is the leader now.
+      auto next = streams[s].graph(kTraceLen + 1);
+      auto promoted_prev = rig.follower_service->snapshot(ids[s])->graph;
+      const RepairReport rep = rig.follower_service->submit_update(
+          ids[s], next, diff_graphs(*promoted_prev, *next));
+      EXPECT_EQ(rep.update_epoch, promoted->epoch + 1);
+    }
   }
 }
 

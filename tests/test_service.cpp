@@ -182,7 +182,7 @@ void expect_snapshot_consistent(const SessionSnapshot& snap, PartId k) {
 // ---------------------------------------------------------------------------
 // Session: synchronous repair plane.
 
-// Column-band start (bench_common, shared with bench/soak_service):
+// Column-band start (bench_common):
 // appended rows cross every band boundary, so growth always leaves the
 // repair tier work.
 using bench::column_bands;

@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -452,58 +453,29 @@ TEST(Tracer, SpansNestCorrectlyAcrossThreads) {
   const std::string trace = os.str();
   ASSERT_TRUE(JsonCursor(trace).valid_value()) << trace;
 
-  // Parse the flat fields back out per event: (name, ts, dur, tid).
-  struct Ev {
-    std::string name;
-    double ts = 0.0, dur = 0.0;
-    int tid = 0;
-  };
-  std::vector<Ev> events;
-  std::size_t pos = 0;
-  while ((pos = trace.find("{\"name\":\"", pos)) != std::string::npos) {
-    Ev ev;
-    const std::size_t name_start = pos + 9;
-    const std::size_t name_end = trace.find('"', name_start);
-    ev.name = trace.substr(name_start, name_end - name_start);
-    ev.ts = std::stod(trace.substr(trace.find("\"ts\":", pos) + 5));
-    ev.dur = std::stod(trace.substr(trace.find("\"dur\":", pos) + 6));
-    ev.tid = std::stoi(trace.substr(trace.find("\"tid\":", pos) + 6));
-    events.push_back(std::move(ev));
-    ++pos;
-  }
+  const std::vector<testing::TraceSpan> events =
+      testing::parse_trace_spans(trace);
   // 3 executions x 2 spans.
   const auto outer_count = std::count_if(
       events.begin(), events.end(),
-      [](const Ev& e) { return e.name == "test.nest.outer"; });
+      [](const testing::TraceSpan& e) { return e.name == "test.nest.outer"; });
   const auto inner_count = std::count_if(
       events.begin(), events.end(),
-      [](const Ev& e) { return e.name == "test.nest.inner"; });
+      [](const testing::TraceSpan& e) { return e.name == "test.nest.inner"; });
   EXPECT_EQ(outer_count, 3);
   EXPECT_EQ(inner_count, 3);
 
-  // Nesting: every inner interval lies inside exactly one outer interval
-  // WITH THE SAME tid; intervals never straddle (proper containment, the
-  // invariant chrome://tracing needs to build its flame graph).
-  for (const Ev& in : events) {
-    if (in.name != "test.nest.inner") continue;
-    int containers = 0;
-    for (const Ev& out : events) {
-      if (out.name != "test.nest.outer" || out.tid != in.tid) continue;
-      const bool contains = out.ts <= in.ts + 1e-9 &&
-                            in.ts + in.dur <= out.ts + out.dur + 1e-9;
-      const bool disjoint =
-          in.ts + in.dur <= out.ts + 1e-9 || out.ts + out.dur <= in.ts + 1e-9;
-      EXPECT_TRUE(contains || disjoint)
-          << "inner [" << in.ts << "," << in.ts + in.dur << ") straddles "
-          << "outer [" << out.ts << "," << out.ts + out.dur << ") tid="
-          << in.tid;
-      containers += contains ? 1 : 0;
-    }
-    EXPECT_EQ(containers, 1) << "tid=" << in.tid;
+  // Nesting: spans on one tid never straddle (proper containment, the
+  // invariant chrome://tracing needs to build its flame graph), and every
+  // inner interval lies inside exactly one span of its tid, its outer one.
+  const std::vector<int> depth = testing::expect_spans_nest(events);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].name != "test.nest.inner") continue;
+    EXPECT_EQ(depth[i], 1) << "tid=" << events[i].tid;
   }
   // Three distinct threads -> three distinct tids among the outer spans.
   std::vector<int> tids;
-  for (const Ev& e : events) {
+  for (const testing::TraceSpan& e : events) {
     if (e.name == "test.nest.outer") tids.push_back(e.tid);
   }
   std::sort(tids.begin(), tids.end());

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -113,6 +115,88 @@ inline Graph with_fractional_weights(const Graph& g) {
     }
   }
   return b.build();
+}
+
+/// Step s of a churn stream: a 32 x 32 grid with fractional weights plus a
+/// 6 x 6 window of diagonals whose place moves with s.  Consecutive steps
+/// rewire survivors and append no vertex.
+inline std::shared_ptr<const Graph> churn_graph(int step) {
+  const VertexId side = 32;
+  GraphBuilder b(side * side);
+  const auto at = [side](VertexId r, VertexId c) { return r * side + c; };
+  for (VertexId r = 0; r < side; ++r) {
+    for (VertexId c = 0; c < side; ++c) {
+      if (c + 1 < side) b.add_edge(at(r, c), at(r, c + 1));
+      if (r + 1 < side) b.add_edge(at(r, c), at(r + 1, c));
+    }
+  }
+  const VertexId r0 = (7 * step) % 24;
+  const VertexId c0 = (11 * step) % 24;
+  for (VertexId r = r0; r < r0 + 6; ++r) {
+    for (VertexId c = c0; c < c0 + 6; ++c) {
+      b.add_edge(at(r, c), at(r + 1, c + 1));
+    }
+  }
+  return std::make_shared<const Graph>(with_fractional_weights(b.build()));
+}
+
+/// One complete event of a Chrome trace (Tracer::export_chrome_trace).
+struct TraceSpan {
+  std::string name;
+  double ts = 0.0, dur = 0.0;  ///< microseconds
+  int tid = 0;
+};
+
+/// The events of an exported trace, in export order.
+inline std::vector<TraceSpan> parse_trace_spans(const std::string& trace) {
+  std::vector<TraceSpan> spans;
+  std::size_t pos = 0;
+  while ((pos = trace.find("{\"name\":\"", pos)) != std::string::npos) {
+    TraceSpan span;
+    const std::size_t name_start = pos + 9;
+    const std::size_t name_end = trace.find('"', name_start);
+    span.name = trace.substr(name_start, name_end - name_start);
+    span.ts = std::stod(trace.substr(trace.find("\"ts\":", pos) + 5));
+    span.dur = std::stod(trace.substr(trace.find("\"dur\":", pos) + 6));
+    span.tid = std::stoi(trace.substr(trace.find("\"tid\":", pos) + 6));
+    spans.push_back(std::move(span));
+    ++pos;
+  }
+  return spans;
+}
+
+/// Expects every two spans on one tid to be nested or disjoint, the
+/// invariant a flame-graph view needs, and returns each span's depth: how
+/// many spans on its tid contain it.  The exporter rounds each endpoint to
+/// the nanosecond, so endpoints may meet within 10 ns.
+inline std::vector<int> expect_spans_nest(const std::vector<TraceSpan>& spans) {
+  constexpr double kEps = 1e-2;
+  const auto within = [&](const TraceSpan& in, const TraceSpan& out) {
+    return out.ts <= in.ts + kEps && in.ts + in.dur <= out.ts + out.dur + kEps;
+  };
+  std::map<int, std::vector<std::size_t>> by_tid;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    by_tid[spans[i].tid].push_back(i);
+  }
+  std::vector<int> depth(spans.size(), 0);
+  for (const auto& [tid, members] : by_tid) {
+    for (const std::size_t i : members) {
+      const TraceSpan& a = spans[i];
+      for (const std::size_t j : members) {
+        if (j == i) continue;
+        const TraceSpan& b = spans[j];
+        depth[i] += within(a, b) ? 1 : 0;
+        if (j < i) continue;  // each pair is checked once
+        const bool disjoint =
+            a.ts + a.dur <= b.ts + kEps || b.ts + b.dur <= a.ts + kEps;
+        EXPECT_TRUE(within(a, b) || within(b, a) || disjoint)
+            << a.name << " [" << a.ts << "," << a.ts + a.dur
+            << ") straddles " << b.name << " [" << b.ts << ","
+            << b.ts + b.dur << ") tid=" << tid;
+      }
+    }
+  }
+  return depth;
 }
 
 /// A session image of (g, a) at `epoch` under the default fitness, with

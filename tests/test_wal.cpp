@@ -539,6 +539,23 @@ TEST(WalLog, EveryNFlushesResidualRecordsOnClose) {
   EXPECT_EQ(rec.records[1].payload, "still-buffered");
 }
 
+// Recovery demands a gapless epoch chain: a delta for epoch 3 right after
+// epoch 1 means a record is missing, and so does a refinement for an epoch
+// the log has not reached.
+TEST(WalLog, RecoveryRejectsABrokenEpochChain) {
+  for (const WalRecordType second :
+       {WalRecordType::kDelta, WalRecordType::kRefine}) {
+    const std::string dir = fresh_dir("epoch_gap");
+    {
+      auto wal = make_wal(dir);
+      wal->append(WalRecordType::kDelta, 1, "first", 1);
+      wal->append(second, 3, "third", 1);
+    }
+    EXPECT_THROW(SessionWal::recover(dir, DurabilityConfig{}),
+                 WalCorruptError);
+  }
+}
+
 TEST(WalLog, DurableBytesTracksTheFsyncFrontier) {
   DurabilityConfig every_n;
   every_n.fsync = FsyncPolicy::kEveryN;
