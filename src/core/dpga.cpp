@@ -26,24 +26,6 @@ DpgaResult run_dpga(const Graph& g, const DpgaConfig& config,
   const auto islands = static_cast<std::size_t>(config.num_islands);
   const auto neighbors = build_topology(config.topology, config.num_islands);
 
-  // One persistent pool for the whole run (replacing the old fork-join of a
-  // fresh std::thread per island per burst).
-  std::unique_ptr<Executor> owned_pool;
-  if (executor == nullptr && config.parallel) {
-    // Default pool size: one thread per island for multi-island runs; a
-    // single-island run hands the pool to the engine (offspring batching),
-    // which wants every hardware thread.
-    const int threads =
-        config.num_threads > 0
-            ? config.num_threads
-            : (config.num_islands > 1
-                   ? std::min(config.num_islands, Executor::hardware_threads())
-                   : Executor::hardware_threads());
-    if (threads > 1) {
-      owned_pool = std::make_unique<Executor>(threads);
-      executor = owned_pool.get();
-    }
-  }
   // Multi-island runs parallelize across islands (engines step serially
   // inside their burst task); a single-island run hands the pool to the
   // engine, which batch-evaluates offspring on it instead.

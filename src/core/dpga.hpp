@@ -7,13 +7,13 @@
 // individuals to its topology neighbours (paper: 16 subpopulations on a
 // 4-dimensional hypercube), which replace the receivers' worst members.
 //
-// Islands are stepped serially or as work items ("island bursts") on one
-// persistent Executor that lives for the whole run — no per-burst thread
-// fork/join.  Results are bit-identical between the two modes: every island
-// owns an independent RNG stream, and migration is applied in fixed island
-// order after the epoch barrier — mirroring a deterministic message-passing
-// (MPI-style) exchange.  With a single island the pool is handed to the
-// engine instead, which then batch-evaluates its offspring on it.
+// Islands are stepped serially or as work items ("island bursts") on the
+// caller's persistent Executor — no per-burst thread fork/join.  Results are
+// bit-identical between the two modes: every island owns an independent RNG
+// stream, and migration is applied in fixed island order after the epoch
+// barrier — mirroring a deterministic message-passing (MPI-style) exchange.
+// With a single island the pool is handed to the engine instead, which then
+// batch-evaluates its offspring on it.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +30,6 @@ struct DpgaConfig {
   TopologyKind topology = TopologyKind::kHypercube;
   int migration_interval = 5;      ///< generations between exchanges
   int migrants_per_exchange = 1;   ///< best-k individuals sent per neighbour
-  bool parallel = false;           ///< island bursts on a shared thread pool
-  /// Pool size when `parallel` and no external Executor is supplied:
-  /// 0 = min(num_islands, hardware threads).
-  int num_threads = 0;
   /// Per-island GA settings.  ga.population_size is the TOTAL population
   /// (paper: 320); each island receives population_size / num_islands.
   GaConfig ga;
@@ -54,9 +50,10 @@ struct DpgaResult {
 };
 
 /// Runs the DPGA.  `initial` chromosomes are dealt round-robin to islands;
-/// they are cycled if fewer than the total population.  `executor` (optional,
-/// non-owning) overrides the internally created pool; when null and
-/// config.parallel is set, one persistent pool is created for the run.
+/// they are cycled if fewer than the total population.  `executor`
+/// (optional, non-owning) runs the island bursts — or, for one island, the
+/// engine's offspring evaluation; when null every island steps serially on
+/// the calling thread.  Results are identical either way.
 DpgaResult run_dpga(const Graph& g, const DpgaConfig& config,
                     std::vector<Assignment> initial, Rng rng,
                     Executor* executor = nullptr);

@@ -7,6 +7,15 @@
 
 namespace gapart {
 
+namespace {
+
+/// Flip budget for the clone delta path as a fraction of |V|; children whose
+/// mutation flips more genes fall back to a full evaluation.  At the paper's
+/// p_m = 0.01 the budget is never exceeded in practice.
+constexpr double kDeltaEvalMaxFlipFraction = 0.1;
+
+}  // namespace
+
 GaEngine::GaEngine(const Graph& g, const GaConfig& config,
                    std::vector<Assignment> initial, Rng rng,
                    Executor* executor)
@@ -128,8 +137,8 @@ void GaEngine::finish_child(std::vector<Individual>& batch, std::size_t index,
     // the mutation flips as move deltas — no O(V+E) pass at all when the
     // flip count stays under budget.
     const auto n = static_cast<double>(eval_.graph().num_vertices());
-    const auto max_flips = static_cast<std::int64_t>(
-        config_.delta_eval_max_flip_fraction * n);
+    const auto max_flips =
+        static_cast<std::int64_t>(kDeltaEvalMaxFlipFraction * n);
     ind.metrics =
         population_[static_cast<std::size_t>(clone_parent)].metrics;
     ind.fitness = eval_.mutate_clone_and_evaluate(

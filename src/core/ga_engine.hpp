@@ -92,10 +92,6 @@ struct GaConfig {
   /// floating-point rounding — the same guarantee hill-climbed children
   /// already get from PartitionState's incremental fitness.
   bool delta_eval_clones = true;
-  /// Flip budget for the clone delta path as a fraction of |V|; children
-  /// whose mutation flips more genes fall back to a full evaluation.  At the
-  /// paper's p_m = 0.01 the budget is never exceeded in practice.
-  double delta_eval_max_flip_fraction = 0.1;
 };
 
 /// Per-generation statistics (drives the convergence figures).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -17,20 +18,14 @@ bool cancelled(const HillClimbOptions& options) {
 
 /// Preconditions shared by every overload.  Factored out so the chromosome
 /// overload can check them *before* moving the caller's genes into a
-/// PartitionState (strong guarantee).
-void validate_options(const Graph& g, const HillClimbOptions& options) {
+/// PartitionState (strong guarantee).  Seed ranges are checked by
+/// filter_boundary, before the seeded climb's first move.
+void validate_options(const HillClimbOptions& options) {
   GAPART_REQUIRE(options.max_passes >= 1, "need at least one pass");
   if (options.mode != HillClimbMode::kSweep) {
     GAPART_REQUIRE(options.min_gain > 0.0,
                    "frontier mode needs min_gain > 0 to terminate, got ",
                    options.min_gain);
-    // filter_boundary re-checks seed ranges, but that happens after the
-    // chromosome overload has moved the caller's genes into a
-    // PartitionState — the strong guarantee needs the check up front.
-    for (const VertexId v : options.seed_vertices) {
-      GAPART_REQUIRE(v >= 0 && v < g.num_vertices(), "seed vertex ", v,
-                     " out of range for |V| = ", g.num_vertices());
-    }
   }
 }
 
@@ -64,7 +59,7 @@ HillClimbResult climb_sweep(PartitionState& state, const FitnessParams& params,
 }
 
 /// Frontier worklist: after a pass over the initial worklist — the full
-/// boundary, or options.seed_vertices filtered to it — follow-up passes
+/// boundary, or `seeds` filtered to it — follow-up passes
 /// examine only vertices enqueued when a move changed their neighbourhood.
 /// Each pass processes its worklist ascending, so runs are deterministic.
 /// Because the composite objective couples distant vertices through the
@@ -82,18 +77,18 @@ HillClimbResult climb_sweep(PartitionState& state, const FitnessParams& params,
 /// accepted move improves fitness by more than min_gain > 0.
 HillClimbResult climb_frontier(PartitionState& state,
                                const FitnessParams& params,
-                               const HillClimbOptions& options) {
+                               const HillClimbOptions& options,
+                               std::span<const VertexId> seeds) {
   HillClimbResult result;
   const Graph& g = state.graph();
-  const bool seeded = !options.seed_vertices.empty();
+  const bool seeded = !seeds.empty();
 
   // Worklist-membership flags: the state's epoch-stamped scratch, so a
   // seeded cascade touching d vertices costs O(d) — no O(V) allocation or
   // memset per climb.
   EpochFlags& queued = state.visit_scratch();
-  std::vector<VertexId> current = seeded
-                                      ? state.filter_boundary(options.seed_vertices)
-                                      : state.boundary_vertices();
+  std::vector<VertexId> current =
+      seeded ? state.filter_boundary(seeds) : state.boundary_vertices();
   for (const VertexId v : current) queued.set(v);
   // gain_ordered: two next-buckets — "hot" holds vertices whose
   // neighbourhood a move just disturbed (where new positive gains appear),
@@ -169,40 +164,41 @@ HillClimbResult climb_frontier(PartitionState& state,
   return result;
 }
 
+/// `seeds` only reach the kFrontier climb (hill_climb_from forces the mode).
 HillClimbResult climb_impl(PartitionState& state, const FitnessParams& params,
                            const HillClimbOptions& options,
-                           const EvalContext* eval) {
-  validate_options(state.graph(), options);
+                           const EvalContext* eval,
+                           std::span<const VertexId> seeds = {}) {
+  validate_options(options);
   HillClimbResult result;
   switch (options.mode) {
     case HillClimbMode::kSweep:
       result = climb_sweep(state, params, options);
       break;
     case HillClimbMode::kFrontier:
-      result = climb_frontier(state, params, options);
+      result = climb_frontier(state, params, options, seeds);
       break;
   }
   if (eval != nullptr) eval->count_delta(result.moves);
   return result;
 }
 
-HillClimbOptions with_seeds(const HillClimbOptions& options,
-                            std::span<const VertexId> seeds) {
-  HillClimbOptions seeded = options;
-  seeded.mode = HillClimbMode::kFrontier;
-  seeded.seed_vertices.assign(seeds.begin(), seeds.end());
-  return seeded;
-}
-
-/// Zero seeds = zero damage: without verification rounds there is nothing to
-/// do, and falling through would run a full-boundary frontier climb — the
-/// maximum cost for the minimum damage.  Preconditions are still enforced,
-/// so a misconfigured caller fails the same way whatever its damage set.
-bool seeded_noop(const Graph& g, std::span<const VertexId> seeds,
-                 const HillClimbOptions& seeded_options) {
-  if (!seeds.empty() || seeded_options.verify_fixed_point) return false;
-  validate_options(g, seeded_options);
-  return true;
+HillClimbResult climb_from(PartitionState& state, const FitnessParams& params,
+                           std::span<const VertexId> seeds,
+                           const HillClimbOptions& options,
+                           const EvalContext* eval) {
+  HillClimbOptions frontier = options;
+  frontier.mode = HillClimbMode::kFrontier;
+  // Zero seeds = zero damage: without verification rounds there is nothing
+  // to do, and falling through would run a full-boundary frontier climb —
+  // the maximum cost for the minimum damage.  Preconditions are still
+  // enforced, so a misconfigured caller fails the same way whatever its
+  // damage set.
+  if (seeds.empty() && !frontier.verify_fixed_point) {
+    validate_options(frontier);
+    return {};
+  }
+  return climb_impl(state, params, frontier, eval, seeds);
 }
 
 }  // namespace
@@ -220,7 +216,7 @@ HillClimbResult hill_climb(const Graph& g, Assignment& genes, PartId num_parts,
   GAPART_REQUIRE(num_parts >= 1, "need at least one part");
   GAPART_REQUIRE(is_valid_assignment(g, genes, num_parts),
                  "invalid assignment for ", num_parts, " parts");
-  validate_options(g, options);
+  validate_options(options);
   PartitionState state(g, std::move(genes), num_parts);
   const HillClimbResult result = hill_climb(state, options);
   genes = std::move(state).release_assignment();
@@ -235,17 +231,13 @@ HillClimbResult hill_climb(const EvalContext& eval, PartitionState& state,
 HillClimbResult hill_climb_from(PartitionState& state,
                                 std::span<const VertexId> seeds,
                                 const HillClimbOptions& options) {
-  const HillClimbOptions seeded = with_seeds(options, seeds);
-  if (seeded_noop(state.graph(), seeds, seeded)) return {};
-  return hill_climb(state, seeded);
+  return climb_from(state, options.fitness, seeds, options, nullptr);
 }
 
 HillClimbResult hill_climb_from(const EvalContext& eval, PartitionState& state,
                                 std::span<const VertexId> seeds,
                                 const HillClimbOptions& options) {
-  const HillClimbOptions seeded = with_seeds(options, seeds);
-  if (seeded_noop(state.graph(), seeds, seeded)) return {};
-  return hill_climb(eval, state, seeded);
+  return climb_from(state, eval.params(), seeds, options, &eval);
 }
 
 }  // namespace gapart

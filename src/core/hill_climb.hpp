@@ -14,18 +14,17 @@
 //                optimum (no boundary vertex has an improving move), though
 //                possibly via a different move order.
 //
-// Frontier mode additionally supports *worklist seeding*: instead of the
-// whole boundary, the initial worklist can be a caller-supplied vertex set —
-// the vertices an incremental mesh update actually touched.  The cascade
-// then costs O(damage), and the usual full-boundary verification rounds
-// (unless disabled) restore the sweep fixed-point class.  This is the
+// Frontier mode additionally supports *worklist seeding* (hill_climb_from):
+// instead of the whole boundary, the initial worklist can be a caller-supplied
+// vertex set — the vertices an incremental mesh update actually touched.
+// The cascade then costs O(damage), and the usual full-boundary verification
+// rounds (unless disabled) restore the sweep fixed-point class.  This is the
 // damage-proportional repair primitive behind repair_step.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/eval.hpp"
 #include "graph/partition.hpp"
@@ -43,23 +42,18 @@ struct HillClimbOptions {
   HillClimbMode mode = HillClimbMode::kSweep;
   /// kSweep: full vertex scans.  kFrontier: full-boundary rounds — the
   /// worklist cascade between rounds is not charged against this budget,
-  /// and a seeded cascade (seed_vertices non-empty) is free as well.
+  /// and hill_climb_from's seeded cascade is free as well.
   int max_passes = 4;
   /// Minimum fitness improvement for a move to be taken.  Must be positive
   /// in kFrontier mode (it bounds the worklist cascade).
   double min_gain = 1e-9;
-  /// kFrontier only: when non-empty, the initial worklist is this vertex set
-  /// (filtered to the live boundary, deduplicated) instead of the whole
-  /// boundary.  The cascade from the seeds costs O(damage), after which the
-  /// verification rounds below take over.  Ignored by kSweep.
-  std::vector<VertexId> seed_vertices;
   /// kFrontier only: once the worklist drains, re-seed it from the full
   /// boundary and only stop when a full round finds nothing — the same
   /// fixed-point class as sweep (the composite objective couples distant
   /// vertices through the part weights, so a drained worklist alone proves
-  /// nothing).  Disable to stop at the drained worklist: cost then stays
-  /// proportional to the seeded cascade, but the result is only settled
-  /// around the seeds, not a verified local optimum.
+  /// nothing).  Disable to stop at the drained worklist: a hill_climb_from
+  /// climb's cost then stays proportional to its seeded cascade, but the
+  /// result is only settled around the seeds, not a verified local optimum.
   bool verify_fixed_point = true;
   /// kFrontier only: first-cut gain-ordered worklist.  Each pass processes
   /// the bucket of likely-positive-gain vertices (neighbours a move just
@@ -106,10 +100,12 @@ HillClimbResult hill_climb(const Graph& g, Assignment& genes, PartId num_parts,
 HillClimbResult hill_climb(const EvalContext& eval, PartitionState& state,
                            const HillClimbOptions& options = {});
 
-/// Damage-proportional repair entry point: a kFrontier climb whose worklist
-/// starts from `seeds` instead of the whole boundary (equivalent to setting
-/// options.seed_vertices; options.mode is ignored).  Seeds outside the
-/// current boundary are skipped; out-of-range ids throw.  An empty seed set
+/// Damage-proportional repair entry point, and the only way to seed a climb:
+/// a kFrontier climb whose initial worklist is `seeds` (filtered to the live
+/// boundary, deduplicated) instead of the whole boundary; options.mode is
+/// ignored.  The cascade from the seeds costs O(damage), after which the
+/// verification rounds take over.  Seeds outside the current boundary are
+/// skipped; out-of-range ids throw before any move.  An empty seed set
 /// cascades nothing: with verify_fixed_point the climb is just the
 /// verification rounds (O(boundary), still yielding a verified local
 /// optimum); without it, a no-op.

@@ -16,6 +16,21 @@ namespace gapart {
 
 namespace {
 
+/// Swap perturbation applied to the non-verbatim quotient seeds of the
+/// combine's GA.
+constexpr double kSeedSwapFraction = 0.1;
+/// Pass budget of the frontier climbs that replace the combine's GA when the
+/// quotient exceeds CombineOptions::max_quotient_vertices.
+constexpr int kFallbackHillClimbPasses = 2;
+/// Adaptive depth: stop evolving on the way up once a level's relative
+/// fitness improvement (|gain| / |fitness|) drops below this.
+constexpr double kStagnationImprovement = 1e-4;
+/// Seeded-repair uncoarsening: budgeted verification rounds after the
+/// projected-boundary cascade drains (hill_climb_from semantics), and the
+/// smallest gain a move must make.
+constexpr int kRefineVerifyPasses = 4;
+constexpr double kRefineMinGain = 1e-9;
+
 /// Labels the connected components of the agreement subgraph: an edge (u, v)
 /// belongs to it iff both parents put u and v in the same part.  Along any
 /// agreement path both parents are therefore constant, so each component has
@@ -82,7 +97,7 @@ void combine_partitions(const Graph& g, PartId num_parts,
   HillClimbOptions hc;
   hc.fitness = fitness;
   hc.mode = HillClimbMode::kFrontier;
-  hc.max_passes = options.fallback_hill_climb_passes;
+  hc.max_passes = kFallbackHillClimbPasses;
 
   if (nc > options.max_quotient_vertices) {
     // The parents disagree too broadly for a GA-sized quotient: climb both
@@ -107,7 +122,7 @@ void combine_partitions(const Graph& g, PartId num_parts,
   cfg.stall_generations = options.stall_generations;
   cfg.hill_climb_offspring = true;
   auto initial = make_mixed_population({qa, qb}, cfg.population_size,
-                                       options.seed_swap_fraction, rng);
+                                       kSeedSwapFraction, rng);
   // Serial on purpose: combine runs inside a GA's generate phase, which may
   // itself sit next to a pooled evaluate phase — no nested fan-out.
   const GaResult res =
@@ -184,10 +199,8 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
       cfg.max_generations = options.level_max_generations;
       cfg.stall_generations = options.level_stall;
       cfg.knux_reference.reset();
-      if (options.combine_crossover) {
-        cfg.crossover = CrossoverOp::kCombine;
-        cfg.combine = make_quotient_combine(lg, k, params, options.combine);
-      }
+      cfg.crossover = CrossoverOp::kCombine;
+      cfg.combine = make_quotient_combine(lg, k, params, options.combine);
       auto initial = make_seeded_population(
           state.assignment(), cfg.population_size, /*swap_fraction=*/0.08,
           rng);
@@ -204,8 +217,7 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
                                             report.fitness_before);
       const double rel =
           gain / std::max(1e-12, std::abs(report.fitness_before));
-      if (options.stagnation_improvement > 0.0 &&
-          rel < options.stagnation_improvement) {
+      if (rel < kStagnationImprovement) {
         evolve_more = false;
         result.adaptive_stop = true;
       }
@@ -215,14 +227,13 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     // (where projection artifacts live), cascades in O(damage), and the
     // budgeted verification rounds restore the sweep fixed-point class.
     HillClimbOptions hc;
-    hc.mode = HillClimbMode::kFrontier;
-    hc.max_passes = options.refine_verify_passes;
-    hc.min_gain = options.refine_min_gain;
+    hc.max_passes = kRefineVerifyPasses;
+    hc.min_gain = kRefineMinGain;
     hc.gain_ordered = true;
     hc.verify_fixed_point = true;
-    hc.seed_vertices = state.boundary_vertices();
     hc.cancel = options.cancel;
-    const HillClimbResult climb = hill_climb(eval, state, hc);
+    const HillClimbResult climb =
+        hill_climb_from(eval, state, state.boundary_vertices(), hc);
     report.climb_moves = climb.moves;
     report.fitness_after = state.fitness(params);
     result.full_evaluations += eval.full_evaluations();

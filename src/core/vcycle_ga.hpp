@@ -22,8 +22,8 @@
 //
 // Evolution depth is adaptive (Preen & Smith's multilevel GA observation):
 // ascending GAs stop as soon as a level's relative improvement falls below
-// `stagnation_improvement` — coarse levels are where recombination pays;
-// fine levels are refinement territory.
+// a fixed 1e-4 (kStagnationImprovement in vcycle_ga.cpp) — coarse levels are
+// where recombination pays; fine levels are refinement territory.
 //
 // vcycle_ga_refine is the incremental entry point: the hierarchy is built
 // with partition-RESPECTING matching (only same-part vertices merge), so a
@@ -56,13 +56,10 @@ struct CombineOptions {
   int population = 24;
   int max_generations = 40;
   int stall_generations = 8;
-  /// Swap perturbation applied to the non-verbatim quotient seeds.
-  double seed_swap_fraction = 0.1;
   /// When the parents disagree so broadly that the quotient exceeds this,
   /// skip the GA: both quotient projections are frontier-climbed instead
   /// (still monotone, still cheap — the climb is O(quotient boundary)).
   VertexId max_quotient_vertices = 4096;
-  int fallback_hill_climb_passes = 2;
 };
 
 /// The KaFFPaE-style combine: contract the clusters on which `a` and `b`
@@ -89,27 +86,17 @@ struct VcycleGaOptions {
   VertexId coarse_vertices_per_part = 40;
   /// The coarsest-level search: the paper's DPGA, verbatim.
   DpgaConfig dpga;
-  /// Use the quotient-graph combine as the crossover of the ascending
-  /// per-level GAs (false: they inherit dpga.ga.crossover, e.g. DKNUX).
-  bool combine_crossover = true;
+  /// Budget of the quotient-graph combine, the crossover of the ascending
+  /// per-level GAs.
   CombineOptions combine;
 
   /// Ascending evolution budget: levels larger than this are refine-only.
   VertexId max_evolve_vertices = 16384;
-  /// Adaptive depth: stop evolving on the way up once a level's relative
-  /// fitness improvement (|gain| / |fitness|) drops below this.  <= 0 keeps
-  /// evolving every level under max_evolve_vertices.
-  double stagnation_improvement = 1e-4;
   /// Per-level GA budget (population is per level, not the paper's 320 —
   /// these runs are seeded with the incumbent and only polish it).
   int level_population = 32;
   int level_max_generations = 30;
   int level_stall = 6;
-
-  /// Seeded-repair uncoarsening: budgeted verification rounds after the
-  /// projected-boundary cascade drains (hill_climb_from semantics).
-  int refine_verify_passes = 4;
-  double refine_min_gain = 1e-9;
 
   /// Cooperative cancellation, checked between levels and threaded into the
   /// climbs: progress made so far is kept (monotone).  Non-owning.

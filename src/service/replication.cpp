@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -25,6 +26,8 @@ constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
 constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
 
 constexpr std::size_t kLagWindow = 4096;
+/// Cap on log bytes read per session per pump (keeps one pump bounded).
+constexpr std::uint64_t kMaxReadBytesPerPump = 4ull << 20;
 
 std::string generation_path(const std::string& dir) {
   return dir + "/GENERATION";
@@ -141,7 +144,7 @@ void ReplicationShipper::resync(SessionId id, SessionShip& ship) {
   // means a compaction racing us lands with snapshot_epoch > what we record
   // here, so observe_compaction re-checks it next pump instead of silently
   // marking it covered.
-  const SessionStats st = session->stats();
+  const std::optional<WalStats> wal = session->wal_stats();
   const auto snap = session->snapshot();
 
   RepFrame frame;
@@ -160,7 +163,7 @@ void ReplicationShipper::resync(SessionId id, SessionShip& ship) {
   ship.needs_resync = false;
   ship.file_offset = kWalLogHeaderBytes;
   ship.read_epoch = snap->update_epoch;
-  ship.shipped_snapshot_epoch = st.wal.snapshot_epoch;
+  ship.shipped_snapshot_epoch = wal.has_value() ? wal->snapshot_epoch : 0;
   if (ship.gate == nullptr) {
     ship.gate = std::make_shared<WalShipGate>();
     session->set_ship_gate(ship.gate);
@@ -209,8 +212,8 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
   if (wal.durable_bytes <= ship.file_offset) return;
   // Never past the leader's fsynced offset: a follower must not hold an
   // update the leader could still lose.
-  const std::uint64_t limit = std::min(
-      wal.durable_bytes, ship.file_offset + config_.max_read_bytes_per_pump);
+  const std::uint64_t limit =
+      std::min(wal.durable_bytes, ship.file_offset + kMaxReadBytesPerPump);
   const std::string path = service_.session_wal_dir(id) + "/wal.log";
   const WalTail tail = read_log_tail(path, ship.file_offset, limit);
   for (std::size_t i = 0; i < tail.records.size(); ++i) {
@@ -303,22 +306,21 @@ int ReplicationShipper::pump() {
   int sent = 0;
   for (const SessionId id : service_.session_ids()) {
     SessionShip& ship = ships_[id];
-    SessionStats st;
     std::uint64_t epoch = 0;
     try {
       const auto session = service_.session_handle(id);
-      st = session->stats();
+      const std::optional<WalStats> wal = session->wal_stats();
       epoch = session->snapshot()->update_epoch;
-      if (!st.durable) continue;
+      if (!wal.has_value()) continue;
       if (!ship.attached || ship.needs_resync) resync(id, ship);
-      observe_compaction(id, ship, st.wal);
-      read_tail(id, ship, st.wal);
+      observe_compaction(id, ship, *wal);
+      read_tail(id, ship, *wal);
       // Compaction liveness: apply_update evaluates the policy only right
       // after an append, when the ship gate is necessarily still behind the
       // fresh record — a strict gate (ship_retain_bytes == 0) would defer
       // forever.  This pump just consumed the tail, so run anything the
       // gate deferred; observe_compaction ships the boundary next pump.
-      if (ship.attached && ship.file_offset >= st.wal.durable_bytes) {
+      if (ship.attached && ship.file_offset >= wal->durable_bytes) {
         session->poll_compaction();
       }
     } catch (const Error&) {
@@ -367,8 +369,10 @@ bool ReplicationShipper::drained() const {
     if (!ship.attached || ship.needs_resync) return false;
     if (!ship.queue.empty()) return false;
     try {
-      const SessionStats st = service_.session_handle(id)->stats();
-      if (st.durable && st.wal.durable_bytes > ship.file_offset) return false;
+      const auto wal = service_.session_handle(id)->wal_stats();
+      if (wal.has_value() && wal->durable_bytes > ship.file_offset) {
+        return false;
+      }
     } catch (const Error&) {
       continue;
     }

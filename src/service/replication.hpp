@@ -129,8 +129,6 @@ struct ShipperConfig {
   /// Pumps without ack progress (while frames are outstanding) before the
   /// shipper re-sends everything unacked from the acked offset.
   int resume_after_stalled_pumps = 3;
-  /// Cap on log bytes read per session per pump (keeps one pump bounded).
-  std::uint64_t max_read_bytes_per_pump = 4ull << 20;
 };
 
 struct ShipperStats {

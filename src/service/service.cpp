@@ -64,10 +64,20 @@ SessionId PartitionService::open(std::shared_ptr<PartitionSession> session) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
-    sessions_.emplace(id, session);
   }
-  // Make the opening state durable before the id is handed back.
-  if (config_.durability.enabled()) create_wal(id, *session);
+  // Make the opening state durable under the reserved id before the session
+  // becomes visible.  A failed open leaves nothing behind: no session the
+  // client never got an id for, and no partial directory for recover().
+  if (config_.durability.enabled()) {
+    try {
+      create_wal(id, *session);
+    } catch (...) {
+      std::error_code ec;
+      std::filesystem::remove_all(session_dir(id), ec);  // best effort
+      throw;
+    }
+  }
+  insert_with_id(id, std::move(session));
   return id;
 }
 
@@ -114,9 +124,22 @@ std::vector<RecoveryReport> PartitionService::recover(
   }
   std::sort(ids.begin(), ids.end());
 
+  // An entry whose status cannot be read is not taken for absent.
+  const auto absent = [](const std::string& path) {
+    std::error_code err;
+    return fs::status(path, err).type() == fs::file_type::not_found;
+  };
+  // Replay every session before inserting any, so a session that fails to
+  // recover leaves the service as it found it and recover() can be retried.
+  std::vector<std::pair<SessionId, std::shared_ptr<PartitionSession>>>
+      recovered;
   for (const SessionId id : ids) {
+    const std::string dir = session_dir(id);
+    // An open that died before CURRENT or wal.log existed never handed its
+    // id back, so nothing in it was acked.
+    if (absent(dir + "/CURRENT") && absent(dir + "/wal.log")) continue;
     WallTimer timer;
-    auto rec = SessionWal::recover(session_dir(id), config_.durability);
+    auto rec = SessionWal::recover(dir, config_.durability);
     RecoveryReport rep;
     rep.session_id = id;
     rep.snapshot_epoch = rec.image.epoch;
@@ -134,8 +157,17 @@ std::vector<RecoveryReport> PartitionService::recover(
     rep.final_epoch = session->snapshot()->update_epoch;
     rep.seconds = timer.seconds();
     reports.push_back(rep);
+    recovered.emplace_back(id, std::move(session));
+  }
 
-    insert_with_id(id, std::move(session));
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [id, session] : recovered) {
+    GAPART_REQUIRE(!sessions_.contains(id), "session id ", id,
+                   " already exists");
+  }
+  for (auto& [id, session] : recovered) {
+    sessions_.emplace(id, std::move(session));
+    next_id_ = std::max(next_id_, id + 1);
   }
   return reports;
 }

@@ -127,6 +127,9 @@ class PartitionService {
   PartitionService& operator=(const PartitionService&) = delete;
 
   /// Opens a session on `graph` partitioned as `initial`; returns its id.
+  /// A durable open writes the session's directory before the session
+  /// becomes visible; when that throws, the service holds no new session
+  /// and the partial directory is removed.
   SessionId open_session(std::shared_ptr<const Graph> graph,
                          Assignment initial, SessionConfig config);
 
@@ -145,9 +148,13 @@ class PartitionService {
   /// supplies the non-persisted session config knobs (budgets, policy) the
   /// recovered sessions use from then on; num_parts and the fitness
   /// objective come from each session's snapshot image.  Call on a fresh
-  /// service before opening new sessions.
+  /// service before opening new sessions.  A directory holding neither
+  /// CURRENT nor wal.log is an open that never completed and is skipped;
+  /// one with wal.log but no CURRENT is an error.
   /// Throws WalCorruptError on mid-log corruption (a torn *tail* is
-  /// tolerated and reported instead — it was never acknowledged).
+  /// tolerated and reported instead — it was never acknowledged).  Sessions
+  /// are inserted only after every one replayed: after a throw the service
+  /// holds none of them, so recover() can be retried.
   std::vector<RecoveryReport> recover(const SessionConfig& base);
 
   /// Closes a session: refuses further updates, cancels and drains any
@@ -223,8 +230,8 @@ class PartitionService {
 
  private:
   std::shared_ptr<PartitionSession> find(SessionId id) const;
-  /// Inserts a new session under a fresh id and, when durability is on,
-  /// gives it a WAL.
+  /// Reserves a fresh id, gives the session a WAL when durability is on,
+  /// then inserts it.
   SessionId open(std::shared_ptr<PartitionSession> session);
   /// Rebuilds a session from a WAL snapshot or an open frame: identity from
   /// the image, everything else (budgets, policy) from `base`.

@@ -7,10 +7,10 @@
 #include "common/bytes.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stats.hpp"
+#include "core/dpga.hpp"
 #include "core/eval.hpp"
 #include "core/hill_climb.hpp"
 #include "core/init.hpp"
-#include "core/presets.hpp"
 #include "graph/delta_codec.hpp"
 
 namespace gapart {
@@ -24,21 +24,19 @@ const Graph& require_graph(const std::shared_ptr<const Graph>& g) {
 
 }  // namespace
 
-SessionConfig::SessionConfig() : deep(paper_dpga_config(2, Objective::kTotalComm)) {
+SessionConfig::SessionConfig() {
   // The deep tier runs as ONE background task next to every other session's
   // work, so its defaults are a burst, not the paper's full table budget.
-  deep.num_islands = 4;
-  deep.parallel = true;  // island bursts ride the shared pool
-  deep.ga.population_size = 64;
-  deep.ga.max_generations = 60;
-  deep.ga.stall_generations = 15;
-  deep.ga.hill_climb_offspring = true;
-  deep.ga.hill_climb_fraction = 0.25;
-
-  // The V-cycle tier for big sessions: same burst discipline — the coarsest
-  // DPGA inherits the flat burst's budgets, and the ascending per-level GAs
-  // stay small (they only polish a seeded incumbent).
-  deep_vcycle.dpga = deep;
+  // The flat burst and the V-cycle's coarsest DPGA share these budgets; the
+  // ascending per-level GAs stay small (they only polish a seeded
+  // incumbent).
+  DpgaConfig& burst = deep_vcycle.dpga;
+  burst.num_islands = 4;
+  burst.ga.population_size = 64;
+  burst.ga.max_generations = 60;
+  burst.ga.stall_generations = 15;
+  burst.ga.hill_climb_offspring = true;
+  burst.ga.hill_climb_fraction = 0.25;
   deep_vcycle.level_population = 24;
   deep_vcycle.level_max_generations = 20;
   deep_vcycle.level_stall = 5;
@@ -402,6 +400,12 @@ bool PartitionSession::closed() const {
   return closed_;
 }
 
+std::optional<WalStats> PartitionSession::wal_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (wal_ == nullptr) return std::nullopt;
+  return wal_->stats();
+}
+
 SessionStats PartitionSession::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionStats out = stats_;
@@ -477,7 +481,7 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
       }
     } else {
       GAPART_SPAN("refine.dpga");
-      DpgaConfig dc = config.deep;
+      DpgaConfig dc = config.deep_vcycle.dpga;
       dc.ga.num_parts = config.num_parts;
       dc.ga.fitness = config.fitness;
       auto initial = make_seeded_population(

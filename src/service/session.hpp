@@ -41,7 +41,6 @@
 #include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
-#include "core/dpga.hpp"
 #include "core/graph_delta.hpp"
 #include "core/incremental.hpp"
 #include "core/vcycle_ga.hpp"
@@ -70,14 +69,13 @@ struct SessionConfig {
   RefinePolicyConfig policy;
   /// kLight refinement: verified frontier hill-climb round budget.
   int refine_hill_climb_passes = 8;
-  /// kDeep refinement: DPGA burst settings.  num_parts/fitness are
-  /// overwritten with the session's; keep the budgets modest — this runs on
-  /// the shared pool next to other sessions' work.
-  DpgaConfig deep;
-  /// kDeep refinement of sessions at/above policy.vcycle_min_vertices runs
-  /// the multilevel V-cycle engine instead of the flat burst (see
-  /// route_deep_vcycle).  dpga.ga.num_parts/fitness are overwritten with the
-  /// session's; the job's cancel token is threaded in per run.
+  /// kDeep refinement, both routes.  Sessions at/above
+  /// policy.vcycle_min_vertices run the multilevel V-cycle engine with these
+  /// options (see route_deep_vcycle); smaller ones run a flat DPGA burst
+  /// with `deep_vcycle.dpga`.  dpga.ga.num_parts/fitness are overwritten
+  /// with the session's; the job's cancel token is threaded in per run.
+  /// Keep the budgets modest — this runs on the shared pool next to other
+  /// sessions' work.
   VcycleGaOptions deep_vcycle;
 
   SessionConfig();
@@ -204,6 +202,12 @@ class PartitionSession {
   std::shared_ptr<const SessionSnapshot> snapshot() const;
 
   SessionStats stats() const;
+
+  /// The WAL's counters (SessionStats::wal), or nullopt without a WAL.  Only
+  /// an O(1) copy under the lock — what a per-pump poller should read
+  /// instead of stats(), which also copies the latency histogram and
+  /// unrolls the cut trajectory.
+  std::optional<WalStats> wal_stats() const;
 
   // --- Asynchronous refinement protocol (driven by PartitionService) ------
 

@@ -239,23 +239,37 @@ WalTail read_log_tail(const std::string& path, std::uint64_t offset,
   std::error_code ec;
   if (!fs::exists(path, ec)) return out;
 
-  const std::string bytes = read_file(path);
-  if (bytes.size() < kFileHeaderSize || offset > bytes.size()) return out;
+  // Only the header and [offset, min(limit, size)) are read: the shipper
+  // polls every pump, and the prefix it already shipped can be most of the
+  // file.
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is.good()) throw IoError("cannot open '" + path + "' for reading");
+  const auto size = static_cast<std::uint64_t>(is.tellg());
+  if (size < kFileHeaderSize || offset > size) return out;
+  std::string bytes(kFileHeaderSize, '\0');
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (is.bad()) throw IoError("read failed for '" + path + "'");
   check_log_header(bytes, path);
 
-  const std::size_t limit =
-      static_cast<std::size_t>(std::min<std::uint64_t>(limit_bytes,
-                                                       bytes.size()));
-  std::size_t pos = static_cast<std::size_t>(offset);
-  while (pos < limit) {
+  // A frame that would end past the limit does not parse in the window.
+  const std::uint64_t end = std::max(offset, std::min(limit_bytes, size));
+  bytes.assign(static_cast<std::size_t>(end - offset), '\0');
+  is.seekg(static_cast<std::streamoff>(offset));
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (is.bad()) throw IoError("read failed for '" + path + "'");
+  bytes.resize(static_cast<std::size_t>(is.gcount()));  // truncated under us
+
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
     std::size_t next = pos;
     auto rec = try_parse_frame(bytes, next);
-    if (!rec.has_value() || next > limit) break;
+    if (!rec.has_value()) break;
     out.records.push_back(std::move(*rec));
-    out.ends.push_back(next);
+    out.ends.push_back(offset + next);
     pos = next;
   }
-  out.end_offset = pos;
+  out.end_offset = offset + pos;
   return out;
 }
 

@@ -1,9 +1,10 @@
 // Durability end-to-end: crash recovery (kill-point fuzz against a
 // never-crashed reference, torn tails, stale snapshot prefixes, mid-log
-// corruption, foreign entries in the durability directory), the
-// fault-injection storms on one session and on concurrent sessions racing
-// background refinement ("no acknowledged delta is ever lost"), fail-stop on
-// exhausted WAL retries, the overload ladder, and the close/drain handshake.
+// corruption, foreign entries in the durability directory, opens that never
+// completed, all-or-none recovery), the fault-injection storms on one session
+// and on concurrent sessions racing background refinement ("no acknowledged
+// delta is ever lost"), fail-stop on exhausted WAL retries, the overload
+// ladder, and the close/drain handshake.
 // Companion suites: test_wal.cpp (log mechanics), test_fault_injection.cpp
 // (the injector itself).
 #include <gtest/gtest.h>
@@ -70,6 +71,18 @@ ServiceConfig durable_config(const std::string& dir) {
   sc.background_refinement = false;  // replay determinism: deltas only
   sc.durability.dir = dir;
   return sc;
+}
+
+/// Flips one payload byte of the log's first record.  With valid records
+/// after it, that is silent corruption, not a torn tail.
+void flip_first_record_byte(const std::string& log) {
+  std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekg(8 + 21 + 2);  // file header + first frame header + 2
+  char byte = 0;
+  f.get(byte);
+  f.seekp(8 + 21 + 2);
+  f.put(static_cast<char>(byte ^ 0x5a));
 }
 
 void expect_snapshot_consistent(const SessionSnapshot& snap, PartId k) {
@@ -248,17 +261,8 @@ TEST(Durability, CorruptMidLogFailsRecovery) {
     }
   }
 
-  // Flip one payload byte of the FIRST record: valid records follow, so this
-  // is silent-corruption, not a torn tail — recovery must refuse.
-  const std::string log = dir + "/session-1/wal.log";
-  std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekg(8 + 21 + 2);  // file header + first frame header + 2
-  char byte = 0;
-  f.get(byte);
-  f.seekp(8 + 21 + 2);
-  f.put(static_cast<char>(byte ^ 0x5a));
-  f.close();
+  // Corrupt the FIRST record: valid records follow, so recovery must refuse.
+  flip_first_record_byte(dir + "/session-1/wal.log");
 
   PartitionService service(durable_config(dir));
   EXPECT_THROW(service.recover(session_config(k)), WalCorruptError);
@@ -292,6 +296,68 @@ TEST(Durability, RecoveryIgnoresForeignSessionEntries) {
     EXPECT_EQ(reports[0].final_epoch, 1u);
     EXPECT_EQ(service.session_ids(), std::vector<SessionId>{1});
     EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+  }
+}
+
+// A crash mid-open leaves a session directory without CURRENT or wal.log.
+// Its id was never handed back, so recovery skips it; a directory that has a
+// log but no CURRENT lost acked state and stays an error.
+TEST(Durability, RecoverySkipsAnOpenThatNeverCompleted) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("open_never_completed");
+  std::uint64_t digest = 0;
+  {
+    PartitionService service(durable_config(dir));
+    auto prev = shared_grid(12, 12);
+    const SessionId id = service.open_session(prev, column_bands(12, 12, k),
+                                              session_config(k));
+    auto next = shared_grid(13, 12);
+    service.submit_update(id, next, diff_graphs(*prev, *next));
+    digest = service.session_handle(id)->state_digest();
+  }
+  fs::create_directory(dir + "/session-7");
+  std::ofstream(dir + "/session-7/snap-0.tmp") << "partial";
+  {
+    PartitionService service(durable_config(dir));
+    const auto reports = service.recover(session_config(k));
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].session_id, 1u);
+    EXPECT_EQ(service.session_ids(), std::vector<SessionId>{1});
+    EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+  }
+
+  fs::copy_file(dir + "/session-1/wal.log", dir + "/session-7/wal.log");
+  PartitionService service(durable_config(dir));
+  EXPECT_THROW(service.recover(session_config(k)), IoError);
+  EXPECT_EQ(service.num_sessions(), 0);
+}
+
+// recover() inserts every session or none: a corrupt log in one session
+// leaves the service empty, and a retry fails the same way instead of
+// tripping over the sessions the first attempt inserted.
+TEST(Durability, FailedRecoveryInsertsNothing) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("failed_recovery");
+  {
+    PartitionService service(durable_config(dir));
+    for (int s = 0; s < 2; ++s) {
+      auto prev = shared_grid(12, 12);
+      const SessionId id = service.open_session(
+          prev, column_bands(12, 12, k), session_config(k));
+      for (VertexId rows = 13; rows <= 14; ++rows) {
+        auto next = shared_grid(rows, 12);
+        service.submit_update(id, next, diff_graphs(*prev, *next));
+        prev = next;
+      }
+    }
+  }
+  flip_first_record_byte(dir + "/session-2/wal.log");
+
+  PartitionService service(durable_config(dir));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SCOPED_TRACE(attempt);
+    EXPECT_THROW(service.recover(session_config(k)), WalCorruptError);
+    EXPECT_EQ(service.num_sessions(), 0);
   }
 }
 
@@ -1066,8 +1132,44 @@ TEST(Durability, TaskStartFaultAbandonsCleanly) {
   EXPECT_EQ(ss.refine_start_failures, 1);
 }
 
+// A durable open that fails leaves nothing: no session the client never got
+// an id for, and no partial directory that would make recovery fail.
+TEST(Durability, FailedOpenLeavesNoSessionBehind) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("failed_open");
+  std::uint64_t digest = 0;
+  {
+    PartitionService service(durable_config(dir));
+    auto prev = shared_grid(12, 12);
+    const SessionId id = service.open_session(prev, column_bands(12, 12, k),
+                                              session_config(k));
+    auto next = shared_grid(13, 12);
+    service.submit_update(id, next, diff_graphs(*prev, *next));
+    digest = service.session_handle(id)->state_digest();
+    {
+      ScopedFaultInjection scope(FaultSite::kFileWrite, /*nth=*/1);
+      EXPECT_THROW(service.open_session(shared_grid(12, 12),
+                                        column_bands(12, 12, k),
+                                        session_config(k)),
+                   IoError);
+    }
+    EXPECT_EQ(service.num_sessions(), 1);
+    EXPECT_EQ(service.session_ids(), std::vector<SessionId>{id});
+    EXPECT_FALSE(fs::exists(dir + "/session-2"));
+  }
+  PartitionService service(durable_config(dir));
+  const auto reports = service.recover(session_config(k));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].session_id, 1u);
+  EXPECT_EQ(service.session_ids(), std::vector<SessionId>{1});
+  EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+}
+
 #else  // !GAPART_FAULT_INJECTION
 
+TEST(Durability, FailedOpenLeavesNoSessionBehind) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
 TEST(Durability, FaultStormLosesNoAckedDelta) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }

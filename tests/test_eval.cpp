@@ -180,12 +180,11 @@ TEST(EvalDeterminism, PooledDpgaMatchesSerial) {
   Rng seeder(11);
   const auto init = make_random_population(139, 4, 40, seeder);
 
-  cfg.parallel = false;
   const DpgaResult serial = run_dpga(mesh.graph, cfg, init, Rng(5));
 
-  cfg.parallel = true;
-  cfg.num_threads = 4;
-  const DpgaResult pooled = run_dpga(mesh.graph, cfg, init, Rng(5));
+  Executor four_threads(4);
+  const DpgaResult pooled =
+      run_dpga(mesh.graph, cfg, init, Rng(5), &four_threads);
 
   EXPECT_EQ(pooled.best, serial.best);
   EXPECT_DOUBLE_EQ(pooled.best_fitness, serial.best_fitness);
@@ -194,9 +193,8 @@ TEST(EvalDeterminism, PooledDpgaMatchesSerial) {
   EXPECT_EQ(pooled.delta_evaluations, serial.delta_evaluations);
   EXPECT_EQ(pooled.island_best_fitness, serial.island_best_fitness);
 
-  // An externally supplied pool behaves identically too.
+  // A pool of another width behaves identically too.
   Executor pool(3);
-  cfg.parallel = false;
   const DpgaResult external = run_dpga(mesh.graph, cfg, init, Rng(5), &pool);
   EXPECT_EQ(external.best, serial.best);
   EXPECT_EQ(external.evaluations, serial.evaluations);

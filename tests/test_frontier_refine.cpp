@@ -191,16 +191,19 @@ TEST_P(FrontierRefineFuzz, EvalClimbIndependentOfPoolWidth) {
   for (const bool seeded : {false, true}) {
     HillClimbOptions opt = frontier_options(c.fitness);
     opt.gain_ordered = true;
-    if (seeded) opt.seed_vertices = d.damaged;
     PartitionState reference(g, d.start, c.k);
-    const HillClimbResult ref = hill_climb(reference, opt);
+    const HillClimbResult ref = seeded
+                                    ? hill_climb_from(reference, d.damaged, opt)
+                                    : hill_climb(reference, opt);
 
     for (Executor* pool : {static_cast<Executor*>(nullptr), &one_thread,
                            &four_threads}) {
       const int width = pool == nullptr ? 0 : pool->num_threads();
       const EvalContext eval(g, c.k, c.fitness, pool);
       PartitionState state(g, d.start, c.k);
-      const HillClimbResult res = hill_climb(eval, state, opt);
+      const HillClimbResult res =
+          seeded ? hill_climb_from(eval, state, d.damaged, opt)
+                 : hill_climb(eval, state, opt);
       EXPECT_EQ(state.assignment(), reference.assignment())
           << "seeded " << seeded << ", " << width << " threads";
       EXPECT_EQ(res.moves, ref.moves) << width << " threads";
@@ -246,9 +249,6 @@ TEST_P(FrontierRefineFuzz, SessionRefinementIndependentOfPoolWidth) {
   SessionConfig cfg;
   cfg.num_parts = c.k;
   cfg.fitness = c.fitness;
-  cfg.deep.ga.population_size = 32;
-  cfg.deep.ga.max_generations = 12;
-  cfg.deep.ga.stall_generations = 4;
   cfg.deep_vcycle = small_vcycle(c.k, c.fitness);
 
   PartitionSession::RefineJob job;

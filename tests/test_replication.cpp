@@ -352,6 +352,7 @@ TEST(Replication, SnapshotResyncWhenCompactionOutranTheShipper) {
   expect_converged(rig, id);
 }
 
+#if GAPART_FAULT_INJECTION
 TEST(Replication, TransportFaultMatrixNeverSilentlyDiverges) {
   const PartId k = 3;
   // Multiple seeded 10% fault schedules over every site (drop, dup,
@@ -400,6 +401,11 @@ TEST(Replication, TransportFaultMatrixNeverSilentlyDiverges) {
     EXPECT_FALSE(rig.follower->stats().diverged);
   }
 }
+#else
+TEST(Replication, TransportFaultMatrixNeverSilentlyDiverges) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+#endif
 
 TEST(Replication, PromotionFencesTheDeposedLeader) {
   const PartId k = 3;

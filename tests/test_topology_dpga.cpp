@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "core/dpga.hpp"
 #include "core/init.hpp"
@@ -134,10 +135,10 @@ TEST(Dpga, ParallelMatchesSerialBitForBit) {
   Rng rb(11);
   auto ib = make_random_population(98, 4, cfg.ga.population_size, rb);
 
-  cfg.parallel = false;
   const auto serial = run_dpga(mesh.graph, cfg, std::move(ia), Rng(13));
-  cfg.parallel = true;
-  const auto parallel = run_dpga(mesh.graph, cfg, std::move(ib), Rng(13));
+  Executor pool(4);
+  const auto parallel =
+      run_dpga(mesh.graph, cfg, std::move(ib), Rng(13), &pool);
   EXPECT_EQ(serial.best, parallel.best);
   EXPECT_DOUBLE_EQ(serial.best_fitness, parallel.best_fitness);
   EXPECT_EQ(serial.evaluations, parallel.evaluations);

@@ -85,6 +85,8 @@ TEST(TransportLoopback, ReceiveTimeoutReturnsEmpty) {
 // ---------------------------------------------------------------------------
 // The fault matrix: every network pathology, surgically injectable.
 
+#if GAPART_FAULT_INJECTION
+
 TEST(TransportFaults, SendFaultThrowsAndLosesNothingQueued) {
   auto [a, b] = LoopbackTransport::create_pair();
   a->send("first");
@@ -145,6 +147,26 @@ TEST(TransportFaults, TruncateCutsTheFrameShort) {
   EXPECT_LT(got->size(), frame.size());
   EXPECT_EQ(*got, frame.substr(0, got->size()));
 }
+
+#else  // !GAPART_FAULT_INJECTION
+
+TEST(TransportFaults, SendFaultThrowsAndLosesNothingQueued) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(TransportFaults, DropLosesExactlyTheFaultedFrame) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(TransportFaults, DupDeliversTheFrameTwice) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(TransportFaults, ReorderOvertakesThePredecessor) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(TransportFaults, TruncateCutsTheFrameShort) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+
+#endif  // GAPART_FAULT_INJECTION
 
 // ---------------------------------------------------------------------------
 // Sockets: real byte streams with u32 length-prefix framing.
