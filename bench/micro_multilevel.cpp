@@ -15,6 +15,12 @@
 //             with repair_step — the full partition-then-evolve lifecycle at
 //             a scale the flat GA cannot touch.
 //
+//   pooled_refine: vcycle_ga_refine of a fixed-seed vcycle_ga_partition on
+//             an n x n grid (k = 8) with the session's deep-tier budgets
+//             (SessionConfig().deep_vcycle), at pool widths 1, 2 and 4 — the
+//             per-level GAs run their quotient combines on the pool, so the
+//             width changes the time and never the fitness.
+//
 //   ./bench/micro_multilevel [--quick] > multilevel.json
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +30,9 @@
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
+#include "common/executor.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "core/ga_engine.hpp"
 #include "core/graph_delta.hpp"
@@ -34,6 +42,7 @@
 #include "core/vcycle_ga.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "service/session.hpp"
 
 namespace {
 
@@ -147,8 +156,50 @@ EndToEndRow bench_end_to_end(VertexId n, VertexId grow_rows, PartId k) {
   return row;
 }
 
+struct PooledRefineRow {
+  VertexId n = 0;
+  PartId k = 0;
+  int threads = 0;
+  int calls = 0;
+  double median_seconds = 0.0;
+  double fitness = 0.0;
+};
+
+std::vector<PooledRefineRow> bench_pooled_refine(VertexId n, PartId k,
+                                                 int calls) {
+  const Graph g = make_grid(n, n);
+  const SessionConfig session;
+  VcycleGaOptions opt = session.deep_vcycle;
+  opt.dpga.ga.num_parts = k;
+  opt.dpga.ga.fitness = session.fitness;
+  Rng seed_rng(0xDEE9 ^ static_cast<std::uint64_t>(n));
+  const Assignment seed = vcycle_ga_partition(g, opt, seed_rng).assignment;
+
+  std::vector<PooledRefineRow> rows;
+  for (const int threads : {1, 2, 4}) {
+    Executor pool(threads);
+    PooledRefineRow row;
+    row.n = n;
+    row.k = k;
+    row.threads = threads;
+    row.calls = calls;
+    std::vector<double> seconds;
+    for (int c = 0; c < calls; ++c) {
+      Rng rng(0x5EED);  // every call refines the same seed the same way
+      WallTimer timer;
+      const VcycleGaResult res = vcycle_ga_refine(g, seed, opt, rng, &pool);
+      seconds.push_back(timer.seconds());
+      row.fitness = res.fitness;
+    }
+    row.median_seconds = median(seconds);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 void emit_json(const std::vector<WallclockRow>& wallclock,
-               const std::vector<EndToEndRow>& end_to_end) {
+               const std::vector<EndToEndRow>& end_to_end,
+               const std::vector<PooledRefineRow>& pooled_refine) {
   bool all_beat = true;
   for (const WallclockRow& r : wallclock) all_beat &= r.vcycle_beats_flat;
   std::printf("{\n");
@@ -186,6 +237,17 @@ void emit_json(const std::vector<WallclockRow>& wallclock,
         r.repair_seconds, r.repaired_cut,
         i + 1 < end_to_end.size() ? "," : "");
   }
+  std::printf("  ],\n");
+  std::printf("  \"pooled_refine\": [\n");
+  for (std::size_t i = 0; i < pooled_refine.size(); ++i) {
+    const PooledRefineRow& r = pooled_refine[i];
+    std::printf(
+        "    {\"n\": %d, \"k\": %d, \"threads\": %d, \"calls\": %d, "
+        "\"median_seconds\": %.4f, \"fitness\": %.17g}%s\n",
+        static_cast<int>(r.n), static_cast<int>(r.k), r.threads, r.calls,
+        r.median_seconds, r.fitness,
+        i + 1 < pooled_refine.size() ? "," : "");
+  }
   std::printf("  ]\n}\n");
 }
 
@@ -206,7 +268,10 @@ int main(int argc, char** argv) {
   end_to_end.push_back(
       bench_end_to_end(quick ? 256 : 1000, /*grow_rows=*/4, 8));
 
-  emit_json(wallclock, end_to_end);
+  const std::vector<PooledRefineRow> pooled_refine =
+      bench_pooled_refine(quick ? 128 : 256, 8, /*calls=*/7);
+
+  emit_json(wallclock, end_to_end, pooled_refine);
   for (const auto& unused : args.unused()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }

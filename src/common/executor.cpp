@@ -148,6 +148,7 @@ void Executor::enqueue(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
+  done_cv_.notify_all();  // a wait()er helps too
 }
 
 int Executor::pending() const {
@@ -155,11 +156,23 @@ int Executor::pending() const {
 }
 
 void Executor::wait() {
-  // Help drain first so wait() cannot deadlock on a pool of size 1.
-  while (run_one()) {
-  }
+  // Help until every task has finished, not only until the queue first runs
+  // dry: a task that is already running enqueues its parallel_for helpers
+  // later, and a waiter asleep through them would leave that loop a thread
+  // short.  Helping also keeps wait() from deadlocking on a pool of size 1.
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
+  while (outstanding_ > 0) {
+    if (queue_.empty()) {
+      done_cv_.wait(lock);  // woken by the last finish or by an enqueue
+      continue;
+    }
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+    if (--outstanding_ == 0) done_cv_.notify_all();
+  }
 }
 
 void Executor::parallel_for(std::size_t n,

@@ -84,7 +84,9 @@ class Executor {
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.  The calling thread
-  /// helps drain the queue while waiting.
+  /// helps drain the queue while waiting, tasks enqueued after the call
+  /// included (a running task's parallel_for helpers), so a waiter adds a
+  /// thread to whatever runs meanwhile.
   void wait();
 
   /// Tasks currently queued or executing — a monitoring gauge (the service
@@ -103,7 +105,7 @@ class Executor {
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< signals queue_ non-empty or stop_
-  std::condition_variable done_cv_;   ///< signals outstanding_ hit zero
+  std::condition_variable done_cv_;   ///< outstanding_ hit zero, or an enqueue
   std::deque<std::function<void()>> queue_;
   /// Queued + currently executing tasks.  Atomic so pending() can read it
   /// without mu_; all writes still happen under mu_ because done_cv_ waiters

@@ -189,6 +189,9 @@ void GaEngine::step() {
   // crossover): clones can be delta-evaluated against the parent's cached
   // metrics in the evaluate phase.
   std::vector<std::int32_t> clone_parent(batch_size, -1);
+  // kCombine: each prepared job with the batch slot of its first child.
+  std::vector<std::pair<CombineJob, std::size_t>> jobs;
+  std::vector<std::size_t> loose;  // the children no job fills
   std::size_t produced = 0;
   Assignment child1;
   Assignment child2;
@@ -200,9 +203,12 @@ void GaEngine::step() {
 
     std::int32_t src1 = -1;
     std::int32_t src2 = -1;
+    bool by_job = false;
     if (rng_.bernoulli(config_.crossover_rate)) {
       if (config_.crossover == CrossoverOp::kCombine) {
-        config_.combine(pa.genes, pb.genes, rng_, child1, child2);
+        // The job fills both slots in the evaluate phase.
+        jobs.emplace_back(config_.combine(pa.genes, pb.genes, rng_), produced);
+        by_job = true;
       } else {
         apply_crossover(config_.crossover, ctx, pa.genes, pb.genes, rng_,
                         child1, child2);
@@ -215,9 +221,11 @@ void GaEngine::step() {
     }
 
     clone_parent[produced] = src1;
+    if (!by_job) loose.push_back(produced);
     batch[produced++].genes = std::move(child1);
     if (produced < batch_size) {
       clone_parent[produced] = src2;
+      if (!by_job) loose.push_back(produced);
       batch[produced++].genes = std::move(child2);
     }
   }
@@ -225,16 +233,33 @@ void GaEngine::step() {
   // Evaluate phase: mutate + (optional) hill-climb + evaluate every child,
   // each on its own RNG stream forked by batch index, batched on the pool
   // when one is available.  Children are independent, so the outcome is
-  // bit-identical at any thread count.
+  // bit-identical at any thread count.  Combine jobs draw nothing from
+  // rng_, so they run in the same pass, each then finishing its own two
+  // children: one join per generation.  They take milliseconds and vary in
+  // size, so they are claimed one at a time, ahead of the loose children.
   const Rng stream_base = rng_.split();
-  if (Executor* pool = eval_.executor()) {
-    pool->parallel_for(batch.size(), [&](std::size_t i) {
+  const auto finish = [&](std::size_t w) {
+    if (w >= jobs.size()) {
+      const std::size_t i = loose[w - jobs.size()];
       finish_child(batch, i, stream_base, clone_parent[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      finish_child(batch, i, stream_base, clone_parent[i]);
+      return;
     }
+    const std::size_t slot = jobs[w].second;
+    Assignment c1;
+    Assignment c2;
+    jobs[w].first(c1, c2);
+    batch[slot].genes = std::move(c1);
+    finish_child(batch, slot, stream_base, clone_parent[slot]);
+    if (slot + 1 < batch_size) {
+      batch[slot + 1].genes = std::move(c2);
+      finish_child(batch, slot + 1, stream_base, clone_parent[slot + 1]);
+    }
+  };
+  const std::size_t items = jobs.size() + loose.size();
+  if (Executor* pool = eval_.executor()) {
+    pool->parallel_for(items, finish, /*grain=*/jobs.empty() ? 0 : 1);
+  } else {
+    for (std::size_t w = 0; w < items; ++w) finish(w);
   }
 
   for (auto& ind : batch) next.push_back(std::move(ind));

@@ -6,16 +6,20 @@
 //              probability p_c they recombine under the configured crossover
 //              operator (two children), otherwise they are cloned.  This
 //              phase is serial and consumes the engine RNG, producing a batch
-//              of unevaluated children.
+//              of unevaluated children.  A kCombine crossover only makes its
+//              draws here; the jobs it returns fill their children in the
+//              evaluate phase.
 //   evaluate : the batch is mutated, optionally hill-climbed (§3.6) and
 //              evaluated — in parallel on the shared Executor when one is
 //              provided.  Each child owns an independent RNG stream forked by
 //              batch index (Rng::fork), so results are bit-identical to the
-//              serial run at any thread count.  Hill-climbed children reuse
-//              the fitness their PartitionState maintained incrementally
-//              (counted as one full evaluation at state construction plus one
-//              delta per accepted move); un-climbed children take a fused
-//              single-pass mutate+evaluate path (one full evaluation).
+//              serial run at any thread count.  Combine jobs run in this same
+//              pass, each finishing its own two children, so a generation
+//              joins the pool once.  Hill-climbed children reuse the fitness
+//              their PartitionState maintained incrementally (counted as one
+//              full evaluation at state construction plus one delta per
+//              accepted move); un-climbed children take a fused single-pass
+//              mutate+evaluate path (one full evaluation).
 //
 // For DKNUX the engine updates the operator's reference solution to the best
 // individual found so far at every generation boundary (§3.3).
@@ -42,6 +46,10 @@
 
 namespace gapart {
 
+/// The parallel stage of a kCombine crossover: fills both children.  Owns
+/// everything it reads, so it may outlive the call that prepared it.
+using CombineJob = std::function<void(Assignment& child1, Assignment& child2)>;
+
 struct GaConfig {
   PartId num_parts = 2;
   int population_size = 320;    ///< paper: total population 320
@@ -49,16 +57,17 @@ struct GaConfig {
   double mutation_rate = 0.01;  ///< paper: p_m = 0.01 (per gene)
   CrossoverOp crossover = CrossoverOp::kDknux;
   int k_points = 4;  ///< cut count when crossover == kKPoint
-  /// Recombination callback used when crossover == kCombine: produces both
-  /// children from the two parents (e.g. the multilevel quotient-graph
-  /// combine from core/vcycle_ga.hpp, which contracts the regions the
-  /// parents agree on and re-partitions the quotient).  Invoked serially in
-  /// the generate phase with the engine RNG, like the positional operators,
-  /// so pooled runs stay bit-identical to serial ones.  Required (non-null)
-  /// when crossover == kCombine; ignored otherwise.
-  using CombineFn =
-      std::function<void(const Assignment& a, const Assignment& b, Rng& rng,
-                         Assignment& child1, Assignment& child2)>;
+  /// Recombination callback used when crossover == kCombine (e.g. the
+  /// multilevel quotient-graph combine from core/vcycle_ga.hpp, which
+  /// contracts the regions the parents agree on and re-partitions the
+  /// quotient).  Invoked serially in the generate phase with the engine
+  /// RNG, it makes every draw the combine needs and returns the job that
+  /// produces both children.  A generation's jobs run concurrently on the
+  /// engine's executor, so they must not touch the engine's RNG or state;
+  /// pooled runs then stay bit-identical to serial ones.  Required
+  /// (non-null) when crossover == kCombine; ignored otherwise.
+  using CombineFn = std::function<CombineJob(const Assignment& a,
+                                             const Assignment& b, Rng& rng)>;
   CombineFn combine;
   /// KNUX/DKNUX sibling policy (see CrossoverContext::knux_complementary).
   bool knux_complementary = false;
@@ -121,8 +130,9 @@ class GaEngine {
  public:
   /// `initial` chromosomes fill the population: cycled if fewer than
   /// population_size, truncated if more.  Must not be empty.  `executor`
-  /// (optional, non-owning, must outlive the engine) batch-evaluates
-  /// offspring; results are identical with or without it.
+  /// (optional, non-owning, must outlive the engine) runs a generation's
+  /// combine jobs and batch-evaluates offspring; results are identical with
+  /// or without it.
   GaEngine(const Graph& g, const GaConfig& config,
            std::vector<Assignment> initial, Rng rng,
            Executor* executor = nullptr);
@@ -154,7 +164,9 @@ class GaEngine {
   /// Replaces the worst individual with `migrant` (DPGA migration).
   void inject(const Assignment& migrant);
 
-  /// Runs one generation (generate phase, then batched evaluate phase).
+  /// Runs one generation (generate phase, then the batched evaluate phase,
+  /// which runs the combine jobs too).  A throwing combine job leaves the
+  /// population as is.
   void step();
 
   /// True when the configured stall window has elapsed without improvement.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -66,33 +67,44 @@ VertexId agreement_clusters(const Graph& g, const Assignment& a,
 
 }  // namespace
 
-void combine_partitions(const Graph& g, PartId num_parts,
-                        const FitnessParams& fitness,
-                        const CombineOptions& options, const Assignment& a,
-                        const Assignment& b, Rng& rng, Assignment& child1,
-                        Assignment& child2) {
+CombineJob combine_partitions(const Graph& g, PartId num_parts,
+                              const FitnessParams& fitness,
+                              const CombineOptions& options,
+                              const Assignment& a, const Assignment& b,
+                              Rng& rng) {
   GAPART_REQUIRE(is_valid_assignment(g, a, num_parts),
                  "combine parent a invalid for ", num_parts, " parts");
   GAPART_REQUIRE(is_valid_assignment(g, b, num_parts),
                  "combine parent b invalid for ", num_parts, " parts");
   const VertexId n = g.num_vertices();
 
-  std::vector<VertexId> labels;
-  const VertexId nc = agreement_clusters(g, a, b, labels);
-  const CoarseLevel quotient = contract_clusters(g, labels, nc);
+  // What the job reads: owned through the job, not by the engine.
+  struct Quotient {
+    std::vector<VertexId> labels;
+    CoarseLevel level;
+    Assignment qa;
+    Assignment qb;
+    std::vector<Assignment> initial;
+    Rng rng;
+  };
+  const auto q = std::make_shared<Quotient>();
+  const VertexId nc = agreement_clusters(g, a, b, q->labels);
+  q->level = contract_clusters(g, q->labels, nc);
 
   // Quotient projections: constant per cluster by construction, and — with
   // summed vertex weights and merged inter-cluster edges — of exactly the
   // fine cut, part weights, and fitness.
-  Assignment qa(static_cast<std::size_t>(nc));
-  Assignment qb(static_cast<std::size_t>(nc));
+  q->qa.resize(static_cast<std::size_t>(nc));
+  q->qb.resize(static_cast<std::size_t>(nc));
   for (VertexId v = 0; v < n; ++v) {
-    const auto c = static_cast<std::size_t>(labels[static_cast<std::size_t>(v)]);
-    qa[c] = a[static_cast<std::size_t>(v)];
-    qb[c] = b[static_cast<std::size_t>(v)];
+    const auto c =
+        static_cast<std::size_t>(q->labels[static_cast<std::size_t>(v)]);
+    q->qa[c] = a[static_cast<std::size_t>(v)];
+    q->qb[c] = b[static_cast<std::size_t>(v)];
   }
-  const double fa = evaluate_fitness(quotient.graph, qa, num_parts, fitness);
-  const double fb = evaluate_fitness(quotient.graph, qb, num_parts, fitness);
+  const double fa = evaluate_fitness(q->level.graph, q->qa, num_parts, fitness);
+  const double fb = evaluate_fitness(q->level.graph, q->qb, num_parts, fitness);
+  const bool a_better = fa >= fb;
 
   HillClimbOptions hc;
   hc.fitness = fitness;
@@ -103,13 +115,16 @@ void combine_partitions(const Graph& g, PartId num_parts,
     // The parents disagree too broadly for a GA-sized quotient: climb both
     // projections instead.  Monotone, so neither child is worse than its
     // parent.
-    Assignment ca = qa;
-    Assignment cb = qb;
-    hill_climb(quotient.graph, ca, num_parts, hc);
-    hill_climb(quotient.graph, cb, num_parts, hc);
-    child1 = project_assignment(fa >= fb ? ca : cb, labels);
-    child2 = project_assignment(fa >= fb ? cb : ca, labels);
-    return;
+    return [q, hc, num_parts, a_better](Assignment& child1,
+                                        Assignment& child2) {
+      GAPART_SPAN("vcycle.combine");
+      Assignment ca = q->qa;
+      Assignment cb = q->qb;
+      hill_climb(q->level.graph, ca, num_parts, hc);
+      hill_climb(q->level.graph, cb, num_parts, hc);
+      child1 = project_assignment(a_better ? ca : cb, q->labels);
+      child2 = project_assignment(a_better ? cb : ca, q->labels);
+    };
   }
 
   GaConfig cfg;
@@ -121,30 +136,31 @@ void combine_partitions(const Graph& g, PartId num_parts,
   cfg.max_generations = options.max_generations;
   cfg.stall_generations = options.stall_generations;
   cfg.hill_climb_offspring = true;
-  auto initial = make_mixed_population({qa, qb}, cfg.population_size,
-                                       kSeedSwapFraction, rng);
-  // Serial on purpose: combine runs inside a GA's generate phase, which may
-  // itself sit next to a pooled evaluate phase — no nested fan-out.
-  const GaResult res =
-      run_ga(quotient.graph, cfg, std::move(initial), rng.split());
-  child1 = project_assignment(res.best, labels);
+  q->initial = make_mixed_population({q->qa, q->qb}, cfg.population_size,
+                                     kSeedSwapFraction, rng);
+  q->rng = rng.split();
+  return [q, cfg, hc, num_parts, a_better](Assignment& child1,
+                                           Assignment& child2) {
+    GAPART_SPAN("vcycle.combine");
+    // Serial on purpose: the job already runs beside the generation's other
+    // combine jobs on the pool — no nested fan-out.
+    const GaResult res = run_ga(q->level.graph, cfg, q->initial, q->rng);
+    child1 = project_assignment(res.best, q->labels);
 
-  // Second child: the better parent's climbed quotient projection — cheap
-  // diversity that is still never worse than that parent.
-  Assignment climbed = fa >= fb ? qa : qb;
-  hill_climb(quotient.graph, climbed, num_parts, hc);
-  child2 = project_assignment(climbed, labels);
+    // Second child: the better parent's climbed quotient projection — cheap
+    // diversity that is still never worse than that parent.
+    Assignment climbed = a_better ? q->qa : q->qb;
+    hill_climb(q->level.graph, climbed, num_parts, hc);
+    child2 = project_assignment(climbed, q->labels);
+  };
 }
 
 GaConfig::CombineFn make_quotient_combine(const Graph& g, PartId num_parts,
                                           FitnessParams fitness,
                                           CombineOptions options) {
   return [&g, num_parts, fitness, options](const Assignment& a,
-                                           const Assignment& b, Rng& rng,
-                                           Assignment& child1,
-                                           Assignment& child2) {
-    combine_partitions(g, num_parts, fitness, options, a, b, rng, child1,
-                       child2);
+                                           const Assignment& b, Rng& rng) {
+    return combine_partitions(g, num_parts, fitness, options, a, b, rng);
   };
 }
 

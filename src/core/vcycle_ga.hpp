@@ -40,6 +40,7 @@
 #include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "core/dpga.hpp"
+#include "core/ga_engine.hpp"
 #include "core/presets.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/graph.hpp"
@@ -68,15 +69,22 @@ struct CombineOptions {
 /// child1 is the quotient GA's best (>= the better parent, by elitism);
 /// child2 is the better parent's climbed quotient projection (diversity at
 /// no extra full-evaluation cost).  Both children are valid k-partitions.
-void combine_partitions(const Graph& g, PartId num_parts,
-                        const FitnessParams& fitness,
-                        const CombineOptions& options, const Assignment& a,
-                        const Assignment& b, Rng& rng, Assignment& child1,
-                        Assignment& child2);
+///
+/// This call is the serial prepare: it checks the parents, builds the
+/// quotient and its projections, and makes every draw from `rng` (the
+/// quotient GA's seed population and split stream; the oversized-quotient
+/// fallback draws nothing).  The returned job runs the quotient GA and the
+/// climbs and writes both children; it owns its quotient and stream and
+/// references only `g`, so a GA generation's jobs can run side by side.
+CombineJob combine_partitions(const Graph& g, PartId num_parts,
+                              const FitnessParams& fitness,
+                              const CombineOptions& options,
+                              const Assignment& a, const Assignment& b,
+                              Rng& rng);
 
 /// Packages combine_partitions as the GaConfig::combine callback for
 /// crossover == CrossoverOp::kCombine.  `g` is captured by reference and
-/// must outlive the returned callable.
+/// must outlive the returned callable and every job it returns.
 GaConfig::CombineFn make_quotient_combine(const Graph& g, PartId num_parts,
                                           FitnessParams fitness,
                                           CombineOptions options = {});

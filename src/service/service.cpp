@@ -397,12 +397,28 @@ void PartitionService::open_replica_session(SessionId id, SessionImage image,
       session_from_image(std::move(image), std::move(config), "replicate");
   if (config_.durability.enabled()) {
     // A replica restarts from its own disk: checkpoint the streamed state at
-    // exactly the leader's epoch, wiping any stale prior incarnation.  (The
-    // old session's open file descriptors survive the wipe; it is about to
-    // be closed anyway.)
-    std::error_code ec;
-    std::filesystem::remove_all(session_dir(id), ec);
-    create_wal(id, *session);
+    // exactly the leader's epoch.  A resync writes it through the live
+    // incarnation's WAL by the compaction steps, so a failed write leaves
+    // that incarnation live and its directory restartable.  A first open
+    // starts the directory afresh, wiping whatever no live session owns.
+    std::shared_ptr<PartitionSession> live;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = sessions_.find(id);
+      if (it != sessions_.end()) live = it->second;
+    }
+    std::unique_ptr<SessionWal> wal;
+    if (live != nullptr) {
+      wal = live->hand_over_wal(
+          snapshot_image(session->config(), *session->snapshot()));
+    }
+    if (wal != nullptr) {
+      session->attach_wal(std::move(wal));
+    } else {
+      std::error_code ec;
+      std::filesystem::remove_all(session_dir(id), ec);
+      create_wal(id, *session);
+    }
   }
 
   std::shared_ptr<PartitionSession> old;

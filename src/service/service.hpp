@@ -223,8 +223,11 @@ class PartitionService {
   /// Follower side of replication: (re)creates session `id` from a streamed
   /// open frame's session image, replacing any existing session with that
   /// id.  Identity comes from the image, everything else from `config`.
-  /// When durability is enabled it gets a fresh WAL checkpointed at
-  /// exactly that state, so a crashed follower restarts from its own disk.
+  /// When durability is enabled its WAL is checkpointed at exactly that
+  /// state, so a crashed follower restarts from its own disk: a fresh WAL
+  /// on a first open, the replaced session's WAL on a resync
+  /// (PartitionSession::hand_over_wal).  A resync that throws leaves the
+  /// replaced session live and restartable from its directory.
   void open_replica_session(SessionId id, SessionImage image,
                             SessionConfig config);
 

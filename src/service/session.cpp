@@ -344,6 +344,17 @@ bool PartitionSession::durable() const {
   return wal_ != nullptr;
 }
 
+std::unique_ptr<SessionWal> PartitionSession::hand_over_wal(
+    const SessionImage& image) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (wal_ == nullptr) return nullptr;
+  GAPART_REQUIRE(image.epoch >= update_epoch_, "resync image at epoch ",
+                 image.epoch, " is behind the replica's log at epoch ",
+                 update_epoch_);
+  wal_->compact(image);
+  return std::move(wal_);
+}
+
 std::uint64_t PartitionSession::state_digest() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_.content_hash();

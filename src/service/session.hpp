@@ -254,6 +254,16 @@ class PartitionSession {
   void attach_wal(std::unique_ptr<SessionWal> wal);
   bool durable() const;
 
+  /// Replica resync: writes `image`, the replacement session's state,
+  /// through this session's WAL by the compaction steps (the image goes
+  /// beside the old snapshot, CURRENT flips last, the log is truncated
+  /// after) and hands the WAL over.  Those steps are crash-safe only when
+  /// the image is at or past every record in the log, so an image older
+  /// than this session's epoch throws gapart::Error.  A failed step throws
+  /// IoError; this session then keeps its WAL and stays live.  Returns
+  /// nullptr without a WAL.
+  std::unique_ptr<SessionWal> hand_over_wal(const SessionImage& image);
+
   // --- Replication (service/replication.hpp) ------------------------------
 
   /// PartitionState::content_hash() of the live state — the divergence-

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/mesh.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -24,14 +25,7 @@ Assignment random_assignment(VertexId n, PartId k, std::uint64_t seed) {
   return a;
 }
 
-std::uint64_t fnv1a(const Assignment& a) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (PartId p : a) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using testing::fnv1a;
 
 /// Deterministic integer-weighted graph used by the sweep goldens (integer
 /// weights keep every gain computation exact, so the goldens are bitwise

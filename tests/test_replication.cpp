@@ -353,6 +353,70 @@ TEST(Replication, SnapshotResyncWhenCompactionOutranTheShipper) {
 }
 
 #if GAPART_FAULT_INJECTION
+TEST(Replication, FailedResyncLeavesTheOldReplicaRestartable) {
+  const PartId k = 3;
+  // Two images of one session, the second a few updates past the first:
+  // what a leader streams on the open and on a later resync.
+  ServiceConfig source_cfg;
+  source_cfg.background_refinement = false;
+  PartitionService source(source_cfg);
+  auto prev = shared_grid(12, 12);
+  const SessionId src = source.open_session(prev, column_bands(12, 12, k),
+                                            session_config(k));
+  const auto image_of = [&] {
+    const auto handle = source.session_handle(src);
+    return snapshot_image(handle->config(), *handle->snapshot());
+  };
+  const SessionImage old_image = image_of();
+  for (VertexId rows = 13; rows <= 15; ++rows) {
+    auto next = shared_grid(rows, 12);
+    source.submit_update(src, next, diff_graphs(*prev, *next));
+    prev = next;
+  }
+  const SessionImage new_image = image_of();
+  ASSERT_NE(new_image.digest, old_image.digest);
+
+  const ServiceConfig cfg = follower_config(fresh_dir("failed_resync"));
+  const auto recovered_digest = [&] {
+    PartitionService restarted(cfg);
+    const auto reports = restarted.recover(session_config(k));
+    EXPECT_EQ(reports.size(), 1u);
+    return reports.empty() ? 0 : restarted.session_handle(1)->state_digest();
+  };
+  PartitionService replica(cfg);
+  replica.open_replica_session(1, old_image, session_config(k));
+  {
+    // The resync's checkpoint write fails.
+    ScopedFaultInjection scope(FaultSite::kFileWrite, /*nth=*/1);
+    EXPECT_THROW(replica.open_replica_session(1, new_image, session_config(k)),
+                 IoError);
+  }
+  ASSERT_EQ(replica.num_sessions(), 1);
+  EXPECT_EQ(replica.session_handle(1)->state_digest(), old_image.digest);
+  EXPECT_EQ(recovered_digest(), old_image.digest);
+
+  replica.open_replica_session(1, new_image, session_config(k));
+  EXPECT_EQ(replica.session_handle(1)->state_digest(), new_image.digest);
+  EXPECT_EQ(recovered_digest(), new_image.digest);
+  int snapshots = 0;
+  for (const auto& entry :
+       fs::directory_iterator(replica.session_wal_dir(1))) {
+    snapshots += entry.path().filename().string().rfind("snap-", 0) == 0;
+  }
+  EXPECT_EQ(snapshots, 1);
+
+  // A resync image behind the replica's log is refused before any write.
+  EXPECT_THROW(replica.open_replica_session(1, old_image, session_config(k)),
+               Error);
+  EXPECT_EQ(replica.session_handle(1)->state_digest(), new_image.digest);
+}
+#else
+TEST(Replication, FailedResyncLeavesTheOldReplicaRestartable) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+#endif
+
+#if GAPART_FAULT_INJECTION
 TEST(Replication, TransportFaultMatrixNeverSilentlyDiverges) {
   const PartId k = 3;
   // Multiple seeded 10% fault schedules over every site (drop, dup,

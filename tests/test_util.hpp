@@ -84,6 +84,17 @@ inline void expect_graphs_identical(const Graph& a, const Graph& b) {
   EXPECT_EQ(a.total_vertex_weight(), b.total_vertex_weight());
 }
 
+/// FNV-1a hash of an assignment's parts, in vertex order: what the golden
+/// tests pin a partition by.
+inline std::uint64_t fnv1a(const Assignment& a) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (PartId p : a) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Part sizes (vertex counts) of an assignment.
 inline std::vector<int> part_sizes(const Assignment& a, PartId num_parts) {
   std::vector<int> sizes(static_cast<std::size_t>(num_parts), 0);

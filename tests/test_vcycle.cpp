@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "common/executor.hpp"
 #include "common/rng.hpp"
@@ -19,6 +20,7 @@
 #include "graph/partition.hpp"
 #include "service/refine_policy.hpp"
 #include "service/session.hpp"
+#include "test_util.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
@@ -67,7 +69,7 @@ TEST(VcycleCombine, ChildrenValidAndNeverBelowParents) {
 
   Assignment c1, c2;
   Rng crng(9);
-  combine_partitions(g, k, kTotal, small_combine(), pa, pb, crng, c1, c2);
+  combine_partitions(g, k, kTotal, small_combine(), pa, pb, crng)(c1, c2);
   ASSERT_TRUE(is_valid_assignment(g, c1, k));
   ASSERT_TRUE(is_valid_assignment(g, c2, k));
   // child1 comes out of an elitist GA seeded with both parents, child2 is a
@@ -87,7 +89,7 @@ TEST(VcycleCombine, FallbackOnOversizedQuotientStaysMonotone) {
 
   Assignment c1, c2;
   Rng crng(7);
-  combine_partitions(g, k, kTotal, co, pa, pb, crng, c1, c2);
+  combine_partitions(g, k, kTotal, co, pa, pb, crng)(c1, c2);
   ASSERT_TRUE(is_valid_assignment(g, c1, k));
   ASSERT_TRUE(is_valid_assignment(g, c2, k));
   const double fa = evaluate_fitness(g, pa, k, kTotal);
@@ -113,6 +115,76 @@ TEST(VcycleCombine, EngineDispatchesCombineCrossover) {
   const GaResult res = run_ga(g, cfg, std::move(initial), rng.split());
   EXPECT_EQ(res.generations, 3);
   EXPECT_TRUE(is_valid_assignment(g, res.best, k));
+}
+
+/// A kCombine engine over the quotient-graph combine (the ascending
+/// per-level GA's shape), with or without a pool.
+GaEngine combine_engine(const Graph& g, PartId k, Executor* pool) {
+  GaConfig cfg;
+  cfg.num_parts = k;
+  cfg.population_size = 12;
+  cfg.elite_count = 1;
+  cfg.hill_climb_offspring = true;
+  cfg.crossover = CrossoverOp::kCombine;
+  cfg.combine = make_quotient_combine(g, k, cfg.fitness, small_combine());
+  Rng rng(47);
+  auto initial = make_seeded_population(
+      random_balanced_assignment(g.num_vertices(), k, rng),
+      cfg.population_size, /*swap_fraction=*/0.08, rng);
+  return GaEngine(g, cfg, std::move(initial), rng.split(), pool);
+}
+
+TEST(VcycleCombine, PooledEngineMatchesSerialGeneForGene) {
+  const Graph g = make_grid(16, 16);
+  const PartId k = 4;
+  Executor pool(4);
+  GaEngine serial = combine_engine(g, k, nullptr);
+  GaEngine pooled = combine_engine(g, k, &pool);
+  for (int gen = 1; gen <= 5; ++gen) {
+    serial.step();
+    pooled.step();
+    ASSERT_EQ(pooled.generation(), gen);
+    const auto& a = serial.population();
+    const auto& b = pooled.population();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].genes, b[i].genes) << "generation " << gen << " #" << i;
+      EXPECT_EQ(a[i].fitness, b[i].fitness)  // bitwise
+          << "generation " << gen << " #" << i;
+    }
+  }
+  EXPECT_EQ(serial.best().genes, pooled.best().genes);
+  EXPECT_EQ(serial.evaluations(), pooled.evaluations());
+}
+
+TEST(VcycleCombine, ThrowingJobLeavesPopulationUntouched) {
+  const Graph g = make_grid(8, 8);
+  const PartId k = 2;
+  Executor pool(4);
+  for (Executor* executor : {static_cast<Executor*>(nullptr), &pool}) {
+    GaConfig cfg;
+    cfg.num_parts = k;
+    cfg.population_size = 8;
+    cfg.elite_count = 1;
+    cfg.crossover_rate = 1.0;  // every pair goes through a combine job
+    cfg.crossover = CrossoverOp::kCombine;
+    cfg.combine = [](const Assignment&, const Assignment&, Rng&) {
+      return CombineJob([](Assignment&, Assignment&) {
+        throw Error("combine job failed");
+      });
+    };
+    Rng rng(53);
+    auto initial = make_random_population(g.num_vertices(), k, 8, rng);
+    GaEngine engine(g, cfg, std::move(initial), rng.split(), executor);
+    const std::vector<Individual> before = engine.population();
+    EXPECT_THROW(engine.step(), Error);
+    EXPECT_EQ(engine.generation(), 0);
+    ASSERT_EQ(engine.population().size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(engine.population()[i].genes, before[i].genes);
+      EXPECT_EQ(engine.population()[i].fitness, before[i].fitness);
+    }
+  }
 }
 
 TEST(VcycleCombine, EngineRejectsMissingCombineCallback) {
@@ -185,6 +257,38 @@ TEST(Vcycle, DeterministicAcrossRunsAndExecutors) {
   EXPECT_EQ(d.assignment, e.assignment);
   EXPECT_EQ(d.fitness, e.fitness);
 #endif
+}
+
+TEST(VcycleGolden, PartitionAndRefineBitIdenticalToSerialCombine) {
+  const Graph g = make_grid(24, 24);
+  const PartId k = 4;
+  const VcycleGaOptions opt = small_vcycle(k);
+  Rng seed_rng(99);
+  const Assignment scrambled =
+      random_balanced_assignment(g.num_vertices(), k, seed_rng);
+
+  // Captured by running the implementation whose combines all ran serially
+  // inside the generate phase, on these exact graphs, seeds and options
+  // (hex-float literals are bit-exact).  Every width must reproduce them.
+  Executor one(1);
+  Executor four(4);
+  for (Executor* pool : {static_cast<Executor*>(nullptr), &one, &four}) {
+    const int width = pool == nullptr ? 0 : pool->num_threads();
+    Rng prng(2020);
+    const VcycleGaResult part = vcycle_ga_partition(g, opt, prng, pool);
+    EXPECT_EQ(part.evolved_levels, 4) << "width " << width;
+    EXPECT_EQ(part.fitness, -0x1.9cp+7) << "width " << width;
+    EXPECT_EQ(testing::fnv1a(part.assignment), 0x473f194bb5668f65ULL)
+        << "width " << width;
+
+    Rng rrng(2021);
+    const VcycleGaResult refined =
+        vcycle_ga_refine(g, scrambled, opt, rrng, pool);
+    EXPECT_EQ(refined.evolved_levels, 3) << "width " << width;
+    EXPECT_EQ(refined.fitness, -0x1.b8p+7) << "width " << width;
+    EXPECT_EQ(testing::fnv1a(refined.assignment), 0x065e39bd78b5f357ULL)
+        << "width " << width;
+  }
 }
 
 TEST(Vcycle, RefineNeverWorseThanSeed) {
