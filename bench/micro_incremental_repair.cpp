@@ -1,6 +1,6 @@
 // Incremental-repair microbench: damage size vs repair cost.
 //
-// Two question sets, emitted as JSON for the BENCH_incremental_repair.json
+// Four question sets, emitted as JSON for the BENCH_incremental_repair.json
 // trajectory:
 //
 //   repair:   on an n x n grid with a contiguous block partition and d
@@ -24,10 +24,17 @@
 //             and decode_session_image of the grown grid, with the bytes
 //             and median seconds per call.
 //
+//   image:    the whole-image passes of a compaction and a recovery on the
+//             n x n grid (k = 8 column bands): snapshot_image (the content
+//             digest), encode_session_image, read_file of the written
+//             image and decode_session_image, with the image's bytes and
+//             median seconds per call.
+//
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -44,6 +51,7 @@
 #include "graph/delta_codec.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "service/session.hpp"
 #include "service/wal.hpp"
 
 namespace {
@@ -149,21 +157,21 @@ struct ReplayRow {
   double seconds_per_call = 0.0;  // median
 };
 
-/// Median seconds of `decode(bytes)` over at least 5 calls and `budget`
+/// Median seconds of `call(bytes)` over at least 5 calls and `budget`
 /// seconds, after one untimed call.
-template <typename Decode>
-ReplayRow time_decode(const char* op, VertexId n, const std::string& bytes,
-                      Decode decode, double budget) {
+template <typename Call>
+ReplayRow time_call(const char* op, VertexId n, const std::string& bytes,
+                    Call call, double budget) {
   ReplayRow row;
   row.op = op;
   row.n = n;
   row.bytes = bytes.size();
-  decode(bytes);
+  call(bytes);
   std::vector<double> seconds;
   double elapsed = 0.0;
   while (elapsed < budget || seconds.size() < 5) {
     WallTimer timer;
-    decode(bytes);
+    call(bytes);
     seconds.push_back(timer.seconds());
     elapsed += seconds.back();
   }
@@ -183,18 +191,64 @@ std::vector<ReplayRow> bench_replay(VertexId n, double budget) {
   image.assignment = bench::column_bands(n + 1, n, image.num_parts);
   image.sums = compute_metrics(*grown, image.assignment, image.num_parts);
 
-  return {time_decode(
+  return {time_call(
               "decode_delta", n, record,
               [&prev](const std::string& b) { decode_delta(prev, b); },
               budget),
-          time_decode("decode_session_image", n, encode_session_image(image),
-                      [](const std::string& b) { decode_session_image(b); },
-                      budget)};
+          time_call("decode_session_image", n, encode_session_image(image),
+                    [](const std::string& b) { decode_session_image(b); },
+                    budget)};
+}
+
+std::vector<ReplayRow> bench_image(VertexId n, double budget) {
+  SessionConfig config;
+  config.num_parts = 8;
+  SessionSnapshot snap;
+  snap.graph = std::make_shared<const Graph>(make_grid(n, n));
+  snap.assignment = bench::column_bands(n, n, config.num_parts);
+  snap.sums = compute_metrics(*snap.graph, snap.assignment, config.num_parts);
+  const SessionImage image = snapshot_image(config, snap);
+  const std::string bytes = encode_session_image(image);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gapart_micro_image_" + std::to_string(n)))
+          .string();
+  write_file_atomic(path, bytes);
+
+  std::vector<ReplayRow> rows = {
+      time_call("snapshot_image", n, bytes,
+                [&](const std::string&) { snapshot_image(config, snap); },
+                budget),
+      time_call("encode_session_image", n, bytes,
+                [&](const std::string&) { encode_session_image(image); },
+                budget),
+      time_call("read_file", n, bytes,
+                [&](const std::string&) { read_file(path); }, budget),
+      time_call("decode_session_image", n, bytes,
+                [](const std::string& b) { decode_session_image(b); },
+                budget)};
+  std::filesystem::remove(path);
+  return rows;
+}
+
+void emit_rows(const char* section, const std::vector<ReplayRow>& rows,
+               bool last) {
+  std::printf("  \"%s\": [\n", section);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ReplayRow& r = rows[i];
+    std::printf(
+        "    {\"op\": \"%s\", \"n\": %d, \"bytes\": %zu, \"calls\": %d, "
+        "\"seconds_per_call\": %.6f}%s\n",
+        r.op, static_cast<int>(r.n), r.bytes, r.calls, r.seconds_per_call,
+        i + 1 < rows.size() ? "," : "");
+  }
+  std::printf("  ]%s\n", last ? "" : ",");
 }
 
 void emit_json(const std::vector<RepairRow>& repair,
                const std::vector<PipelineRow>& pipeline,
-               const std::vector<ReplayRow>& replay) {
+               const std::vector<ReplayRow>& replay,
+               const std::vector<ReplayRow>& image) {
   std::printf("{\n");
   std::printf("  \"bench\": \"micro_incremental_repair\",\n");
   std::printf("  \"repair\": [\n");
@@ -228,16 +282,9 @@ void emit_json(const std::vector<RepairRow>& repair,
         r.fitness_after, r.seconds, i + 1 < pipeline.size() ? "," : "");
   }
   std::printf("  ],\n");
-  std::printf("  \"replay\": [\n");
-  for (std::size_t i = 0; i < replay.size(); ++i) {
-    const ReplayRow& r = replay[i];
-    std::printf(
-        "    {\"op\": \"%s\", \"n\": %d, \"bytes\": %zu, \"calls\": %d, "
-        "\"seconds_per_call\": %.6f}%s\n",
-        r.op, static_cast<int>(r.n), r.bytes, r.calls, r.seconds_per_call,
-        i + 1 < replay.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  emit_rows("replay", replay, /*last=*/false);
+  emit_rows("image", image, /*last=*/true);
+  std::printf("}\n");
 }
 
 }  // namespace
@@ -280,11 +327,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ReplayRow> replay;
+  std::vector<ReplayRow> image;
   for (const VertexId n : quick ? std::vector<VertexId>{256}
                                 : std::vector<VertexId>{256, 1000}) {
     for (ReplayRow& row : bench_replay(n, budget)) replay.push_back(row);
+    for (ReplayRow& row : bench_image(n, budget)) image.push_back(row);
   }
 
-  emit_json(repair, pipeline, replay);
+  emit_json(repair, pipeline, replay, image);
   return 0;
 }

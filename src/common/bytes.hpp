@@ -5,6 +5,7 @@
 // typed error, never an out-of-bounds read.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -14,6 +15,9 @@
 #include "common/assert.hpp"
 
 namespace gapart {
+
+static_assert(std::endian::native == std::endian::little,
+              "gapart's binary formats are little-endian byte copies");
 
 template <typename T>
 void put(std::string& out, T value) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -18,15 +19,25 @@ constexpr std::uint8_t kWeightedRows = 0x01;        // the one header flag
 // magic u32 + flags u8 + old_n u32 + new_n u32 + touched count u32
 constexpr std::size_t kHeaderBytes = 17;
 
+// An id's int32 bytes are its u32 wire value (common/bytes.hpp: host byte
+// order, little-endian), so a unit-weight row's neighbours go out as one
+// block.
+static_assert(std::is_same_v<VertexId, std::int32_t>);
+
 void append_vertex_row(std::string& out, const Graph& g, VertexId v,
                        bool weighted) {
-  if (weighted) put<double>(out, g.vertex_weight(v));
   const auto nbrs = g.neighbors(v);
+  if (!weighted) {
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
+    out.append(reinterpret_cast<const char*>(nbrs.data()), nbrs.size_bytes());
+    return;
+  }
+  put<double>(out, g.vertex_weight(v));
   const auto wgts = g.edge_weights(v);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs[i]));
-    if (weighted) put<double>(out, wgts[i]);
+    put<double>(out, wgts[i]);
   }
 }
 

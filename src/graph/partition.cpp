@@ -11,47 +11,38 @@ namespace gapart {
 
 namespace {
 
-// One content-hash item: two differently-seeded CRC32s over the item's raw
-// bytes widened to 64 bits, then scrambled through a SplitMix64-style
-// finalizer.  CRC alone is linear over GF(2); the finalizer breaks that
-// linearity so the commutative (wrapping-add) combination below cannot be
-// cancelled by a second coordinated change.
-std::uint64_t hash_item(const void* data, std::size_t len) {
-  const auto lo = static_cast<std::uint64_t>(crc32(data, len, 0x9e3779b9u));
-  const auto hi = static_cast<std::uint64_t>(crc32(data, len, 0x85ebca6bu));
-  std::uint64_t z = (hi << 32) | lo;
+constexpr std::uint32_t kLoSeed = 0x9e3779b9u;
+constexpr std::uint32_t kHiSeed = 0x85ebca6bu;
+constexpr std::size_t kItemBytes = 12;
+
+/// crc32(d, 12, kHiSeed) ^ crc32(d, 12, kLoSeed), the same for every 12-byte
+/// d: at a fixed length a CRC is affine in its seed, so that XOR does not
+/// depend on the data and equals the one over 12 zero bytes.
+std::uint32_t hi_seed_offset() {
+  const char zeros[kItemBytes] = {};
+  return crc32(zeros, kItemBytes, kLoSeed) ^ crc32(zeros, kItemBytes, kHiSeed);
+}
+
+// One content-hash item: two differently-seeded CRC32s over the item's 12
+// raw bytes (the second derived from the first, see hi_seed_offset) widened
+// to 64 bits, then scrambled through a SplitMix64-style finalizer.  CRC
+// alone is linear over GF(2); the finalizer breaks that linearity so the
+// commutative (wrapping-add) combination below cannot be cancelled by a
+// second coordinated change.
+template <typename A, typename B>
+std::uint64_t hash_item(A a, B b, std::uint32_t hi_offset) {
+  static_assert(sizeof(A) + sizeof(B) == kItemBytes);
+  char buf[kItemBytes];
+  std::memcpy(buf, &a, sizeof(a));
+  std::memcpy(buf + sizeof(a), &b, sizeof(b));
+  const std::uint32_t lo = crc32(buf, kItemBytes, kLoSeed);
+  std::uint64_t z = (static_cast<std::uint64_t>(lo ^ hi_offset) << 32) | lo;
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
   z ^= z >> 27;
   z *= 0x94d049bb133111ebULL;
   z ^= z >> 31;
   return z;
-}
-
-std::uint64_t hash_vertex_part(VertexId v, PartId p) {
-  char buf[sizeof(std::uint64_t) + sizeof(std::int32_t)];
-  const auto v64 = static_cast<std::uint64_t>(v);
-  const auto p32 = static_cast<std::int32_t>(p);
-  std::memcpy(buf, &v64, sizeof(v64));
-  std::memcpy(buf + sizeof(v64), &p32, sizeof(p32));
-  return hash_item(buf, sizeof(buf));
-}
-
-std::uint64_t hash_part_weight(PartId q, double w) {
-  char buf[sizeof(std::int32_t) + sizeof(double)];
-  const auto q32 = static_cast<std::int32_t>(q);
-  std::memcpy(buf, &q32, sizeof(q32));
-  std::memcpy(buf + sizeof(q32), &w, sizeof(w));
-  return hash_item(buf, sizeof(buf));
-}
-
-std::uint64_t hash_shape(VertexId n, PartId k) {
-  char buf[sizeof(std::uint64_t) + sizeof(std::int32_t)];
-  const auto n64 = static_cast<std::uint64_t>(n);
-  const auto k32 = static_cast<std::int32_t>(k);
-  std::memcpy(buf, &n64, sizeof(n64));
-  std::memcpy(buf + sizeof(n64), &k32, sizeof(k32));
-  return hash_item(buf, sizeof(buf));
 }
 
 /// The content digest: (n, k), every (vertex, part) pair, and the part
@@ -61,16 +52,20 @@ std::uint64_t hash_shape(VertexId n, PartId k) {
 /// weights depend on their summation order).
 std::uint64_t content_hash_of(const Graph& g, const Assignment& a,
                               PartId num_parts) {
-  std::uint64_t h = hash_shape(g.num_vertices(), num_parts);
-  std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
+  const std::uint32_t hi_offset = hi_seed_offset();
   const VertexId n = g.num_vertices();
+  std::uint64_t h = hash_item(static_cast<std::uint64_t>(n),
+                              static_cast<std::int32_t>(num_parts), hi_offset);
+  std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
   for (VertexId v = 0; v < n; ++v) {
     const PartId p = a[static_cast<std::size_t>(v)];
-    h += hash_vertex_part(v, p);
+    h += hash_item(static_cast<std::uint64_t>(v), static_cast<std::int32_t>(p),
+                   hi_offset);
     weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
   }
   for (PartId q = 0; q < num_parts; ++q) {
-    h += hash_part_weight(q, weight[static_cast<std::size_t>(q)]);
+    h += hash_item(static_cast<std::int32_t>(q),
+                   weight[static_cast<std::size_t>(q)], hi_offset);
   }
   return h;
 }

@@ -515,11 +515,16 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
 
 SessionImage snapshot_image(const SessionConfig& config,
                             const SessionSnapshot& snap) {
+  std::uint64_t digest = 0;
+  {
+    GAPART_SPAN("image.digest");
+    digest = assignment_content_hash(*snap.graph, snap.assignment,
+                                     config.num_parts);
+  }
   return {.num_parts = config.num_parts,
           .fitness = config.fitness,
           .epoch = snap.update_epoch,
-          .digest = assignment_content_hash(*snap.graph, snap.assignment,
-                                            config.num_parts),
+          .digest = digest,
           .graph = snap.graph,
           .assignment = snap.assignment,
           .sums = snap.sums};

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
@@ -176,12 +177,21 @@ void write_file_atomic(const std::string& path, const std::string& content) {
 }
 
 std::string read_file(const std::string& path) {
+  std::error_code ec;
+  const auto size = static_cast<std::streamsize>(fs::file_size(path, ec));
   std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) throw IoError("read failed for '" + path + "'");
-  return buf.str();
+  if (ec || !is.good()) {
+    throw IoError("cannot open '" + path + "' for reading" +
+                  (ec ? ": " + ec.message() : ""));
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.read(bytes.data(), size);
+  if (is.gcount() != size) {
+    throw IoError("short read of '" + path + "': " +
+                  std::to_string(is.gcount()) + " of " + std::to_string(size) +
+                  " bytes");
+  }
+  return bytes;
 }
 
 const char* fsync_policy_name(FsyncPolicy p) {
@@ -273,11 +283,16 @@ WalTail read_log_tail(const std::string& path, std::uint64_t offset,
   return out;
 }
 
+// The parts section is the assignment's int32 array verbatim (host byte
+// order, little-endian on every supported target), copied as one block.
+static_assert(std::is_same_v<PartId, std::int32_t>);
+
 std::string encode_assignment(const Assignment& assignment) {
   std::string out;
   out.reserve(8 + assignment.size() * 4);
   put<std::uint64_t>(out, assignment.size());
-  for (const PartId p : assignment) put<std::int32_t>(out, p);
+  out.append(reinterpret_cast<const char*>(assignment.data()),
+             assignment.size() * sizeof(PartId));
   return out;
 }
 
@@ -289,7 +304,8 @@ Assignment decode_assignment(std::string_view payload) {
                  "assignment payload size mismatch: header says ", n,
                  " entries, payload has ", payload.size(), " bytes");
   Assignment a(static_cast<std::size_t>(n));
-  for (PartId& p : a) p = in.get<std::int32_t>();
+  in.take(in.remaining()).copy(reinterpret_cast<char*>(a.data()),
+                               a.size() * sizeof(PartId));
   return a;
 }
 
@@ -342,6 +358,7 @@ RepairOutcome decode_outcome(ByteReader& in, VertexId num_new,
 }
 
 std::string encode_session_image(const SessionImage& image) {
+  GAPART_SPAN("image.encode");
   const std::string graph_bytes = encode_delta(*image.graph, GraphDelta{0, {}});
   const std::string parts = encode_assignment(image.assignment);
   std::string out;
@@ -552,45 +569,50 @@ bool SessionWal::should_compact() const {
 void SessionWal::write_snapshot(const SessionImage& image) {
   // The image first (temp + fsync + rename), CURRENT last: CURRENT never
   // names an incomplete snapshot.
-  write_file_atomic(snap_path(dir_, image.epoch), encode_session_image(image));
+  const std::string bytes = encode_session_image(image);
+  {
+    GAPART_SPAN("image.write");
+    write_file_atomic(snap_path(dir_, image.epoch), bytes);
+  }
   write_file_atomic(dir_ + "/CURRENT", std::to_string(image.epoch) + "\n");
 }
 
 void SessionWal::compact(const SessionImage& image) {
   GAPART_SPAN("wal.compact");
   WallTimer timer;
-  const std::uint64_t epoch = image.epoch;
   const std::uint64_t old_epoch = stats_.snapshot_epoch;
   try {
     write_snapshot(image);
-    // CURRENT now points at the new snapshot; the log's records are all
-    // <= epoch and would be skipped on replay, so truncating is safe — and
-    // a crash right here leaves a stale-prefix log, which replay skips.
+    // CURRENT names the new snapshot from here on, whatever fails below.
+    stats_.snapshot_epoch = image.epoch;
+    stats_.snapshot_digest = image.digest;
+    if (old_epoch != image.epoch) {
+      // Garbage now; failing to remove it costs only disk.
+      std::error_code ec;
+      fs::remove(snap_path(dir_, old_epoch), ec);
+    }
+    // The log's records are all <= epoch and would be skipped on replay, so
+    // truncating is safe — and a crash right here leaves a stale-prefix
+    // log, which replay skips.
     if (::ftruncate(fd_, static_cast<off_t>(kFileHeaderSize)) != 0) {
       throw IoError(std::string("WAL truncate failed: ") +
                     std::strerror(errno));
     }
+    // The log is the bare header now, even if the fsync below fails: an
+    // append's rollback and the shipper's cap must describe that file.
+    stats_.log_records = 0;
+    stats_.log_bytes = 0;
+    stats_.log_damage = 0;
+    records_since_fsync_ = 0;
+    file_bytes_ = kFileHeaderSize;
+    stats_.durable_bytes = kFileHeaderSize;
     posix_fsync_fd(fd_, "wal truncate");
   } catch (const IoError&) {
     ++stats_.compaction_failures;
     throw;
   }
-  stats_.snapshot_epoch = epoch;
-  stats_.snapshot_digest = image.digest;
-  stats_.log_records = 0;
-  stats_.log_bytes = 0;
-  stats_.log_damage = 0;
-  records_since_fsync_ = 0;
-  file_bytes_ = kFileHeaderSize;
-  stats_.durable_bytes = kFileHeaderSize;
   ++stats_.compactions;
   stats_.last_compaction_seconds = timer.seconds();
-
-  // The old snapshot is garbage now; failing to remove it costs only disk.
-  if (old_epoch != epoch) {
-    std::error_code ec;
-    fs::remove(snap_path(dir_, old_epoch), ec);
-  }
 }
 
 void SessionWal::sync() {

@@ -293,7 +293,9 @@ class SessionWal {
 
   /// Writes `image` as the snapshot at image.epoch and truncates the log
   /// (see the crash-consistency argument above).  Throws IoError on
-  /// failure; the log is then still intact and the caller retries later.
+  /// failure; CURRENT then still names a complete snapshot, the log holds
+  /// every record past it, stats() describe both as they are on disk, and
+  /// the caller retries later.
   void compact(const SessionImage& image);
 
   /// Forces an fsync of any unsynced appends (used at close).

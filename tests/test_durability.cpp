@@ -25,6 +25,7 @@
 
 #include "bench_common.hpp"
 #include "common/assert.hpp"
+#include "common/checksum.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry.hpp"
 #include "core/graph_delta.hpp"
@@ -683,6 +684,28 @@ TEST(Durability, CommittedLogReplaysToPinnedDigest) {
 #endif
 }
 
+// The image format and the content digest are pinned by bytes, whichever
+// kernels write them: the committed weighted image re-encodes to itself,
+// and a unit-weight image (whose rows take the block-copy path) keeps the
+// length, CRC and digest every earlier binary gave it.
+TEST(Durability, SessionImageReencodesByteForByte) {
+  const std::string snap0 = from_hex(kSnap0);
+  ASSERT_EQ(snap0.size(), 721u);
+  EXPECT_EQ(encode_session_image(decode_session_image(snap0)), snap0);
+
+  const PartId k = 3;
+  const Graph grid = make_grid(12, 12);
+  const SessionImage image =
+      testing::image_of(grid, column_bands(12, 12, k), k, /*epoch=*/5);
+  EXPECT_EQ(image.digest, 15472686672500039213ull);
+  const std::string bytes = encode_session_image(image);
+  EXPECT_EQ(bytes.size(), 3401u);
+  // The CRC the image ends with (a CRC over the whole image, that CRC
+  // included, is the constant residue 0x2144df1c).
+  EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 0xff862b9fu);
+  EXPECT_EQ(encode_session_image(decode_session_image(bytes)), bytes);
+}
+
 TEST(Durability, RefineRecordHoldsOnlyItsMoves) {
   const PartId k = 4;
   const std::string dir = fresh_dir("refine_record");
@@ -1075,6 +1098,60 @@ TEST(Durability, FailedRefinementFsyncLeavesNoRecord) {
   EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
 }
 
+// A compaction whose log-truncation fsync fails has already renamed CURRENT
+// and truncated the log, so the WAL's accounting must describe the log that
+// exists: the next append whose fsync fails then rolls back to where its
+// frame began, and recovery replays nothing the client was told failed.
+TEST(Durability, FailedCompactionFsyncKeepsLogAccounting) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("compact_fsync");
+  const std::string session_dir = dir + "/session-1";
+  ServiceConfig sc = durable_config(dir);
+  sc.durability.io_retry.max_attempts = 1;
+  auto g12 = shared_grid(12, 12);
+  auto g13 = shared_grid(13, 12);
+  auto g14 = shared_grid(14, 12);
+  auto g15 = shared_grid(15, 12);
+
+  std::uint64_t digest = 0;
+  {
+    PartitionService service(sc);
+    const SessionId id = service.open_session(g12, column_bands(12, 12, k),
+                                              session_config(k));
+    service.submit_update(id, g13, diff_graphs(*g12, *g13));
+    service.submit_update(id, g14, diff_graphs(*g13, *g14));
+    const auto session = service.session_handle(id);
+    digest = session->state_digest();
+    {
+      // Two fsyncs write the image, two CURRENT; the fifth is the log's.
+      ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/5);
+      EXPECT_FALSE(session->compact_now());
+    }
+    const WalStats st = *session->wal_stats();
+    EXPECT_EQ(st.compaction_failures, 1u);
+    EXPECT_EQ(fs::file_size(session_dir + "/wal.log"), kWalLogHeaderBytes);
+    EXPECT_EQ(st.durable_bytes, kWalLogHeaderBytes);
+    EXPECT_EQ(st.log_records, 0u);
+    EXPECT_EQ(st.log_bytes, 0u);
+    EXPECT_EQ(st.log_damage, 0);
+    EXPECT_EQ(st.snapshot_epoch, 2u);
+    EXPECT_FALSE(fs::exists(session_dir + "/snap-0"));
+    EXPECT_TRUE(fs::exists(session_dir + "/snap-2"));
+    {
+      ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+      EXPECT_THROW(service.submit_update(id, g15, diff_graphs(*g14, *g15)),
+                   IoError);
+    }
+    EXPECT_EQ(fs::file_size(session_dir + "/wal.log"), kWalLogHeaderBytes);
+  }
+  PartitionService service(sc);
+  const auto reports = service.recover(session_config(k));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].records_replayed, 0u);
+  EXPECT_EQ(reports[0].final_epoch, 2u);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), digest);
+}
+
 TEST(Durability, FailStopAfterExhaustedAppendRetries) {
   const PartId k = 3;
   const std::string dir = fresh_dir("failstop");
@@ -1177,6 +1254,9 @@ TEST(Durability, ConcurrentFaultStormLosesNoAckedDelta) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }
 TEST(Durability, FailedRefinementFsyncLeavesNoRecord) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(Durability, FailedCompactionFsyncKeepsLogAccounting) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }
 TEST(Durability, FailStopAfterExhaustedAppendRetries) {
@@ -1362,6 +1442,22 @@ TEST(DurabilityIo, TruncatedGraphFileIsTyped) {
   EXPECT_THROW(read_graph_file(path), IoError);
 
   EXPECT_THROW(read_graph_file(path + ".does-not-exist"), IoError);
+}
+
+// read_file, which recovery reads every snapshot and log through, returns
+// the whole file or throws IoError.
+TEST(DurabilityIo, ReadFileIsWholeOrTyped) {
+  const std::string dir = fresh_dir("ioread");
+  std::string content((std::size_t{1} << 20) + 3, '\0');
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<char>(i * 131 % 251);
+  }
+  write_file_atomic(dir + "/image", content);
+  EXPECT_EQ(read_file(dir + "/image"), content);
+  write_file_atomic(dir + "/empty", "");
+  EXPECT_EQ(read_file(dir + "/empty"), "");
+  EXPECT_THROW(read_file(dir + "/missing"), IoError);
+  EXPECT_THROW(read_file(dir), IoError);
 }
 
 }  // namespace

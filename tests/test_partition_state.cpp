@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/connectivity_scratch.hpp"
@@ -636,6 +638,56 @@ TEST(PartitionStateContentHash, FreeFunctionAgreesWithMember) {
   state.move(30, 0);
   EXPECT_EQ(state.content_hash(),
             assignment_content_hash(g, state.assignment(), 3));
+}
+
+// The digest as it is defined (and persisted in every snapshot image): each
+// 12-byte item hashed by two CRCs, seeded 0x9e3779b9 (low half) and
+// 0x85ebca6b (high half), through a SplitMix64 finalizer, summed.
+std::uint64_t reference_item_hash(const char (&item)[12]) {
+  const std::uint64_t lo = crc32(item, sizeof(item), 0x9e3779b9u);
+  const std::uint64_t hi = crc32(item, sizeof(item), 0x85ebca6bu);
+  std::uint64_t z = (hi << 32) | lo;
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ULL;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return z;
+}
+
+std::uint64_t reference_content_hash(const Graph& g, const Assignment& a,
+                                     PartId k) {
+  char item[12];
+  const auto put_item = [&item](auto first, auto second) {
+    static_assert(sizeof(first) + sizeof(second) == sizeof(item));
+    std::memcpy(item, &first, sizeof(first));
+    std::memcpy(item + sizeof(first), &second, sizeof(second));
+    return reference_item_hash(item);
+  };
+  std::uint64_t h = put_item(static_cast<std::uint64_t>(g.num_vertices()),
+                             static_cast<std::int32_t>(k));
+  std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const PartId p = a[static_cast<std::size_t>(v)];
+    h += put_item(static_cast<std::uint64_t>(v), static_cast<std::int32_t>(p));
+    weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
+  }
+  for (PartId q = 0; q < k; ++q) {
+    h += put_item(static_cast<std::int32_t>(q),
+                  weight[static_cast<std::size_t>(q)]);
+  }
+  return h;
+}
+
+TEST(PartitionStateContentHash, MatchesItsTwoCrcDefinition) {
+  Rng rng(0xd1635);
+  const Graph g = testing::with_fractional_weights(make_grid(23, 19));
+  for (const PartId k : {PartId{2}, PartId{7}, PartId{300}}) {
+    Assignment a(static_cast<std::size_t>(g.num_vertices()));
+    for (PartId& p : a) p = static_cast<PartId>(rng.uniform_int(k));
+    EXPECT_EQ(assignment_content_hash(g, a, k), reference_content_hash(g, a, k))
+        << k << " parts";
+  }
 }
 
 }  // namespace

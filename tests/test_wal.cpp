@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "common/backoff.hpp"
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
+#include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/delta_codec.hpp"
 #include "graph/generators.hpp"
@@ -56,6 +58,57 @@ TEST(WalChecksum, SensitiveToEveryByte) {
     mutated[i] ^= 0x01;
     EXPECT_NE(crc32(mutated.data(), mutated.size()), base) << "byte " << i;
   }
+}
+
+/// The bytewise table-driven CRC-32 that the sliced kernel replaced, kept as
+/// its oracle.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t len,
+                             std::uint32_t seed) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(WalChecksum, SlicedKernelMatchesBytewiseReference) {
+  Rng rng(0xc3c32);
+  std::vector<unsigned char> buf(std::size_t{1} << 20);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  // Every head, 8-byte body and tail split, at every alignment, under the
+  // seeds in use: frames and images chain from 0, the content digest seeds
+  // its two halves with the other two.
+  for (const std::uint32_t seed : {0u, 0x9e3779b9u, 0x85ebca6bu}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 130; ++len) {
+        ASSERT_EQ(crc32(buf.data() + offset, len, seed),
+                  crc32_bytewise(buf.data() + offset, len, seed))
+            << "seed " << seed << ", offset " << offset << ", length " << len;
+      }
+    }
+  }
+  // The whole buffer, in one call and chained at random split points.
+  const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size(), 0);
+  EXPECT_EQ(crc32(buf.data(), buf.size()), whole);
+  std::uint32_t chained = 0;
+  for (std::size_t pos = 0; pos < buf.size();) {
+    const std::size_t len = std::min<std::size_t>(
+        buf.size() - pos, rng.uniform_u64(std::size_t{1} << 14));
+    chained = crc32(buf.data() + pos, len, chained);
+    pos += len;
+  }
+  EXPECT_EQ(chained, whole);
 }
 
 // ---------------------------------------------------------------------------
