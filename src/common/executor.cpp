@@ -16,11 +16,8 @@ namespace {
 /// `next` and account completion via `done`; the issuing thread blocks until
 /// done == n.  Lives on the heap (shared_ptr) because helper tasks may still
 /// be queued — and harmlessly find no work — after the issuing call returned.
-/// The range function is invoked once per claimed range (the blocked
-/// overload's contract); the per-index overload wraps its fn in a range loop
-/// so both share this one claiming/accounting path.
 struct LoopState {
-  std::function<void(std::size_t, std::size_t)> fn;
+  std::function<void(std::size_t)> fn;
   std::size_t n = 0;
   std::size_t grain = 1;
   std::atomic<std::size_t> next{0};
@@ -39,7 +36,7 @@ struct LoopState {
       // loop still reaches done == n and the caller can rethrow.
       if (!failed.load(std::memory_order_relaxed)) {
         try {
-          fn(begin, end);
+          for (std::size_t i = begin; i < end; ++i) fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(mu);
           if (!error) error = std::current_exception();
@@ -178,17 +175,8 @@ void Executor::wait() {
 void Executor::parallel_for(std::size_t n,
                             const std::function<void(std::size_t)>& fn,
                             std::size_t grain) {
-  parallel_for(n, grain, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-void Executor::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    fn(0, n);
+  if (workers_.empty() || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 

@@ -59,16 +59,6 @@ class Executor {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 0);
 
-  /// Blocked variant: runs fn(begin, end) over disjoint half-open ranges
-  /// covering [0, n), each of at most `grain` consecutive indices (0 =
-  /// choose automatically).  One std::function dispatch per RANGE instead of
-  /// per index, so fine-grained loops (a few hundred nanoseconds per index)
-  /// are not dominated by call overhead; the batch-scoring kernel of
-  /// parallel refinement runs on this.  Same participation, completion, and
-  /// exception contract as the per-index overload.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Runs every closure in `tasks` exactly once (caller participates) and
   /// blocks until all have completed.  Closure i is always item i — there is
   /// no stealing of a started task — so per-task state (e.g. one RNG stream

@@ -95,17 +95,6 @@ void write_json_string(std::ostream& os, const char* s) {
   os << '"';
 }
 
-std::string prometheus_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, 1, '_');
-  return out;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------ LogHistogram
@@ -404,29 +393,6 @@ void TelemetryRegistry::write_json(std::ostream& os) const {
        << ",\"p99\":" << h.quantile(0.99) << ",\"max\":" << h.max() << '}';
   }
   os << "}}";
-}
-
-void TelemetryRegistry::write_prometheus(std::ostream& os) const {
-  const Snapshot snap = snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    const std::string p = prometheus_name(name);
-    os << "# TYPE " << p << "_total counter\n"
-       << p << "_total " << value << '\n';
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string p = prometheus_name(name);
-    os << "# TYPE " << p << " gauge\n" << p << ' ' << value << '\n';
-  }
-  for (const auto& hs : snap.histograms) {
-    const std::string p = prometheus_name(hs.name);
-    const LogHistogram& h = hs.hist;
-    os << "# TYPE " << p << " summary\n";
-    for (const double q : {0.5, 0.9, 0.99}) {
-      os << p << "{quantile=\"" << q << "\"} " << h.quantile(q) << '\n';
-    }
-    os << p << "_sum " << h.sum() << '\n'
-       << p << "_count " << h.count() << '\n';
-  }
 }
 
 void TelemetryRegistry::reset_for_tests() {

@@ -195,10 +195,6 @@ class TelemetryRegistry {
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,p50,
   /// p90,p99,max,...}}} — one JSON object, machine-readable.
   void write_json(std::ostream& os) const;
-  /// Prometheus text exposition: counters as `name_total`, gauges as-is,
-  /// histograms as `_count`/`_sum` plus quantile gauges (names sanitized to
-  /// [a-zA-Z0-9_:]).
-  void write_prometheus(std::ostream& os) const;
 
   /// Test hook: zeroes counters and histograms (names stay registered so
   /// cached references remain valid).  Gauges are left alone — they are

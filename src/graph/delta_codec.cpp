@@ -41,33 +41,41 @@ void append_vertex_row(std::string& out, const Graph& g, VertexId v,
   }
 }
 
-}  // namespace
-
-std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
-  const VertexId n_new = grown.num_vertices();
+void check_encodable(const Graph& grown, const GraphDelta& delta) {
   GAPART_REQUIRE(delta.old_num_vertices >= 0 &&
-                     delta.old_num_vertices <= n_new,
+                     delta.old_num_vertices <= grown.num_vertices(),
                  "delta old vertex count ", delta.old_num_vertices,
-                 " out of range for |V| = ", n_new);
-  const bool weighted = !grown.unit_weights();
-  // A row's head ([weight] + degree) and each of its neighbour slots are
-  // both `slot` bytes.  Sizing the record exactly keeps the appends below
-  // from reallocating: a snapshot image encodes every row through here.
-  const std::size_t slot = weighted ? 12 : 4;
-  std::size_t size = kHeaderBytes;
+                 " out of range for |V| = ", grown.num_vertices());
   VertexId prev_id = -1;
   for (const VertexId v : delta.touched_old) {
     GAPART_REQUIRE(v > prev_id && v < delta.old_num_vertices,
                    "touched list must be sorted survivors; got ", v);
     prev_id = v;
+  }
+}
+
+}  // namespace
+
+std::size_t encoded_delta_size(const Graph& grown, const GraphDelta& delta) {
+  check_encodable(grown, delta);
+  // A row's head ([weight] + degree) and each of its neighbour slots are
+  // both `slot` bytes.
+  const std::size_t slot = grown.unit_weights() ? 4 : 12;
+  std::size_t size = kHeaderBytes;
+  for (const VertexId v : delta.touched_old) {
     size += 4 + slot * (1 + static_cast<std::size_t>(grown.degree(v)));
   }
-  for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
+  for (VertexId v = delta.old_num_vertices; v < grown.num_vertices(); ++v) {
     size += slot * (1 + static_cast<std::size_t>(grown.degree(v)));
   }
+  return size;
+}
 
-  std::string out;
-  out.reserve(size);
+void encode_delta(std::string& out, const Graph& grown,
+                  const GraphDelta& delta) {
+  check_encodable(grown, delta);
+  const VertexId n_new = grown.num_vertices();
+  const bool weighted = !grown.unit_weights();
   put<std::uint32_t>(out, kCodecMagic);
   put<std::uint8_t>(out, weighted ? kWeightedRows : 0);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(delta.old_num_vertices));
@@ -83,6 +91,13 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
   for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
     append_vertex_row(out, grown, v, weighted);
   }
+}
+
+std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
+  // Sized exactly, so the appends never reallocate.
+  std::string out;
+  out.reserve(encoded_delta_size(grown, delta));
+  encode_delta(out, grown, delta);
   return out;
 }
 

@@ -42,6 +42,7 @@
 // coordinate-free.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -55,6 +56,13 @@ namespace gapart {
 /// O(damage * degree) bytes.  `delta` must be exact for `grown` (see file
 /// comment); old_num_vertices must not exceed |grown|.
 std::string encode_delta(const Graph& grown, const GraphDelta& delta);
+/// As above, appending the record to `out`: a caller that embeds it in a
+/// larger buffer (the session image) reserves room with encoded_delta_size
+/// and writes every section in place.
+void encode_delta(std::string& out, const Graph& grown,
+                  const GraphDelta& delta);
+/// Byte length of encode_delta(grown, delta); throws as encode_delta does.
+std::size_t encoded_delta_size(const Graph& grown, const GraphDelta& delta);
 
 struct DecodedDelta {
   Graph grown;       ///< Reconstructed grown graph (no coordinates).

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -99,8 +100,20 @@ Graph read_graph(std::istream& is) {
   const bool has_vwgt = fmt.size() >= 2 && fmt[fmt.size() - 2] == '1';
   const bool has_ewgt = !fmt.empty() && fmt.back() == '1';
   GAPART_REQUIRE(n >= 0 && m >= 0, "negative counts in header");
+  GAPART_REQUIRE(n <= std::numeric_limits<VertexId>::max(), "header promises ",
+                 n, " vertices, more than a vertex id can name");
 
-  GraphBuilder b(static_cast<VertexId>(n));
+  // Nothing is sized from the header: the rows are read first and the
+  // builder is made after them, so memory follows the lines actually present
+  // and a header promising more than the file holds fails as truncated
+  // before any O(n) allocation.
+  struct Edge {
+    VertexId u;
+    VertexId v;
+    double w;
+  };
+  std::vector<double> vwgt;
+  std::vector<Edge> edges;
   for (long long v = 0; v < n; ++v) {
     const auto maybe_line = next_vertex_line(is);
     if (!maybe_line.has_value()) {
@@ -116,7 +129,7 @@ Graph read_graph(std::istream& is) {
       double w = 1.0;
       ls >> w;
       GAPART_REQUIRE(!ls.fail(), "missing vertex weight on line ", v + 1);
-      b.set_vertex_weight(static_cast<VertexId>(v), w);
+      vwgt.push_back(w);
     }
     long long u = 0;
     while (ls >> u) {
@@ -129,10 +142,17 @@ Graph read_graph(std::istream& is) {
       // Each undirected edge appears on both endpoint lines; add from the
       // lower side only.
       if (u - 1 > v) {
-        b.add_edge(static_cast<VertexId>(v), static_cast<VertexId>(u - 1), w);
+        edges.push_back(
+            {static_cast<VertexId>(v), static_cast<VertexId>(u - 1), w});
       }
     }
   }
+  GraphBuilder b(static_cast<VertexId>(n));
+  for (std::size_t v = 0; v < vwgt.size(); ++v) {
+    b.set_vertex_weight(static_cast<VertexId>(v), vwgt[v]);
+  }
+  for (const Edge& e : edges) b.add_edge(e.u, e.v, e.w);
+  std::vector<Edge>().swap(edges);  // freed before build() sizes the CSR
   Graph g = b.build();
   GAPART_REQUIRE(g.num_edges() == m, "header claims ", m, " edges, file has ",
                  g.num_edges());
@@ -206,7 +226,8 @@ Assignment read_partition(std::istream& is) {
     long long p = 0;
     ls >> p;
     GAPART_REQUIRE(!ls.fail(), "malformed partition line '", line, "'");
-    GAPART_REQUIRE(p >= 0, "negative part id ", p);
+    GAPART_REQUIRE(p >= 0 && p <= std::numeric_limits<PartId>::max(),
+                   "part id ", p, " out of range");
     a.push_back(static_cast<PartId>(p));
   }
   return a;

@@ -67,34 +67,4 @@ bool decide_compaction(const CompactionPolicy& policy,
   return damaged || oversized;
 }
 
-const char* admit_decision_name(AdmitDecision d) {
-  switch (d) {
-    case AdmitDecision::kAdmit:
-      return "admit";
-    case AdmitDecision::kShedVerification:
-      return "shed_verification";
-    case AdmitDecision::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
-AdmitDecision decide_admission(const OverloadConfig& config,
-                               const OverloadSignals& signals) {
-  if (config.max_inflight_repairs > 0 &&
-      signals.inflight_repairs > config.max_inflight_repairs) {
-    return AdmitDecision::kReject;
-  }
-  if (config.shed_verification_backlog > 0 &&
-      signals.pool_backlog >= config.shed_verification_backlog) {
-    return AdmitDecision::kShedVerification;
-  }
-  return AdmitDecision::kAdmit;
-}
-
-bool defer_refinement(const OverloadConfig& config, int pool_backlog) {
-  return config.defer_refinement_backlog > 0 &&
-         pool_backlog >= config.defer_refinement_backlog;
-}
-
 }  // namespace gapart

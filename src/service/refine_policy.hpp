@@ -19,7 +19,8 @@
 //                        quality as surely as one big one.
 //
 // decide_refinement is a pure function of (config, signals) so the trigger
-// logic is unit-testable without sessions, threads, or clocks.
+// logic is unit-testable without sessions, threads, or clocks.  The WAL
+// compaction policy below has the same shape; the session consults both.
 #pragma once
 
 #include <cstdint>
@@ -129,57 +130,5 @@ struct CompactionSignals {
 /// Pure: should the session snapshot + truncate now?
 bool decide_compaction(const CompactionPolicy& policy,
                        const CompactionSignals& signals);
-
-// ---------------------------------------------------------------------------
-// Overload policy.  Under a traffic burst the service degrades in a fixed
-// order — quality first, latency second, availability last:
-//
-//   1. shed verification   synchronous repairs skip their budgeted
-//                          verification rounds (cascade only; background
-//                          refinement recovers the quality later);
-//   2. defer refinement    policy-triggered background jobs are not
-//                          scheduled while the pool backlog is deep (the
-//                          accumulators keep counting, so the work happens
-//                          when the burst passes);
-//   3. reject              submit_update refuses new deltas with a typed
-//                          backpressure error once too many synchronous
-//                          repairs are already in flight.
-//
-// All thresholds are "0 disables", and the decisions are pure functions so
-// the degradation ladder is unit-testable without threads.
-
-struct OverloadConfig {
-  /// Reject new deltas while this many submit_update calls are already
-  /// running (0 = never reject).
-  int max_inflight_repairs = 0;
-  /// Shed synchronous verification rounds while the refinement pool backlog
-  /// is at or above this many tasks (0 = never shed).
-  int shed_verification_backlog = 0;
-  /// Do not schedule new background refinement while the pool backlog is at
-  /// or above this many tasks (0 = never defer).
-  int defer_refinement_backlog = 0;
-};
-
-struct OverloadSignals {
-  /// Concurrent submit_update calls, including the one asking.
-  int inflight_repairs = 0;
-  /// Refinement pool tasks queued or executing.
-  int pool_backlog = 0;
-};
-
-enum class AdmitDecision {
-  kAdmit,             ///< Run the full repair pipeline.
-  kShedVerification,  ///< Admit, but skip budgeted verification rounds.
-  kReject,            ///< Backpressure: the caller should retry later.
-};
-
-const char* admit_decision_name(AdmitDecision d);
-
-/// Pure: how should the service treat one arriving delta?
-AdmitDecision decide_admission(const OverloadConfig& config,
-                               const OverloadSignals& signals);
-
-/// Pure: should a policy-triggered refinement be deferred right now?
-bool defer_refinement(const OverloadConfig& config, int pool_backlog);
 
 }  // namespace gapart

@@ -197,49 +197,9 @@ std::shared_ptr<PartitionSession> PartitionService::find(SessionId id) const {
 RepairReport PartitionService::submit_update(
     SessionId id, std::shared_ptr<const Graph> grown, const GraphDelta& delta) {
   const auto session = find(id);
-
-  // Overload gate: count this call in, consult the pure admission policy,
-  // and degrade in the fixed order quality -> latency -> availability.
-  struct InflightGuard {
-    std::atomic<int>& count;
-    ~InflightGuard() { count.fetch_sub(1, std::memory_order_relaxed); }
-  } guard{inflight_repairs_};
-  OverloadSignals signals;
-  signals.inflight_repairs =
-      inflight_repairs_.fetch_add(1, std::memory_order_relaxed) + 1;
-  signals.pool_backlog = executor_->pending();
-  const AdmitDecision decision = decide_admission(config_.overload, signals);
-  if (decision == AdmitDecision::kReject) {
-    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-    throw OverloadError("service overloaded: " +
-                        std::to_string(signals.inflight_repairs) +
-                        " repairs in flight (max " +
-                        std::to_string(config_.overload.max_inflight_repairs) +
-                        ") — back off and retry");
-  }
-  ApplyOptions opts;
-  opts.shed_verification = decision == AdmitDecision::kShedVerification;
-  if (opts.shed_verification) {
-    verifications_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  RepairReport report = session->apply_update(std::move(grown), delta, opts);
-
-  if (defer_refinement(config_.overload, executor_->pending())) {
-    refinements_deferred_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    maybe_schedule_refinement(id, session);
-  }
+  RepairReport report = session->apply_update(std::move(grown), delta);
+  maybe_schedule_refinement(id, session);
   return report;
-}
-
-std::optional<RepairReport> PartitionService::try_submit_update(
-    SessionId id, std::shared_ptr<const Graph> grown, const GraphDelta& delta) {
-  try {
-    return submit_update(id, std::move(grown), delta);
-  } catch (const OverloadError&) {
-    return std::nullopt;
-  }
 }
 
 void PartitionService::maybe_schedule_refinement(
@@ -346,10 +306,6 @@ ServiceStats PartitionService::stats() const {
   out.p99_repair_seconds = out.repair_latency.quantile(0.99);
   out.pool_backlog = executor_->pending();
   GAPART_GAUGE_SET("executor.pending", out.pool_backlog);
-  out.updates_rejected = updates_rejected_.load(std::memory_order_relaxed);
-  out.verifications_shed = verifications_shed_.load(std::memory_order_relaxed);
-  out.refinements_deferred =
-      refinements_deferred_.load(std::memory_order_relaxed);
   out.refine_start_failures =
       refine_start_failures_.load(std::memory_order_relaxed);
   return out;

@@ -8,7 +8,10 @@
 // client's thread (so per-delta latency is the client's to budget) and
 // multiplexes every session's asynchronous refinement — policy-triggered
 // hill-climb rounds and DPGA bursts — onto the one shared pool, where a
-// burst's island steps themselves fan out as nested tasks.
+// burst's island steps themselves fan out as nested tasks.  Every submitted
+// delta is admitted and repaired in full: its verification rounds are
+// bounded only by the session's latency budget and round cap, and the
+// service applies no backpressure of its own.
 //
 // Thread-safety: all public methods are safe to call concurrently.  Updates
 // to DIFFERENT sessions proceed in parallel; updates to one session
@@ -21,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,14 +34,6 @@
 namespace gapart {
 
 using SessionId = std::uint64_t;
-
-/// Backpressure: the overload policy rejected a delta (too many synchronous
-/// repairs already in flight).  Nothing was applied or logged; the client
-/// should back off and retry.
-class OverloadError : public Error {
- public:
-  explicit OverloadError(const std::string& what) : Error(what) {}
-};
 
 struct ServiceConfig {
   /// Shared pool size when the service creates its own Executor
@@ -54,8 +48,6 @@ struct ServiceConfig {
   /// Per-session write-ahead logging + crash recovery; durability.enabled()
   /// (a non-empty directory) makes every open_session durable.
   DurabilityConfig durability;
-  /// Graceful degradation under traffic bursts (see refine_policy.hpp).
-  OverloadConfig overload;
 };
 
 /// Service-wide aggregation over all open sessions.
@@ -93,11 +85,7 @@ struct ServiceStats {
   std::uint64_t wal_compactions = 0;
   std::uint64_t wal_compaction_failures = 0;
 
-  // Overload ladder outcomes.
-  std::int64_t updates_rejected = 0;      ///< OverloadError backpressure
-  std::int64_t verifications_shed = 0;    ///< admitted without verify rounds
-  std::int64_t refinements_deferred = 0;  ///< policy fired, pool too deep
-  std::int64_t refine_start_failures = 0; ///< task-start faults absorbed
+  std::int64_t refine_start_failures = 0;  ///< task-start faults absorbed
 };
 
 /// What recovering one session directory took (PartitionService::recover).
@@ -168,16 +156,9 @@ class PartitionService {
   ///
   /// When a WAL is attached (durable service), the report is returned only
   /// after the delta's record is on the log per the fsync policy: ack
-  /// implies durable.  Under overload the call may shed verification rounds
-  /// or throw OverloadError (nothing applied; back off and retry).
+  /// implies durable.
   RepairReport submit_update(SessionId id, std::shared_ptr<const Graph> grown,
                              const GraphDelta& delta);
-
-  /// submit_update for clients that treat backpressure as data, not control
-  /// flow: nullopt instead of OverloadError.  Other errors still throw.
-  std::optional<RepairReport> try_submit_update(
-      SessionId id, std::shared_ptr<const Graph> grown,
-      const GraphDelta& delta);
 
   /// Latest snapshot of one session; wait-free against repair/refinement.
   std::shared_ptr<const SessionSnapshot> snapshot(SessionId id) const;
@@ -255,12 +236,6 @@ class PartitionService {
   std::unordered_map<SessionId, std::shared_ptr<PartitionSession>> sessions_;
   SessionId next_id_ = 1;
 
-  /// Concurrent submit_update calls (the overload gate's signal).
-  std::atomic<int> inflight_repairs_{0};
-  // Overload ladder counters (lock-free: bumped on the submit path).
-  std::atomic<std::int64_t> updates_rejected_{0};
-  std::atomic<std::int64_t> verifications_shed_{0};
-  std::atomic<std::int64_t> refinements_deferred_{0};
   std::atomic<std::int64_t> refine_start_failures_{0};
 };
 

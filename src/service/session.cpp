@@ -110,8 +110,7 @@ void PartitionSession::count_update(VertexId damage,
 }
 
 RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
-                                            const GraphDelta& delta,
-                                            const ApplyOptions& opts) {
+                                            const GraphDelta& delta) {
   const Graph& g = require_graph(grown);
   std::lock_guard<std::mutex> lock(mu_);
   admit_update();
@@ -119,10 +118,9 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   GAPART_SPAN("repair.apply");
   // repair_step checks the delta against the current graph and reads its
   // rows, so graph_ moves on only after it.
-  RepairReport rep = repair_step(
-      state_, g, delta, config_.fitness,
-      opts.shed_verification ? 0 : config_.repair_max_verify_rounds,
-      config_.repair_budget_seconds);
+  RepairReport rep = repair_step(state_, g, delta, config_.fitness,
+                                 config_.repair_max_verify_rounds,
+                                 config_.repair_budget_seconds);
   graph_ = std::move(grown);
   count_update(rep.damage, rep.outcome);
   rep.update_epoch = update_epoch_;

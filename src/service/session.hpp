@@ -99,14 +99,6 @@ struct SessionSnapshot {
   PartitionMetrics sums;
 };
 
-/// Per-call modifiers for apply_update.  Defaults describe the normal live
-/// path; the service's overload ladder sets the rest.
-struct ApplyOptions {
-  /// Overload shedding: skip the budgeted verification rounds entirely
-  /// (cascade only) — the cheapest admissible repair.
-  bool shed_verification = false;
-};
-
 /// Point-in-time statistics copy (see PartitionService for aggregation).
 struct SessionStats {
   std::uint64_t updates = 0;
@@ -194,8 +186,7 @@ class PartitionSession {
   /// session (wal_failed).  An inexact delta (check_delta_seam) throws
   /// gapart::Error before anything is mutated or logged.
   RepairReport apply_update(std::shared_ptr<const Graph> grown,
-                            const GraphDelta& delta,
-                            const ApplyOptions& opts = {});
+                            const GraphDelta& delta);
 
   /// Latest published state; never blocks on repair or refinement beyond a
   /// pointer copy.  Never null.

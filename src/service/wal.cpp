@@ -287,13 +287,10 @@ WalTail read_log_tail(const std::string& path, std::uint64_t offset,
 // order, little-endian on every supported target), copied as one block.
 static_assert(std::is_same_v<PartId, std::int32_t>);
 
-std::string encode_assignment(const Assignment& assignment) {
-  std::string out;
-  out.reserve(8 + assignment.size() * 4);
+void encode_assignment(std::string& out, const Assignment& assignment) {
   put<std::uint64_t>(out, assignment.size());
   out.append(reinterpret_cast<const char*>(assignment.data()),
              assignment.size() * sizeof(PartId));
-  return out;
 }
 
 Assignment decode_assignment(std::string_view payload) {
@@ -359,10 +356,12 @@ RepairOutcome decode_outcome(ByteReader& in, VertexId num_new,
 
 std::string encode_session_image(const SessionImage& image) {
   GAPART_SPAN("image.encode");
-  const std::string graph_bytes = encode_delta(*image.graph, GraphDelta{0, {}});
-  const std::string parts = encode_assignment(image.assignment);
+  // Every section is written in place into one buffer sized up front.
+  const GraphDelta whole{0, {}};
+  const std::size_t graph_bytes = encoded_delta_size(*image.graph, whole);
   std::string out;
-  out.reserve(kImageHeaderSize + graph_bytes.size() + parts.size() +
+  out.reserve(kImageHeaderSize + graph_bytes + 8 +
+              sizeof(PartId) * image.assignment.size() +
               16 * (image.sums.part_weight.size() + 1) + 4);
   put<std::uint32_t>(out, kImageMagic);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(image.num_parts));
@@ -370,9 +369,9 @@ std::string encode_session_image(const SessionImage& image) {
   put<double>(out, image.fitness.lambda);
   put<std::uint64_t>(out, image.epoch);
   put<std::uint64_t>(out, image.digest);
-  put<std::uint64_t>(out, graph_bytes.size());
-  out += graph_bytes;
-  out += parts;
+  put<std::uint64_t>(out, graph_bytes);
+  encode_delta(out, *image.graph, whole);
+  encode_assignment(out, image.assignment);
   for (const double w : image.sums.part_weight) put<double>(out, w);
   for (const double c : image.sums.part_cut) put<double>(out, c);
   put<double>(out, image.sums.sum_part_cut);

@@ -201,8 +201,8 @@ struct WalShipGate {
   std::atomic<std::uint64_t> consumed_offset{0};
 };
 
-/// Serializes the session image's parts section (u64 n + n x i32 parts).
-std::string encode_assignment(const Assignment& assignment);
+/// Appends the session image's parts section (u64 n + n x i32 parts).
+void encode_assignment(std::string& out, const Assignment& assignment);
 Assignment decode_assignment(std::string_view payload);
 
 /// One session image (see file comment): everything a session rebuilt from

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -62,66 +61,6 @@ TEST(Executor, NestedParallelForCompletes) {
     pool.parallel_for(16, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(Executor, BlockedParallelForCoversDisjointRanges) {
-  for (int threads : {1, 2, 4, 8}) {
-    Executor pool(threads);
-    const std::size_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    pool.parallel_for(n, /*grain=*/7,
-                      [&](std::size_t begin, std::size_t end) {
-                        ASSERT_LT(begin, end);
-                        ASSERT_LE(end, n);
-                        for (std::size_t i = begin; i < end; ++i) ++visits[i];
-                      });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(Executor, BlockedParallelForRespectsGrainBound) {
-  Executor pool(4);
-  std::atomic<std::size_t> max_span{0};
-  pool.parallel_for(100, /*grain=*/9,
-                    [&](std::size_t begin, std::size_t end) {
-                      std::size_t span = end - begin;
-                      std::size_t seen = max_span.load();
-                      while (span > seen &&
-                             !max_span.compare_exchange_weak(seen, span)) {
-                      }
-                    });
-  EXPECT_LE(max_span.load(), 9u);
-}
-
-TEST(Executor, BlockedParallelForEmptyAndSerialPool) {
-  Executor serial(1);
-  std::atomic<int> count{0};
-  serial.parallel_for(0, 4, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 0);
-  // A worker-less pool runs the whole range as one inline call.
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  serial.parallel_for(10, 3, [&](std::size_t begin, std::size_t end) {
-    calls.emplace_back(begin, end);
-  });
-  ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0], (std::pair<std::size_t, std::size_t>{0, 10}));
-}
-
-TEST(Executor, BlockedParallelForPropagatesExceptions) {
-  Executor pool(4);
-  EXPECT_THROW(pool.parallel_for(100, 5,
-                                 [](std::size_t begin, std::size_t) {
-                                   if (begin >= 50)
-                                     throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-  std::atomic<int> count{0};
-  pool.parallel_for(8, 1, [&](std::size_t b, std::size_t e) {
-    count += static_cast<int>(e - b);
-  });
-  EXPECT_EQ(count.load(), 8);
 }
 
 TEST(Executor, RunTasksRunsEachClosureOnce) {

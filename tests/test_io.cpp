@@ -77,6 +77,32 @@ TEST(GraphIo, EmptyInputRejected) {
   EXPECT_THROW(read_graph(ss), Error);
 }
 
+// Nothing is sized from the header, so a header promising vertex lines the
+// input lacks fails on the first missing line instead of allocating for the
+// promised count.
+TEST(GraphIo, TwoBillionVertexHeaderFailsAsTruncated) {
+  std::stringstream ss("2000000000 0");
+  EXPECT_THROW(read_graph(ss), IoError);
+}
+
+TEST(GraphIo, HundredMillionVertexHeaderFailsAsTruncated) {
+  std::stringstream ss("100000000 0\n");
+  EXPECT_THROW(read_graph(ss), IoError);
+}
+
+TEST(GraphIo, VertexCountBeyondIdRangeRejected) {
+  // 2^32 + 1 would wrap to a 1-vertex builder through an int32 cast.  The
+  // header is malformed content, not a truncated file.
+  std::stringstream ss("4294967297 0\n");
+  try {
+    read_graph(ss);
+    ADD_FAILURE() << "header accepted";
+  } catch (const IoError& e) {
+    ADD_FAILURE() << "read as a truncated file: " << e.what();
+  } catch (const Error&) {
+  }
+}
+
 TEST(GraphIo, IsolatedVerticesSurvive) {
   GraphBuilder b(5);
   b.add_edge(1, 3);
@@ -131,6 +157,12 @@ TEST(PartitionIo, RoundTrip) {
 
 TEST(PartitionIo, NegativePartRejected) {
   std::stringstream ss("0\n-1\n2\n");
+  EXPECT_THROW(read_partition(ss), Error);
+}
+
+TEST(PartitionIo, PartBeyondIdRangeRejected) {
+  // 2^31 would narrow to part -2^31.
+  std::stringstream ss("0\n2147483648\n");
   EXPECT_THROW(read_partition(ss), Error);
 }
 

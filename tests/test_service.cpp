@@ -222,54 +222,47 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
 }
 
 TEST(PartitionSession, UpdateMatchesRepairStep) {
-  // apply_update is repair_step on the live state: the session's
-  // repair_max_verify_rounds is the round cap and shedding drops it to 0.
-  // With no latency budget the session and a bare PartitionState must decide
+  // apply_update is repair_step on the live state, with the session's
+  // repair_max_verify_rounds as the round cap (0: the cascade only).  With
+  // no latency budget the session and a bare PartitionState must decide
   // identically, down to the logged outcome.
   const PartId k = 4;
   auto g = shared_grid(12, 12);
-  SessionConfig cfg = basic_config(k);
-  cfg.repair_budget_seconds = std::numeric_limits<double>::infinity();
-  cfg.repair_max_verify_rounds = 3;
   Rng rng(0x9eed);
   Assignment start(144);
   for (auto& p : start) p = static_cast<PartId>(rng.uniform_int(k));
-  PartitionSession session(g, start, cfg);
-  PartitionState mirror(*g, start, k);
 
-  struct Step {
-    ApplyOptions opts;
-    int cap;
-  };
-  ApplyOptions shed;
-  shed.shed_verification = true;
-  const std::vector<Step> steps = {
-      {ApplyOptions{}, 3}, {shed, 0}, {ApplyOptions{}, 3}, {shed, 0},
-      {ApplyOptions{}, 3}};
+  for (const int cap : {3, 0}) {
+    SCOPED_TRACE(::testing::Message() << "cap " << cap);
+    SessionConfig cfg = basic_config(k);
+    cfg.repair_budget_seconds = std::numeric_limits<double>::infinity();
+    cfg.repair_max_verify_rounds = cap;
+    PartitionSession session(g, start, cfg);
+    PartitionState mirror(*g, start, k);
 
-  std::vector<std::shared_ptr<const Graph>> graphs{g};
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "step " << i);
-    auto grown = shared_grid(static_cast<VertexId>(13 + i), 12);
-    const GraphDelta delta = diff_graphs(*graphs.back(), *grown);
-    graphs.push_back(grown);
-    const RepairReport want = repair_step(mirror, *grown, delta, cfg.fitness,
-                                          steps[i].cap,
-                                          cfg.repair_budget_seconds);
-    const RepairReport got = session.apply_update(grown, delta, steps[i].opts);
-    EXPECT_EQ(session.snapshot()->assignment, mirror.assignment());
-    EXPECT_EQ(got.verify_rounds, want.verify_rounds);
-    EXPECT_LE(got.verify_rounds, steps[i].cap);
-    EXPECT_EQ(got.repair_moves, want.repair_moves);
-    EXPECT_EQ(got.examined, want.examined);
-    EXPECT_EQ(got.extend_moves, want.extend_moves);
-    EXPECT_EQ(got.damage, want.damage);
-    EXPECT_EQ(got.outcome.new_parts, want.outcome.new_parts);
-    EXPECT_EQ(got.outcome.moves, want.outcome.moves);
-    EXPECT_EQ(got.outcome.moves.size(),
-              static_cast<std::size_t>(got.repair_moves));
-    EXPECT_NEAR(got.fitness_after, want.fitness_after, 1e-9);
-    EXPECT_EQ(got.update_epoch, static_cast<std::uint64_t>(i + 1));
+    std::shared_ptr<const Graph> prev = g;
+    for (int i = 0; i < 5; ++i) {
+      SCOPED_TRACE(::testing::Message() << "step " << i);
+      auto grown = shared_grid(static_cast<VertexId>(13 + i), 12);
+      const GraphDelta delta = diff_graphs(*prev, *grown);
+      prev = grown;
+      const RepairReport want = repair_step(mirror, *grown, delta, cfg.fitness,
+                                            cap, cfg.repair_budget_seconds);
+      const RepairReport got = session.apply_update(grown, delta);
+      EXPECT_EQ(session.snapshot()->assignment, mirror.assignment());
+      EXPECT_EQ(got.verify_rounds, want.verify_rounds);
+      EXPECT_LE(got.verify_rounds, cap);
+      EXPECT_EQ(got.repair_moves, want.repair_moves);
+      EXPECT_EQ(got.examined, want.examined);
+      EXPECT_EQ(got.extend_moves, want.extend_moves);
+      EXPECT_EQ(got.damage, want.damage);
+      EXPECT_EQ(got.outcome.new_parts, want.outcome.new_parts);
+      EXPECT_EQ(got.outcome.moves, want.outcome.moves);
+      EXPECT_EQ(got.outcome.moves.size(),
+                static_cast<std::size_t>(got.repair_moves));
+      EXPECT_NEAR(got.fitness_after, want.fitness_after, 1e-9);
+      EXPECT_EQ(got.update_epoch, static_cast<std::uint64_t>(i + 1));
+    }
   }
 }
 

@@ -265,7 +265,7 @@ TEST(TelemetryRegistry, NamedMetricsAreStableAndAggregated) {
   EXPECT_TRUE(saw_hist);
 }
 
-TEST(TelemetryRegistry, JsonAndPrometheusDumpsAreWellFormed) {
+TEST(TelemetryRegistry, JsonDumpIsWellFormed) {
   auto& reg = TelemetryRegistry::instance();
   reg.counter("test.dump.counter").add(1);
   reg.histogram("test.dump.hist").record(0.5);
@@ -281,15 +281,6 @@ TEST(TelemetryRegistry, JsonAndPrometheusDumpsAreWellFormed) {
   // Balanced braces (no nesting surprises in a flat two-level dump).
   EXPECT_EQ(std::count(j.begin(), j.end(), '{'),
             std::count(j.begin(), j.end(), '}'));
-
-  std::ostringstream prom;
-  reg.write_prometheus(prom);
-  const std::string p = prom.str();
-  EXPECT_NE(p.find("test_dump_counter_total 1"), std::string::npos);
-  EXPECT_NE(p.find("# TYPE test_dump_hist summary"), std::string::npos);
-  EXPECT_NE(p.find("test_dump_hist_count 1"), std::string::npos);
-  // Prometheus names never keep the dots.
-  EXPECT_EQ(p.find("test.dump"), std::string::npos);
 }
 
 // ----------------------------------------------------------------- Tracer --

@@ -1,6 +1,6 @@
 // Durability building blocks: CRC framing, the delta codec round-trip, log
-// read/append (torn tails vs mid-log corruption), the compaction and
-// admission policies, and the retry/backoff loop.
+// read/append (torn tails vs mid-log corruption), the compaction policy, and
+// the retry/backoff loop.
 #include "service/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -451,7 +451,8 @@ TEST(WalLog, FsyncPolicyGovernsSyncCount) {
 
 TEST(WalLog, AssignmentPayloadRoundTrip) {
   const Assignment a = {0, 3, 1, 2, 2, 0, 1};
-  const std::string payload = encode_assignment(a);
+  std::string payload;
+  encode_assignment(payload, a);
   EXPECT_EQ(decode_assignment(payload), a);
   EXPECT_THROW(decode_assignment(payload.substr(0, payload.size() - 1)),
                Error);
@@ -459,7 +460,7 @@ TEST(WalLog, AssignmentPayloadRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction + admission policies (pure).
+// Compaction policy (pure).
 
 TEST(WalCompactionPolicy, TriggersOnDamageOrBytesAboveFloor) {
   CompactionPolicy p;
@@ -479,35 +480,6 @@ TEST(WalCompactionPolicy, ZeroThresholdsDisable) {
   p.bytes_threshold = 0;
   p.min_records = 1;
   EXPECT_FALSE(decide_compaction(p, {1 << 30, 1u << 30, 1000}));
-}
-
-TEST(WalAdmissionPolicy, DegradationLadder) {
-  OverloadConfig c;
-  c.max_inflight_repairs = 4;
-  c.shed_verification_backlog = 8;
-
-  EXPECT_EQ(decide_admission(c, {1, 0}), AdmitDecision::kAdmit);
-  EXPECT_EQ(decide_admission(c, {4, 7}), AdmitDecision::kAdmit);
-  EXPECT_EQ(decide_admission(c, {4, 8}), AdmitDecision::kShedVerification);
-  EXPECT_EQ(decide_admission(c, {5, 0}), AdmitDecision::kReject);
-  // Reject outranks shed.
-  EXPECT_EQ(decide_admission(c, {5, 100}), AdmitDecision::kReject);
-}
-
-TEST(WalAdmissionPolicy, ZeroThresholdsDisable) {
-  const OverloadConfig c;  // all zeros
-  EXPECT_EQ(decide_admission(c, {1000, 1000}), AdmitDecision::kAdmit);
-  EXPECT_FALSE(defer_refinement(c, 1000));
-
-  OverloadConfig defer;
-  defer.defer_refinement_backlog = 5;
-  EXPECT_FALSE(defer_refinement(defer, 4));
-  EXPECT_TRUE(defer_refinement(defer, 5));
-
-  EXPECT_STREQ(admit_decision_name(AdmitDecision::kAdmit), "admit");
-  EXPECT_STREQ(admit_decision_name(AdmitDecision::kShedVerification),
-               "shed_verification");
-  EXPECT_STREQ(admit_decision_name(AdmitDecision::kReject), "reject");
 }
 
 // ---------------------------------------------------------------------------
