@@ -11,6 +11,13 @@
 
 namespace gapart {
 
+namespace {
+
+/// KL passes after each prolongation.
+constexpr int kKlPassesPerLevel = 4;
+
+}  // namespace
+
 ContractedGaResult contracted_ga_partition(const Graph& g,
                                            const ContractedGaOptions& options,
                                            Rng& rng) {
@@ -32,7 +39,7 @@ ContractedGaResult contracted_ga_partition(const Graph& g,
 
   KlOptions kl;
   kl.fitness = options.dpga.ga.fitness;
-  kl.max_passes = options.kl_passes_per_level;
+  kl.max_passes = kKlPassesPerLevel;
   result.assignment = uncoarsen_with_refinement(
       g, hierarchy, result.ga.best, k,
       [&kl](PartitionState& state, std::size_t) { kl_refine(state, kl); },

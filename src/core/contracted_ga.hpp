@@ -18,7 +18,6 @@ struct ContractedGaOptions {
   /// Coarsening stops near num_parts * coarse_vertices_per_part vertices.
   VertexId coarse_vertices_per_part = 40;
   DpgaConfig dpga;
-  int kl_passes_per_level = 4;
 
   ContractedGaOptions()
       : dpga(paper_dpga_config(2, Objective::kTotalComm)) {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -127,8 +126,6 @@ ReplicationShipper::ReplicationShipper(PartitionService& service,
   stats_.generation = config_.generation;
 }
 
-ReplicationShipper::~ReplicationShipper() { stop(); }
-
 void ReplicationShipper::enqueue(SessionShip& ship, RepFrame frame) {
   frame.generation = config_.generation;
   frame.seq = ship.next_seq++;
@@ -209,11 +206,12 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
     ++stats_.backpressure_stalls;
     return;
   }
-  if (wal.durable_bytes <= ship.file_offset) return;
-  // Never past the leader's fsynced offset: a follower must not hold an
-  // update the leader could still lose.
+  if (wal.log_end() <= ship.file_offset) return;
+  // Never past the log's end as the session lock saw it: a frame appended
+  // after that, or one whose fsync failed and is being rolled back, lies
+  // beyond it, so a follower never holds an update the leader could lose.
   const std::uint64_t limit =
-      std::min(wal.durable_bytes, ship.file_offset + kMaxReadBytesPerPump);
+      std::min(wal.log_end(), ship.file_offset + kMaxReadBytesPerPump);
   const std::string path = service_.session_wal_dir(id) + "/wal.log";
   const WalTail tail = read_log_tail(path, ship.file_offset, limit);
   for (std::size_t i = 0; i < tail.records.size(); ++i) {
@@ -320,7 +318,7 @@ int ReplicationShipper::pump() {
       // fresh record — a strict gate (ship_retain_bytes == 0) would defer
       // forever.  This pump just consumed the tail, so run anything the
       // gate deferred; observe_compaction ships the boundary next pump.
-      if (ship.attached && ship.file_offset >= wal->durable_bytes) {
+      if (ship.attached && ship.file_offset >= wal->log_end()) {
         session->poll_compaction();
       }
     } catch (const Error&) {
@@ -370,7 +368,7 @@ bool ReplicationShipper::drained() const {
     if (!ship.queue.empty()) return false;
     try {
       const auto wal = service_.session_handle(id)->wal_stats();
-      if (wal.has_value() && wal->durable_bytes > ship.file_offset) {
+      if (wal.has_value() && wal->log_end() > ship.file_offset) {
         return false;
       }
     } catch (const Error&) {
@@ -378,23 +376,6 @@ bool ReplicationShipper::drained() const {
     }
   }
   return true;
-}
-
-void ReplicationShipper::start(double interval_seconds) {
-  GAPART_REQUIRE(!running_.load(), "shipper thread already running");
-  running_.store(true);
-  thread_ = std::thread([this, interval_seconds] {
-    while (running_.load()) {
-      pump();
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(interval_seconds));
-    }
-  });
-}
-
-void ReplicationShipper::stop() {
-  running_.store(false);
-  if (thread_.joinable()) thread_.join();
 }
 
 ShipperStats ReplicationShipper::stats() const {
@@ -645,9 +626,7 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
   ack(frame.session, replica);
 }
 
-int ReplicationFollower::pump(double timeout_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GAPART_REQUIRE(started_, "call start_follower() before pump()");
+int ReplicationFollower::drain(double timeout_seconds) {
   int processed = 0;
   double timeout = timeout_seconds;
   while (auto wire = link_.receive(timeout)) {
@@ -664,6 +643,12 @@ int ReplicationFollower::pump(double timeout_seconds) {
   return processed;
 }
 
+int ReplicationFollower::pump(double timeout_seconds) {
+  std::lock_guard<std::mutex> lock(mu_);
+  GAPART_REQUIRE(started_, "call start_follower() before pump()");
+  return drain(timeout_seconds);
+}
+
 PromotionReport ReplicationFollower::promote() {
   std::lock_guard<std::mutex> lock(mu_);
   GAPART_REQUIRE(started_, "call start_follower() before promote()");
@@ -672,15 +657,7 @@ PromotionReport ReplicationFollower::promote() {
 
   // Drain the tail: everything the dead leader managed to ship is applied
   // before the fence goes up.
-  while (auto wire = link_.receive(0.0)) {
-    ++stats_.frames_received;
-    const auto frame = decode_rep_frame(*wire);
-    if (!frame.has_value()) {
-      ++stats_.corrupt_rejected;
-      continue;
-    }
-    handle_frame(*frame);
-  }
+  drain(0.0);
 
   // Verify before serving: every promoted session must hold a complete,
   // valid assignment.

@@ -4,7 +4,8 @@
 // WAL of outcomes: each record carries the delta and what the leader's
 // repair or refinement decided (service/wal.hpp).  Replication reuses that
 // artifact wholesale: a ReplicationShipper tails each session's wal.log —
-// never past the leader's fsynced offset, so a follower can never hold an
+// never past the log's end as the session lock last saw it, and every
+// append is fsynced before it returns, so a follower can never hold an
 // update the leader could still lose — and streams the records to a
 // ReplicationFollower, which applies each logged outcome exactly as
 // recovery does (PartitionSession::apply_logged), logging it to its own WAL
@@ -59,7 +60,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -154,32 +154,26 @@ struct ShipperStats {
 };
 
 /// Tails every session of a (durable) leader service and streams WAL
-/// records over one Transport.  Drive it with pump() — deterministic, used
-/// by tests — or start()/stop() a background thread.
+/// records over one Transport.  It runs only when its caller pumps it.
 class ReplicationShipper {
  public:
   /// Persists config.generation into the leader's GENERATION file; throws
   /// ReplicationError when the file already holds a larger term.
   ReplicationShipper(PartitionService& service, Transport& link,
                      ShipperConfig config = {});
-  ~ReplicationShipper();
 
   ReplicationShipper(const ReplicationShipper&) = delete;
   ReplicationShipper& operator=(const ReplicationShipper&) = delete;
 
   /// One shipping round: drain acks, attach new sessions, observe
-  /// compactions (lockstep or resync), read durable log tails, send.
+  /// compactions (lockstep or resync), read log tails, send.
   /// Returns frames sent.  Transport failures are absorbed into stats and
   /// retried next pump.  No-op once deposed.
   int pump();
 
   /// True when every attached session's acked seq has caught up with
-  /// everything shipped AND nothing remains unread in the durable logs.
+  /// everything shipped AND nothing remains unread in the logs.
   bool drained() const;
-
-  /// Background pump loop every `interval_seconds`.
-  void start(double interval_seconds);
-  void stop();
 
   ShipperStats stats() const;
   /// Highest epoch the follower has acknowledged for one session (0 when
@@ -237,9 +231,6 @@ class ReplicationShipper {
   ShipperStats stats_;
   std::vector<double> lag_samples_;
   std::size_t lag_next_ = 0;
-
-  std::thread thread_;
-  std::atomic<bool> running_{false};
 };
 
 // --- Follower side ----------------------------------------------------------
@@ -328,6 +319,9 @@ class ReplicationFollower {
     std::uint64_t applied_epoch = 0;
   };
 
+  /// Applies every frame currently on the link, waiting up to
+  /// `timeout_seconds` for the first (mu_ held).  Returns frames received.
+  int drain(double timeout_seconds);
   void handle_frame(const RepFrame& frame);
   void ack(SessionId id, const Replica& replica);
   /// Writes `generation` to the GENERATION file before it is adopted;

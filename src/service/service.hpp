@@ -147,7 +147,7 @@ class PartitionService {
 
   /// Closes a session: refuses further updates, cancels and drains any
   /// in-flight refinement (cooperative — the job unwinds at its next pass
-  /// boundary), syncs its WAL, and drops it from the table.
+  /// boundary), and drops it from the table.
   void close_session(SessionId id);
 
   /// Streams one delta into a session: a synchronous repair_step on the
@@ -155,8 +155,7 @@ class PartitionService {
   /// refinement on the shared pool.
   ///
   /// When a WAL is attached (durable service), the report is returned only
-  /// after the delta's record is on the log per the fsync policy: ack
-  /// implies durable.
+  /// after the delta's record is appended and fsynced: ack implies durable.
   RepairReport submit_update(SessionId id, std::shared_ptr<const Graph> grown,
                              const GraphDelta& delta);
 

@@ -337,11 +337,6 @@ void PartitionSession::attach_wal(std::unique_ptr<SessionWal> wal) {
   wal_ = std::move(wal);
 }
 
-bool PartitionSession::durable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return wal_ != nullptr;
-}
-
 std::unique_ptr<SessionWal> PartitionSession::hand_over_wal(
     const SessionImage& image) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -394,14 +389,6 @@ void PartitionSession::close() {
   // Drain: the in-flight job sees the cancel flag at its next pass boundary,
   // unwinds through complete/abandon_refinement, and signals here.
   refine_done_cv_.wait(lock, [&] { return !refine_in_flight_; });
-  if (wal_ != nullptr && !wal_failed_) {
-    try {
-      wal_->sync();
-    } catch (const IoError&) {
-      // Teardown best-effort: under kEveryRecord nothing was unsynced
-      // anyway, and a close() must not throw past its drain.
-    }
-  }
 }
 
 bool PartitionSession::closed() const {

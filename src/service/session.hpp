@@ -180,11 +180,11 @@ class PartitionSession {
   /// ONE session serialize on the session lock.
   ///
   /// When a WAL is attached, the delta and the repair's outcome are appended
-  /// (and fsynced per the durability config) before this call returns — the
-  /// returned report IS the acknowledgement, so ack implies durable.  An
-  /// append that exhausts its retries throws IoError and fail-stops the
-  /// session (wal_failed).  An inexact delta (check_delta_seam) throws
-  /// gapart::Error before anything is mutated or logged.
+  /// and fsynced before this call returns — the returned report IS the
+  /// acknowledgement, so ack implies durable.  An append that exhausts its
+  /// retries throws IoError and fail-stops the session (wal_failed).  An
+  /// inexact delta (check_delta_seam) throws gapart::Error before anything
+  /// is mutated or logged.
   RepairReport apply_update(std::shared_ptr<const Graph> grown,
                             const GraphDelta& delta);
 
@@ -243,7 +243,6 @@ class PartitionSession {
   /// and compaction runs when the log policy fires.  Called once, right
   /// after construction (durable open) or after replay (recovery).
   void attach_wal(std::unique_ptr<SessionWal> wal);
-  bool durable() const;
 
   /// Replica resync: writes `image`, the replacement session's state,
   /// through this session's WAL by the compaction steps (the image goes
@@ -295,8 +294,9 @@ class PartitionSession {
 
   /// Drains the session for teardown: marks it closed (further updates and
   /// refinement plans are refused), signals an in-flight refinement to
-  /// cancel, waits until it has unwound, and syncs the WAL.  Idempotent;
-  /// safe to call while a refinement is mid-run on the pool.
+  /// cancel and waits until it has unwound.  Every acknowledged record is
+  /// already fsynced, so the WAL needs no flush.  Idempotent; safe to call
+  /// while a refinement is mid-run on the pool.
   void close();
   bool closed() const;
 

@@ -7,8 +7,6 @@
 #include <deque>
 #include <mutex>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -144,6 +142,16 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
+sockaddr_un unix_address(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    throw TransportError("unix socket path too long: " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
 int accept_one(int listen_fd, const std::string& what) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   const int saved = errno;
@@ -163,15 +171,9 @@ SocketTransport::~SocketTransport() { close(); }
 
 std::unique_ptr<SocketTransport> SocketTransport::listen_unix(
     const std::string& path) {
+  sockaddr_un addr = unix_address(path);
   const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (lfd < 0) throw_errno("socket(AF_UNIX)");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(lfd);
-    throw TransportError("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   ::unlink(path.c_str());
   if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(lfd, 1) != 0) {
@@ -186,60 +188,14 @@ std::unique_ptr<SocketTransport> SocketTransport::listen_unix(
 
 std::unique_ptr<SocketTransport> SocketTransport::connect_unix(
     const std::string& path) {
+  sockaddr_un addr = unix_address(path);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket(AF_UNIX)");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    throw TransportError("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int saved = errno;
     ::close(fd);
     errno = saved;
     throw_errno("connect(" + path + ")");
-  }
-  return std::unique_ptr<SocketTransport>(new SocketTransport(fd));
-}
-
-std::unique_ptr<SocketTransport> SocketTransport::listen_tcp(int port) {
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (lfd < 0) throw_errno("socket(AF_INET)");
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(lfd, 1) != 0) {
-    const int saved = errno;
-    ::close(lfd);
-    errno = saved;
-    throw_errno("bind/listen(tcp:" + std::to_string(port) + ")");
-  }
-  return std::unique_ptr<SocketTransport>(
-      new SocketTransport(accept_one(lfd, "accept(tcp)")));
-}
-
-std::unique_ptr<SocketTransport> SocketTransport::connect_tcp(
-    const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_INET)");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("bad IPv4 address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("connect(" + host + ":" + std::to_string(port) + ")");
   }
   return std::unique_ptr<SocketTransport>(new SocketTransport(fd));
 }

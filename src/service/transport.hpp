@@ -10,9 +10,9 @@
 //     lives: the send side consults common/fault_injection for seeded
 //     drop / duplicate / reorder / truncate / link-down schedules, so every
 //     network pathology is reproducible in a unit test.
-//   * SocketTransport — a real stream socket (Unix domain or TCP) with u32
-//     length-prefix framing, for processes on different machines (or a
-//     chaos script kill -9'ing the leader process mid-stream).
+//   * SocketTransport — a Unix-domain stream socket with u32 length-prefix
+//     framing, for separate processes on one host (or a chaos script
+//     kill -9'ing the leader process mid-stream).
 //
 // Frames are opaque byte strings here; integrity (CRC) and ordering
 // (sequence numbers, epochs, fencing generations) are the replication
@@ -100,19 +100,14 @@ class LoopbackTransport : public Transport {
   int side_ = 0;  ///< which of the two directions this endpoint reads
 };
 
-/// Stream-socket endpoint (Unix domain or TCP) with u32 little-endian
-/// length-prefix framing.  Blocking connect/accept; poll()-based receive.
+/// Unix-domain stream-socket endpoint with u32 little-endian length-prefix
+/// framing.  Blocking connect/accept; poll()-based receive.
 class SocketTransport : public Transport {
  public:
   /// Binds + listens on a Unix socket path, accepts ONE peer, returns the
   /// connected endpoint.  Removes a stale socket file first.
   static std::unique_ptr<SocketTransport> listen_unix(const std::string& path);
   static std::unique_ptr<SocketTransport> connect_unix(const std::string& path);
-
-  /// TCP bound to 127.0.0.1:`port`.
-  static std::unique_ptr<SocketTransport> listen_tcp(int port);
-  static std::unique_ptr<SocketTransport> connect_tcp(const std::string& host,
-                                                      int port);
 
   ~SocketTransport() override;
 

@@ -17,7 +17,6 @@
 #include "common/checksum.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "graph/delta_codec.hpp"
 
 namespace gapart {
@@ -192,18 +191,6 @@ std::string read_file(const std::string& path) {
                   " bytes");
   }
   return bytes;
-}
-
-const char* fsync_policy_name(FsyncPolicy p) {
-  switch (p) {
-    case FsyncPolicy::kNever:
-      return "never";
-    case FsyncPolicy::kEveryRecord:
-      return "every_record";
-    case FsyncPolicy::kEveryN:
-      return "every_n";
-  }
-  return "?";
 }
 
 WalReadResult read_log_file(const std::string& path) {
@@ -441,20 +428,7 @@ SessionWal::SessionWal(std::string dir, DurabilityConfig config)
     : dir_(std::move(dir)), config_(std::move(config)) {}
 
 SessionWal::~SessionWal() {
-  if (fd_ >= 0) {
-    // Flush-on-close: under kEveryN (or kNever) a clean shutdown must not
-    // leave acknowledged tail records behind the durable offset the
-    // replication shipper trusts.  Best effort only — a destructor cannot
-    // throw, and a crash-path destructor never runs at all (that loss window
-    // is the policy's documented contract).
-    if (records_since_fsync_ > 0) {
-      try {
-        fsync_log();
-      } catch (...) {
-      }
-    }
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void SessionWal::open_log(std::uint64_t resume_at, bool truncate_all) {
@@ -475,9 +449,6 @@ void SessionWal::open_log(std::uint64_t resume_at, bool truncate_all) {
     append_frame_once(header);
     posix_fsync_fd(fd_, "log header");
   }
-  file_bytes_ = keep == 0 ? kFileHeaderSize : keep;
-  // Whatever the file holds now *is* what survived — by definition durable.
-  stats_.durable_bytes = file_bytes_;
 }
 
 void SessionWal::append_frame_once(const std::string& frame) {
@@ -505,8 +476,6 @@ void SessionWal::fsync_log() {
   GAPART_SPAN("wal.fsync");
   posix_fsync_fd(fd_, "wal");
   ++stats_.fsyncs;
-  records_since_fsync_ = 0;
-  stats_.durable_bytes = file_bytes_;
 }
 
 void SessionWal::append(WalRecordType type, std::uint64_t epoch,
@@ -515,28 +484,17 @@ void SessionWal::append(WalRecordType type, std::uint64_t epoch,
   const std::string frame = build_frame(type, epoch, payload);
   stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
       config_.io_retry, [&] { append_frame_once(frame); }));
-  const std::uint64_t frame_start = file_bytes_;
-  file_bytes_ += frame.size();
-  ++records_since_fsync_;
-  const bool want_fsync =
-      config_.fsync == FsyncPolicy::kEveryRecord ||
-      (config_.fsync == FsyncPolicy::kEveryN && config_.fsync_interval > 0 &&
-       records_since_fsync_ >= config_.fsync_interval);
-  if (want_fsync) {
-    try {
-      stats_.append_retries += static_cast<std::uint64_t>(
-          retry_with_backoff(config_.io_retry, [&] { fsync_log(); }));
-    } catch (const IoError&) {
-      // The caller takes a thrown append as a record never logged, so roll
-      // the frame back as append_frame_once does: replay and the shipper
-      // must not find it.
-      if (::ftruncate(fd_, static_cast<off_t>(frame_start)) != 0) {
-        // The fsync error rethrown below is the one to report.
-      }
-      file_bytes_ = frame_start;
-      --records_since_fsync_;
-      throw;
+  try {
+    stats_.append_retries += static_cast<std::uint64_t>(
+        retry_with_backoff(config_.io_retry, [&] { fsync_log(); }));
+  } catch (const IoError&) {
+    // The caller takes a thrown append as a record never logged, so roll
+    // the frame back as append_frame_once does: replay and the shipper
+    // must not find it.
+    if (::ftruncate(fd_, static_cast<off_t>(stats_.log_end())) != 0) {
+      // The fsync error rethrown below is the one to report.
     }
+    throw;
   }
   ++stats_.appends;
   stats_.bytes_appended += frame.size();
@@ -559,7 +517,7 @@ bool SessionWal::should_compact() const {
       (config_.ship_retain_bytes == 0 ||
        stats_.log_bytes < config_.ship_retain_bytes) &&
       ship_gate_->consumed_offset.load(std::memory_order_acquire) <
-          kFileHeaderSize + stats_.log_bytes) {
+          stats_.log_end()) {
     return false;
   }
   return true;
@@ -578,7 +536,6 @@ void SessionWal::write_snapshot(const SessionImage& image) {
 
 void SessionWal::compact(const SessionImage& image) {
   GAPART_SPAN("wal.compact");
-  WallTimer timer;
   const std::uint64_t old_epoch = stats_.snapshot_epoch;
   try {
     write_snapshot(image);
@@ -602,22 +559,12 @@ void SessionWal::compact(const SessionImage& image) {
     stats_.log_records = 0;
     stats_.log_bytes = 0;
     stats_.log_damage = 0;
-    records_since_fsync_ = 0;
-    file_bytes_ = kFileHeaderSize;
-    stats_.durable_bytes = kFileHeaderSize;
     posix_fsync_fd(fd_, "wal truncate");
   } catch (const IoError&) {
     ++stats_.compaction_failures;
     throw;
   }
   ++stats_.compactions;
-  stats_.last_compaction_seconds = timer.seconds();
-}
-
-void SessionWal::sync() {
-  if (records_since_fsync_ > 0) {
-    retry_with_backoff(config_.io_retry, [&] { fsync_log(); });
-  }
 }
 
 std::unique_ptr<SessionWal> SessionWal::create(std::string dir,

@@ -3,8 +3,9 @@
 //
 // A record logs an outcome, not a recipe: every accepted GraphDelta
 // (graph/delta_codec: O(damage) bytes) together with what the live repair
-// decided, appended as one framed record before the synchronous repair
-// acknowledges to the client; an adopted refinement logs only its moves.
+// decided, appended as one framed record and fsynced before the synchronous
+// repair acknowledges to the client (ack implies durable); an adopted
+// refinement logs only its moves.
 // Replay applies the logged decisions and never repairs, so a log replays
 // to the acked state under any reader's config.  When the damage
 // accumulated in the log crosses the compaction policy's threshold, the
@@ -85,21 +86,18 @@ class WalCorruptError : public IoError {
   explicit WalCorruptError(const std::string& what) : IoError(what) {}
 };
 
-/// When acknowledged updates become durable.
+/// When acknowledged updates become durable: always before the ack.  Every
+/// append is fsynced before it returns, so the whole log is durable.  The
+/// one enumerator stays only because callers still name it.
 enum class FsyncPolicy {
-  kNever,        ///< Leave it to the OS page cache (ack != durable).
   kEveryRecord,  ///< fsync before every acknowledgement (ack == durable).
-  kEveryN,       ///< fsync every fsync_interval records (bounded loss window).
 };
-
-const char* fsync_policy_name(FsyncPolicy p);
 
 struct DurabilityConfig {
   /// Root directory for session subdirectories; empty disables durability.
   std::string dir;
+  /// Always kEveryRecord: every append is fsynced before the ack.
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
-  /// FsyncPolicy::kEveryN: records between fsyncs.
-  int fsync_interval = 32;
   /// When to fold the log into a fresh snapshot (refine_policy).
   CompactionPolicy compaction;
   /// Retry schedule for transient log I/O failures.
@@ -182,12 +180,14 @@ struct WalTail {
 
 /// Parses frames from byte `offset` (>= kWalLogHeaderBytes), stopping at the
 /// first frame whose end would exceed `limit_bytes` (the caller passes the
-/// durable offset so a follower never gets ahead of the leader's fsync) or at
-/// the first invalid frame.  Unlike read_log_file, an invalid frame is never
-/// fatal here: on a live log it is an append still in flight, picked up by
-/// the next poll.  A missing file — or `offset` past the current size, which
-/// happens when compaction truncated the log under the shipper — reads as
-/// empty and the caller resolves it via the snapshot epoch.
+/// log's end, WalStats::log_end(), read under the session lock: a frame
+/// still being appended, or one whose fsync failed and is being rolled back,
+/// lies past it) or at the first invalid frame.  Unlike read_log_file, an
+/// invalid frame is never fatal here: on a live log it is an append still in
+/// flight, picked up by the next poll.  A missing file — or `offset` past
+/// the current size, which happens when compaction truncated the log under
+/// the shipper — reads as empty and the caller resolves it via the snapshot
+/// epoch.
 WalTail read_log_tail(const std::string& path, std::uint64_t offset,
                       std::uint64_t limit_bytes);
 
@@ -241,18 +241,19 @@ struct WalStats {
   std::uint64_t bytes_appended = 0;
   std::uint64_t compactions = 0;
   std::uint64_t compaction_failures = 0;  ///< kept the log; retried later
-  double last_compaction_seconds = 0.0;
   std::uint64_t snapshot_epoch = 0;
   /// PartitionState::content_hash() of the snapshot state (persisted in
   /// its image) — what a follower must match when it compacts in lockstep.
   std::uint64_t snapshot_digest = 0;
   std::uint64_t log_records = 0;
-  std::uint64_t log_bytes = 0;
+  std::uint64_t log_bytes = 0;  ///< frames in wal.log after its header
   std::int64_t log_damage = 0;
-  /// Absolute wal.log offset through which records are fsynced.  The
-  /// replication shipper caps its tail reads here: a follower must never
-  /// hold records the leader could still lose.
-  std::uint64_t durable_bytes = 0;
+
+  /// Absolute wal.log offset of the log's end: the file's size.  Every
+  /// append is fsynced before it returns, so all of it is durable; the
+  /// replication shipper caps its tail reads here, so a follower never
+  /// holds a record the leader could still lose.
+  std::uint64_t log_end() const { return kWalLogHeaderBytes + log_bytes; }
 };
 
 class SessionWal {
@@ -281,10 +282,11 @@ class SessionWal {
   SessionWal(const SessionWal&) = delete;
   SessionWal& operator=(const SessionWal&) = delete;
 
-  /// Appends one record (with retry/backoff on transient I/O errors) and
-  /// applies the fsync policy.  `damage` feeds the compaction accumulator.
-  /// Throws IoError once retries are exhausted — the caller must then treat
-  /// the session's log as broken (fail-stop) or surface the error.
+  /// Appends one record and fsyncs it, each step with retry/backoff on
+  /// transient I/O errors.  `damage` feeds the compaction accumulator.
+  /// Throws IoError once retries are exhausted, with the frame rolled back
+  /// — the caller must then treat the session's log as broken (fail-stop)
+  /// or surface the error.
   void append(WalRecordType type, std::uint64_t epoch,
               const std::string& payload, VertexId damage);
 
@@ -297,9 +299,6 @@ class SessionWal {
   /// every record past it, stats() describe both as they are on disk, and
   /// the caller retries later.
   void compact(const SessionImage& image);
-
-  /// Forces an fsync of any unsynced appends (used at close).
-  void sync();
 
   /// Attaches the compaction/shipping gate for a replicated session (see
   /// WalShipGate).  Pass nullptr to detach.
@@ -321,8 +320,6 @@ class SessionWal {
   std::string dir_;
   DurabilityConfig config_;
   int fd_ = -1;
-  int records_since_fsync_ = 0;
-  std::uint64_t file_bytes_ = 0;  ///< current wal.log size (header + frames)
   std::shared_ptr<WalShipGate> ship_gate_;
   WalStats stats_;
 };

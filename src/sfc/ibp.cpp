@@ -8,6 +8,13 @@
 
 namespace gapart {
 
+namespace {
+
+/// Grid resolution per axis: 2^kQuantizationBits cells.
+constexpr int kQuantizationBits = 10;
+
+}  // namespace
+
 const char* index_scheme_name(IndexScheme s) {
   switch (s) {
     case IndexScheme::kRowMajor:
@@ -34,7 +41,7 @@ std::vector<std::uint64_t> ibp_indices(const Graph& g,
                                        const IbpOptions& options) {
   GAPART_REQUIRE(g.has_coordinates(),
                  "IBP requires vertex coordinates; this graph has none");
-  const auto q = quantize_points(g.coordinates(), options.quantization_bits);
+  const auto q = quantize_points(g.coordinates(), kQuantizationBits);
   std::vector<std::uint64_t> idx(q.x.size());
   for (std::size_t i = 0; i < idx.size(); ++i) {
     // Grid cell: row = quantized y, col = quantized x.
@@ -42,14 +49,14 @@ std::vector<std::uint64_t> ibp_indices(const Graph& g,
     const std::uint64_t col = q.x[i];
     switch (options.scheme) {
       case IndexScheme::kRowMajor:
-        idx[i] = row_major_index(row, col,
-                                 std::uint64_t{1} << options.quantization_bits);
+        idx[i] =
+            row_major_index(row, col, std::uint64_t{1} << kQuantizationBits);
         break;
       case IndexScheme::kShuffledRowMajor:
-        idx[i] = morton_index(row, col, options.quantization_bits);
+        idx[i] = morton_index(row, col, kQuantizationBits);
         break;
       case IndexScheme::kHilbert:
-        idx[i] = hilbert_index(col, row, options.quantization_bits);
+        idx[i] = hilbert_index(col, row, kQuantizationBits);
         break;
     }
   }

@@ -23,9 +23,9 @@ enum class IndexScheme {
 const char* index_scheme_name(IndexScheme s);
 IndexScheme parse_index_scheme(const std::string& name);
 
+/// Coordinates are quantized to a 2^10 x 2^10 grid before indexing.
 struct IbpOptions {
   IndexScheme scheme = IndexScheme::kShuffledRowMajor;
-  int quantization_bits = 10;  ///< grid resolution per axis (2^bits cells)
 };
 
 /// Partitions `g` (which must carry coordinates) into num_parts parts of

@@ -3,6 +3,7 @@
 #include "common/assert.hpp"
 #include "graph/components.hpp"
 #include "spectral/eigen.hpp"
+#include "spectral/lanczos.hpp"
 #include "spectral/laplacian.hpp"
 
 namespace gapart {
@@ -23,8 +24,7 @@ EigenPair fiedler_pair(const Graph& g, Rng& rng,
     pair.vector = ed.eigenvector(1);
     return pair;
   }
-  auto res = fiedler_pair_lanczos(g, rng, options.lanczos);
-  return res.pair;
+  return fiedler_pair_lanczos(g, rng).pair;
 }
 
 }  // namespace

@@ -6,14 +6,13 @@
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "spectral/lanczos.hpp"
 
 namespace gapart {
 
 struct FiedlerOptions {
-  /// Graphs at or below this size use the dense exact path.
+  /// Graphs at or below this size use the dense exact path; larger ones run
+  /// Lanczos with its default options.
   VertexId dense_threshold = 96;
-  LanczosOptions lanczos;
 };
 
 /// Fiedler vector (eigenvector of the second smallest Laplacian eigenvalue)

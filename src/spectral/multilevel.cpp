@@ -6,8 +6,16 @@
 #include "common/assert.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/partition.hpp"
+#include "spectral/rsb.hpp"
 
 namespace gapart {
+
+namespace {
+
+/// KL passes after each prolongation (and on the coarsest level).
+constexpr int kKlPassesPerLevel = 4;
+
+}  // namespace
 
 Assignment multilevel_partition(const Graph& g, PartId num_parts, Rng& rng,
                                 const MultilevelOptions& options) {
@@ -18,12 +26,11 @@ Assignment multilevel_partition(const Graph& g, PartId num_parts, Rng& rng,
       num_parts * options.coarse_vertices_per_part, num_parts);
   const auto hierarchy = coarsen_to(g, target, rng);
 
-  Assignment assignment =
-      rsb_partition(hierarchy.coarsest(g), num_parts, rng, options.rsb);
+  Assignment assignment = rsb_partition(hierarchy.coarsest(g), num_parts, rng);
 
   KlOptions kl;
   kl.fitness = options.fitness;
-  kl.max_passes = options.kl_passes_per_level;
+  kl.max_passes = kKlPassesPerLevel;
 
   // Refine the coarsest solution, then project up through the hierarchy,
   // refining after every prolongation (the shared uncoarsening driver).

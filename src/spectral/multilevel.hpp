@@ -12,15 +12,12 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
-#include "spectral/rsb.hpp"
 
 namespace gapart {
 
 struct MultilevelOptions {
   /// Stop coarsening at roughly this many vertices (scaled by part count).
   VertexId coarse_vertices_per_part = 25;
-  RsbOptions rsb;
-  int kl_passes_per_level = 4;
   FitnessParams fitness;  ///< objective for the KL refinement
 };
 

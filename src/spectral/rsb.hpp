@@ -11,22 +11,16 @@
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
-#include "spectral/fiedler.hpp"
 
 namespace gapart {
 
-struct RsbOptions {
-  FiedlerOptions fiedler;
-};
-
 /// Partitions `g` into `num_parts` parts.  num_parts may be any value >= 1
-/// (powers of two reproduce the paper's setting).
-Assignment rsb_partition(const Graph& g, PartId num_parts, Rng& rng,
-                         const RsbOptions& options = {});
+/// (powers of two reproduce the paper's setting).  Fiedler vectors take
+/// fiedler_vector's default options.
+Assignment rsb_partition(const Graph& g, PartId num_parts, Rng& rng);
 
 /// Single spectral bisection step exposed for tests: returns the side
 /// (0/1) of each vertex, with ceil(weight/2) on side 0.
-Assignment spectral_bisect(const Graph& g, Rng& rng,
-                           const RsbOptions& options = {});
+Assignment spectral_bisect(const Graph& g, Rng& rng);
 
 }  // namespace gapart

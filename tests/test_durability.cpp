@@ -3,8 +3,9 @@
 // corruption, foreign entries in the durability directory, opens that never
 // completed, all-or-none recovery), the fault-injection storms on one session
 // and on concurrent sessions racing background refinement ("no acknowledged
-// delta is ever lost"), fail-stop on exhausted WAL retries, and the
-// close/drain handshake.
+// delta is ever lost"), fail-stop on exhausted WAL retries, one fsync per
+// acknowledged update with none left for close(), and the close/drain
+// handshake.
 // Companion suites: test_wal.cpp (log mechanics), test_fault_injection.cpp
 // (the injector itself).
 #include <gtest/gtest.h>
@@ -116,7 +117,7 @@ TEST(Durability, DurableSessionRecoversExactly) {
     EXPECT_TRUE(st.durable);
     EXPECT_FALSE(st.wal_failed);
     EXPECT_EQ(st.wal.appends, 6u);
-    EXPECT_GE(st.wal.fsyncs, 6u);  // default policy: fsync per record
+    EXPECT_GE(st.wal.fsyncs, 6u);  // every append is fsynced
     live = *service.snapshot(id);
   }  // "crash": the service goes away without any orderly close
 
@@ -1130,7 +1131,7 @@ TEST(Durability, FailedCompactionFsyncKeepsLogAccounting) {
     const WalStats st = *session->wal_stats();
     EXPECT_EQ(st.compaction_failures, 1u);
     EXPECT_EQ(fs::file_size(session_dir + "/wal.log"), kWalLogHeaderBytes);
-    EXPECT_EQ(st.durable_bytes, kWalLogHeaderBytes);
+    EXPECT_EQ(st.log_end(), kWalLogHeaderBytes);
     EXPECT_EQ(st.log_records, 0u);
     EXPECT_EQ(st.log_bytes, 0u);
     EXPECT_EQ(st.log_damage, 0);
@@ -1267,6 +1268,38 @@ TEST(Durability, TaskStartFaultAbandonsCleanly) {
 }
 
 #endif  // GAPART_FAULT_INJECTION
+
+// Ack implies durable at the session layer: each acknowledged update costs
+// exactly one fsync and leaves wal.log ending at log_end(), so close() has
+// nothing left to flush and syncs nothing.
+TEST(Durability, EveryAckIsFsyncedSoCloseSyncsNothing) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("ack_fsync");
+  ServiceConfig sc = durable_config(dir);
+  // Zero thresholds disable compaction: one append per update.
+  sc.durability.compaction.damage_threshold = 0;
+  sc.durability.compaction.bytes_threshold = 0;
+  PartitionService service(sc);
+  auto prev = shared_grid(12, 12);
+  const SessionId id = service.open_session(prev, column_bands(12, 12, k),
+                                            session_config(k));
+  const auto session = service.session_handle(id);
+  const std::string log = service.session_wal_dir(id) + "/wal.log";
+  std::uint64_t fsyncs = session->wal_stats()->fsyncs;
+  for (VertexId rows = 13; rows <= 15; ++rows) {
+    auto next = shared_grid(rows, 12);
+    service.submit_update(id, next, diff_graphs(*prev, *next));
+    prev = next;
+    const WalStats st = *session->wal_stats();
+    EXPECT_EQ(st.fsyncs, fsyncs + 1);
+    EXPECT_EQ(st.log_records, static_cast<std::uint64_t>(rows - 12));
+    EXPECT_EQ(fs::file_size(log), st.log_end());
+    fsyncs = st.fsyncs;
+  }
+  service.close_session(id);
+  ASSERT_TRUE(session->closed());
+  EXPECT_EQ(session->wal_stats()->fsyncs, fsyncs);
+}
 
 // ---------------------------------------------------------------------------
 // Backlog + teardown.

@@ -2,10 +2,12 @@
 // convergence, lockstep compaction with digest exchange, resume after link
 // partitions, slow-follower backpressure and snapshot resync, the seeded
 // transport fault matrix ("converges or fail-stops, never silently
-// diverges"), fencing/split-brain prevention, divergence fail-stop, junk
-// record rejection, follower restart, and the kill-point-fuzzed failover
-// sweep against a never-crashed reference.  Companions: test_transport.cpp
-// (the seam itself), test_durability.cpp (single-node recovery).
+// diverges"), fencing/split-brain prevention, promotion draining frames
+// shipped but never pumped, divergence fail-stop, junk record rejection, a
+// rolled-back append that never ships, follower restart, and the
+// kill-point-fuzzed failover sweep against a never-crashed reference.
+// Companions: test_transport.cpp (the seam itself), test_durability.cpp
+// (single-node recovery).
 #include "service/replication.hpp"
 
 #include <gtest/gtest.h>
@@ -417,6 +419,56 @@ TEST(Replication, FailedResyncLeavesTheOldReplicaRestartable) {
 #endif
 
 #if GAPART_FAULT_INJECTION
+// An update whose fsync failed was never acknowledged, and its frame was
+// rolled back: the shipper caps its reads at the log's end as the session
+// lock saw it, so the update never reaches the follower.
+TEST(Replication, RolledBackAppendNeverShips) {
+  const PartId k = 3;
+  Rig rig("rolled_back", {}, [](const std::string& dir) {
+    ServiceConfig sc = leader_config(dir);
+    sc.durability.io_retry.max_attempts = 1;  // the first failure is final
+    return sc;
+  });
+  auto g12 = shared_grid(12, 12);
+  auto g13 = shared_grid(13, 12);
+  auto g14 = shared_grid(14, 12);
+  const SessionId id = rig.leader->open_session(g12, column_bands(12, 12, k),
+                                                session_config(k));
+  rig.settle();  // the follower opens at epoch 0
+  rig.leader->submit_update(id, g13, diff_graphs(*g12, *g13));
+  rig.settle();
+  ASSERT_EQ(rig.shipper->acked_epoch(id), 1u);
+  const std::uint64_t digest = rig.leader->session_handle(id)->state_digest();
+
+  {
+    ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+    EXPECT_THROW(rig.leader->submit_update(id, g14, diff_graphs(*g13, *g14)),
+                 IoError);
+  }
+  EXPECT_TRUE(rig.leader->session_stats(id).wal_failed);
+  rig.settle();
+  ASSERT_TRUE(rig.shipper->drained());
+  EXPECT_EQ(rig.shipper->stats().records_shipped, 1u);
+  EXPECT_EQ(rig.follower->applied_epoch(id), 1u);
+  EXPECT_EQ(rig.follower_service->session_handle(id)->state_digest(), digest);
+
+  // The leader's own log recovers to the same state.
+  const ServiceConfig cfg = rig.leader->config();
+  rig.shipper.reset();
+  rig.leader.reset();
+  PartitionService restarted(cfg);
+  const auto reports = restarted.recover(session_config(k));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].final_epoch, 1u);
+  EXPECT_EQ(restarted.session_handle(id)->state_digest(), digest);
+}
+#else
+TEST(Replication, RolledBackAppendNeverShips) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+#endif
+
+#if GAPART_FAULT_INJECTION
 TEST(Replication, TransportFaultMatrixNeverSilentlyDiverges) {
   const PartId k = 3;
   // Multiple seeded 10% fault schedules over every site (drop, dup,
@@ -525,6 +577,41 @@ TEST(Replication, PromotionFencesTheDeposedLeader) {
   EXPECT_THROW(
       ReplicationShipper(*rig.leader, *rig.leader_end, stale),
       ReplicationError);
+}
+
+// promote() drains what the leader already shipped before it fences:
+// frames sent but never pumped are applied, so the promoted state is the
+// leader's last shipped state, not the follower's last pumped one.
+TEST(Replication, PromoteAppliesFramesShippedButNotPumped) {
+  const PartId k = 3;
+  Rig rig("promote_drain");
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  rig.settle();  // the follower holds the session at epoch 0
+  ASSERT_TRUE(rig.shipper->drained());
+  ASSERT_EQ(rig.follower->applied_epoch(id), 0u);
+  for (VertexId rows = 13; rows <= 15; ++rows) {
+    auto next = shared_grid(rows, 12);
+    rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+    prev = next;
+  }
+  // The leader ships all three records; the follower never pumps them.
+  EXPECT_EQ(rig.shipper->pump(), 3);
+  EXPECT_EQ(rig.shipper->stats().records_shipped, 3u);
+  const std::uint64_t received = rig.follower->stats().frames_received;
+  EXPECT_EQ(rig.follower->applied_epoch(id), 0u);
+
+  const PromotionReport report = rig.follower->promote();
+  const FollowerStats fs_ = rig.follower->stats();
+  EXPECT_EQ(fs_.frames_received, received + 3);
+  EXPECT_EQ(fs_.records_applied, 3u);
+  ASSERT_EQ(report.sessions.size(), 1u);
+  EXPECT_EQ(report.sessions[0].id, id);
+  EXPECT_EQ(report.sessions[0].epoch, 3u);
+  EXPECT_EQ(report.sessions[0].digest,
+            rig.leader->session_handle(id)->state_digest());
+  EXPECT_EQ(rig.follower->applied_epoch(id), 3u);
 }
 
 TEST(Replication, GarbageGenerationFileIsRejected) {

@@ -1,14 +1,13 @@
 // Transport seam: loopback pair semantics (ordering, bounded-queue
 // backpressure, link partitions, close/EOF), the seeded transport fault
 // matrix (drop/dup/reorder/truncate at the send side), and socket framing
-// over Unix-domain and TCP links.  Companion: test_replication.cpp drives
+// over Unix-domain links.  Companion: test_replication.cpp drives
 // the replication protocol through the same seam.
 #include "service/transport.hpp"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -214,39 +213,13 @@ TEST(TransportSocket, UnixRoundTripAndEof) {
   exercise_stream_pair(*client, *server);
 }
 
-TEST(TransportSocket, TcpRoundTripAndEof) {
-  const int port = 38417;  // fixed loopback port; retried below if busy
-  std::unique_ptr<SocketTransport> server;
-  std::thread accepter([&] {
-    try {
-      server = SocketTransport::listen_tcp(port);
-    } catch (const TransportError&) {
-      // bind failed (port in use); the client loop below will give up too
-    }
-  });
-  std::unique_ptr<SocketTransport> client;
-  for (int attempt = 0; attempt < 200 && client == nullptr; ++attempt) {
-    try {
-      client = SocketTransport::connect_tcp("127.0.0.1", port);
-    } catch (const TransportError&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  accepter.join();
-  if (client == nullptr || server == nullptr) {
-    GTEST_SKIP() << "loopback port " << port << " unavailable";
-  }
-  exercise_stream_pair(*client, *server);
-}
-
-/// A plain TCP socket connected to 127.0.0.1:`port`, or -1.
-int connect_raw_tcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+/// A plain stream socket connected to the Unix socket at `path`, or -1.
+int connect_raw_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
@@ -255,30 +228,25 @@ int connect_raw_tcp(int port) {
   return fd;
 }
 
-TEST(TransportSocket, TcpResetAfterFramesDeliversThemThenEnds) {
+TEST(TransportSocket, UnixResetAfterFramesDeliversThemThenEnds) {
   // A peer killed with data still unread in its own receive queue resets
-  // the connection (RST) instead of closing it (FIN).  The frames it sent
-  // before the reset must still be delivered, and the reset must then read
-  // as end of stream rather than as an error.
-  const int port = 38418;  // fixed loopback port; skipped below if busy
+  // the connection instead of closing it: the reader gets the bytes the
+  // peer sent, then ECONNRESET, then EOF.  The frames it sent before the
+  // reset must still be delivered, and the reset must then read as end of
+  // stream rather than as an error.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/gapart_transport_reset.sock";
   std::unique_ptr<SocketTransport> server;
-  std::thread accepter([&] {
-    try {
-      server = SocketTransport::listen_tcp(port);
-    } catch (const TransportError&) {
-      // bind failed (port in use); the client loop below will give up too
-    }
-  });
+  std::thread accepter(
+      [&] { server = SocketTransport::listen_unix(path); });
   int peer = -1;
   for (int attempt = 0; attempt < 200 && peer < 0; ++attempt) {
-    peer = connect_raw_tcp(port);
+    peer = connect_raw_unix(path);
     if (peer < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   accepter.join();
-  if (peer < 0 || server == nullptr) {
-    if (peer >= 0) ::close(peer);
-    GTEST_SKIP() << "loopback port " << port << " unavailable";
-  }
+  ASSERT_GE(peer, 0);
+  ASSERT_NE(server, nullptr);
 
   server->send("never read");  // stays queued at the peer
   for (const std::string frame : {"first", "second"}) {
@@ -289,10 +257,6 @@ TEST(TransportSocket, TcpResetAfterFramesDeliversThemThenEnds) {
     ASSERT_EQ(::write(peer, wire.data(), wire.size()),
               static_cast<ssize_t>(wire.size()));
   }
-  const linger reset_on_close{1, 0};
-  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_LINGER, &reset_on_close,
-                         sizeof(reset_on_close)),
-            0);
   ::close(peer);
 
   EXPECT_EQ(server->receive(5.0), "first");

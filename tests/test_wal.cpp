@@ -16,6 +16,7 @@
 #include "common/backoff.hpp"
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/delta_codec.hpp"
@@ -416,37 +417,14 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
 }
 
 TEST(WalLog, FsyncPolicyGovernsSyncCount) {
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 3;
-  const std::string dir_n = fresh_dir("fsync_n");
-  {
-    auto wal = make_wal(dir_n, every_n);
-    const std::uint64_t base = wal->stats().fsyncs;  // creation syncs
-    for (int i = 1; i <= 7; ++i) {
-      wal->append(WalRecordType::kDelta, static_cast<std::uint64_t>(i), "x", 1);
-    }
-    EXPECT_EQ(wal->stats().fsyncs - base, 2u);  // after records 3 and 6
-    wal->sync();                                // flushes the 7th
-    EXPECT_EQ(wal->stats().fsyncs - base, 3u);
-    wal->sync();  // nothing unsynced: no-op
-    EXPECT_EQ(wal->stats().fsyncs - base, 3u);
+  // Ack implies durable: every append costs exactly one fsync.
+  const std::string dir = fresh_dir("fsync_count");
+  auto wal = make_wal(dir);
+  const std::uint64_t base = wal->stats().fsyncs;  // creation syncs
+  for (std::uint64_t i = 1; i <= 7; ++i) {
+    wal->append(WalRecordType::kDelta, i, "x", 1);
+    EXPECT_EQ(wal->stats().fsyncs - base, i);
   }
-
-  DurabilityConfig never;
-  never.fsync = FsyncPolicy::kNever;
-  const std::string dir_never = fresh_dir("fsync_never");
-  {
-    auto wal = make_wal(dir_never, never);
-    const std::uint64_t base = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, "x", 1);
-    wal->append(WalRecordType::kDelta, 2, "x", 1);
-    EXPECT_EQ(wal->stats().fsyncs - base, 0u);
-  }
-
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kNever), "never");
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kEveryRecord), "every_record");
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kEveryN), "every_n");
 }
 
 TEST(WalLog, AssignmentPayloadRoundTrip) {
@@ -533,36 +511,8 @@ TEST(WalBackoff, ExhaustionRethrowsAndNonTransientPropagates) {
 }
 
 // ---------------------------------------------------------------------------
-// Replication-era additions: close-time flush under kEveryN, the durable
-// offset the shipper reads up to, live tail reads, and snapshot digests in
-// CURRENT.
-
-TEST(WalLog, EveryNFlushesResidualRecordsOnClose) {
-  // Regression: with fsync=kEveryN a session closed between interval
-  // boundaries used to leave its last records unsynced — an orderly
-  // shutdown could lose acknowledged updates.  Destruction must flush.
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 100;  // far larger than the appends below
-  const std::string dir = fresh_dir("close_flush");
-  std::uint64_t synced_before_close = 0;
-  std::uint64_t synced_after_appends = 0;
-  {
-    auto wal = make_wal(dir, every_n);
-    synced_before_close = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, "only-record", 1);
-    wal->append(WalRecordType::kDelta, 2, "still-buffered", 1);
-    synced_after_appends = wal->stats().fsyncs;
-    EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes)
-        << "interval not reached: nothing past the header is durable yet";
-  }
-  EXPECT_EQ(synced_after_appends, synced_before_close)
-      << "sanity: the interval must not have fired during the test";
-  // After close, recovery sees both records — the destructor synced them.
-  const auto rec = SessionWal::recover(dir, every_n);
-  ASSERT_EQ(rec.records.size(), 2u);
-  EXPECT_EQ(rec.records[1].payload, "still-buffered");
-}
+// Replication-era additions: the log end the shipper reads up to, live tail
+// reads, and snapshot digests in CURRENT.
 
 // Recovery demands a gapless epoch chain: a delta for epoch 3 right after
 // epoch 1 means a record is missing, and so does a refinement for an epoch
@@ -581,27 +531,39 @@ TEST(WalLog, RecoveryRejectsABrokenEpochChain) {
   }
 }
 
-TEST(WalLog, DurableBytesTracksTheFsyncFrontier) {
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 2;
-  const std::string dir = fresh_dir("durable_bytes");
-  auto wal = make_wal(dir, every_n);
-  EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
-  wal->append(WalRecordType::kDelta, 1, "a", 1);
-  // One record appended, none synced: the frontier holds at the header.
-  EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
-  EXPECT_GT(wal->stats().log_bytes, 0u);
-  wal->append(WalRecordType::kDelta, 2, "b", 1);
-  // Interval hit: everything written is now durable.
-  EXPECT_EQ(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
-  wal->append(WalRecordType::kDelta, 3, "c", 1);
-  EXPECT_LT(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
-  wal->sync();
-  EXPECT_EQ(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
+// Every append is fsynced before it returns, so the shipper's read cap, the
+// log's end, is the file's size whatever happened last: an append, an
+// append whose fsync failed and was rolled back, or a compaction.
+TEST(WalLog, ReadCapIsTheFileSize) {
+  DurabilityConfig cfg;
+  cfg.io_retry.max_attempts = 1;  // the first failed fsync is final
+  const std::string dir = fresh_dir("read_cap");
+  const std::string log = dir + "/wal.log";
+  auto wal = make_wal(dir, cfg);
+  EXPECT_EQ(wal->stats().log_end(), file_size(log));
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    wal->append(WalRecordType::kDelta, epoch, std::string(epoch, 'x'), 1);
+    EXPECT_EQ(wal->stats().log_end(), file_size(log));
+  }
+  const auto records_under_cap = [&] {
+    return read_log_tail(log, kWalLogHeaderBytes, wal->stats().log_end())
+        .records.size();
+  };
+  EXPECT_EQ(records_under_cap(), 3u);
+#if GAPART_FAULT_INJECTION
+  const std::uint64_t before = file_size(log);
+  {
+    ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+    EXPECT_THROW(wal->append(WalRecordType::kDelta, 4, "lost", 1), IoError);
+  }
+  EXPECT_EQ(file_size(log), before);
+  EXPECT_EQ(wal->stats().log_end(), file_size(log));
+  EXPECT_EQ(records_under_cap(), 3u);
+#endif
+  wal->compact(testing::image_of(make_grid(4, 4), Assignment(16, 0), 2, 3));
+  EXPECT_EQ(wal->stats().log_end(), kWalLogHeaderBytes);
+  EXPECT_EQ(wal->stats().log_end(), file_size(log));
+  EXPECT_EQ(records_under_cap(), 0u);
 }
 
 TEST(WalLog, TailReadResumesAtFrameBoundaries) {
@@ -611,7 +573,7 @@ TEST(WalLog, TailReadResumesAtFrameBoundaries) {
   wal->append(WalRecordType::kDelta, 2, "two", 1);
   wal->append(WalRecordType::kRefine, 2, "ref", 0);
   const std::string path = dir + "/wal.log";
-  const std::uint64_t end = kWalLogHeaderBytes + wal->stats().log_bytes;
+  const std::uint64_t end = wal->stats().log_end();
 
   // Full read from the header.
   const WalTail all = read_log_tail(path, kWalLogHeaderBytes, end);
@@ -627,8 +589,8 @@ TEST(WalLog, TailReadResumesAtFrameBoundaries) {
   ASSERT_EQ(rest.records.size(), 2u);
   EXPECT_EQ(rest.records[0].payload, "two");
 
-  // A limit strictly inside the second frame stops the read BEFORE it: the
-  // un-fsynced suffix must never be shipped.
+  // A limit strictly inside the second frame stops the read BEFORE it: a
+  // frame past the cap must never be shipped.
   const WalTail capped = read_log_tail(path, kWalLogHeaderBytes,
                                        all.ends[1] - 1);
   ASSERT_EQ(capped.records.size(), 1u);
@@ -646,7 +608,7 @@ TEST(WalLog, TailReadTreatsInvalidFrameAsInFlightAppend) {
   auto wal = make_wal(dir);
   wal->append(WalRecordType::kDelta, 1, "whole", 1);
   const std::string path = dir + "/wal.log";
-  const std::uint64_t whole_end = kWalLogHeaderBytes + wal->stats().log_bytes;
+  const std::uint64_t whole_end = wal->stats().log_end();
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out.write("\x55\x00\x33", 3);  // a torn append, mid-flight
