@@ -1,6 +1,6 @@
 // Incremental-repair microbench: damage size vs repair cost.
 //
-// Four question sets, emitted as JSON for the BENCH_incremental_repair.json
+// Five question sets, emitted as JSON for the BENCH_incremental_repair.json
 // trajectory:
 //
 //   repair:   on an n x n grid with a contiguous block partition and d
@@ -23,6 +23,12 @@
 //             decode_delta of one appended grid row onto the n x n grid,
 //             and decode_session_image of the grown grid, with the bytes
 //             and median seconds per call.
+//
+//   build:    what a client pays to build the grown graph, as e2ebench's
+//             grow adapter does: GraphBuilder::build of the n x n grid's
+//             edges plus one appended row (builder filled once), the same
+//             with the add_edge loop timed too, and make_grid of the n x n
+//             grid, with the edge count and median seconds per call.
 //
 //   image:    the whole-image passes of a compaction and a recovery on the
 //             n x n grid (k = 8 column bands): snapshot_image (the content
@@ -157,8 +163,24 @@ struct ReplayRow {
   double seconds_per_call = 0.0;  // median
 };
 
-/// Median seconds of `call(bytes)` over at least 5 calls and `budget`
-/// seconds, after one untimed call.
+/// Median seconds of `call()` over at least 5 calls and `budget` seconds,
+/// after one untimed call; `calls` receives the number timed.
+template <typename Call>
+double median_seconds(Call call, double budget, int& calls) {
+  call();
+  std::vector<double> seconds;
+  double elapsed = 0.0;
+  while (elapsed < budget || seconds.size() < 5) {
+    WallTimer timer;
+    call();
+    seconds.push_back(timer.seconds());
+    elapsed += seconds.back();
+  }
+  calls = static_cast<int>(seconds.size());
+  return quantile(seconds, 0.5);
+}
+
+/// Median seconds of `call(bytes)`, as median_seconds times it.
 template <typename Call>
 ReplayRow time_call(const char* op, VertexId n, const std::string& bytes,
                     Call call, double budget) {
@@ -166,17 +188,8 @@ ReplayRow time_call(const char* op, VertexId n, const std::string& bytes,
   row.op = op;
   row.n = n;
   row.bytes = bytes.size();
-  call(bytes);
-  std::vector<double> seconds;
-  double elapsed = 0.0;
-  while (elapsed < budget || seconds.size() < 5) {
-    WallTimer timer;
-    call(bytes);
-    seconds.push_back(timer.seconds());
-    elapsed += seconds.back();
-  }
-  row.calls = static_cast<int>(seconds.size());
-  row.seconds_per_call = quantile(seconds, 0.5);
+  row.seconds_per_call =
+      median_seconds([&] { call(bytes); }, budget, row.calls);
   return row;
 }
 
@@ -198,6 +211,56 @@ std::vector<ReplayRow> bench_replay(VertexId n, double budget) {
           time_call("decode_session_image", n, encode_session_image(image),
                     [](const std::string& b) { decode_session_image(b); },
                     budget)};
+}
+
+struct BuildRow {
+  const char* op = "";
+  VertexId n = 0;  // grid side
+  std::int64_t edges = 0;  // of the graph built
+  int calls = 0;
+  double seconds_per_call = 0.0;  // median
+};
+
+/// e2ebench's grow adapter, one update: every edge of the n x n grid from
+/// its lower end, in row order, then an appended row of n vertices wired
+/// along the row and to the row below.
+void fill_grown_grid(GraphBuilder& b, const Graph& grid, VertexId n) {
+  for (VertexId u = 0; u < grid.num_vertices(); ++u) {
+    const auto nbrs = grid.neighbors(u);
+    const auto wgts = grid.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] > u) b.add_edge(u, nbrs[i], wgts[i]);
+    }
+  }
+  const VertexId first = n * n;
+  for (VertexId j = 0; j < n; ++j) {
+    if (j + 1 < n) b.add_edge(first + j, first + j + 1);
+    b.add_edge(first + j, first - n + j);
+  }
+}
+
+std::vector<BuildRow> bench_build(VertexId n, double budget) {
+  const Graph grid = make_grid(n, n);
+  GraphBuilder filled(n * n + n);
+  fill_grown_grid(filled, grid, n);
+  const std::int64_t grown_edges = filled.build().num_edges();
+
+  std::vector<BuildRow> rows(3);
+  rows[0] = {"build", n, grown_edges, 0, 0.0};
+  rows[0].seconds_per_call =
+      median_seconds([&] { filled.build(); }, budget, rows[0].calls);
+  rows[1] = {"fill_and_build", n, grown_edges, 0, 0.0};
+  rows[1].seconds_per_call = median_seconds(
+      [&] {
+        GraphBuilder b(n * n + n);
+        fill_grown_grid(b, grid, n);
+        b.build();
+      },
+      budget, rows[1].calls);
+  rows[2] = {"make_grid", n, grid.num_edges(), 0, 0.0};
+  rows[2].seconds_per_call =
+      median_seconds([&] { make_grid(n, n); }, budget, rows[2].calls);
+  return rows;
 }
 
 std::vector<ReplayRow> bench_image(VertexId n, double budget) {
@@ -245,9 +308,23 @@ void emit_rows(const char* section, const std::vector<ReplayRow>& rows,
   std::printf("  ]%s\n", last ? "" : ",");
 }
 
+void emit_build_rows(const std::vector<BuildRow>& rows) {
+  std::printf("  \"build\": [\n");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const BuildRow& r = rows[i];
+    std::printf(
+        "    {\"op\": \"%s\", \"n\": %d, \"edges\": %lld, \"calls\": %d, "
+        "\"seconds_per_call\": %.6f}%s\n",
+        r.op, static_cast<int>(r.n), static_cast<long long>(r.edges), r.calls,
+        r.seconds_per_call, i + 1 < rows.size() ? "," : "");
+  }
+  std::printf("  ],\n");
+}
+
 void emit_json(const std::vector<RepairRow>& repair,
                const std::vector<PipelineRow>& pipeline,
                const std::vector<ReplayRow>& replay,
+               const std::vector<BuildRow>& build,
                const std::vector<ReplayRow>& image) {
   std::printf("{\n");
   std::printf("  \"bench\": \"micro_incremental_repair\",\n");
@@ -283,6 +360,7 @@ void emit_json(const std::vector<RepairRow>& repair,
   }
   std::printf("  ],\n");
   emit_rows("replay", replay, /*last=*/false);
+  emit_build_rows(build);
   emit_rows("image", image, /*last=*/true);
   std::printf("}\n");
 }
@@ -327,13 +405,15 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ReplayRow> replay;
+  std::vector<BuildRow> build;
   std::vector<ReplayRow> image;
   for (const VertexId n : quick ? std::vector<VertexId>{256}
                                 : std::vector<VertexId>{256, 1000}) {
     for (ReplayRow& row : bench_replay(n, budget)) replay.push_back(row);
+    for (BuildRow& row : bench_build(n, budget)) build.push_back(row);
     for (ReplayRow& row : bench_image(n, budget)) image.push_back(row);
   }
 
-  emit_json(repair, pipeline, replay, image);
+  emit_json(repair, pipeline, replay, build, image);
   return 0;
 }

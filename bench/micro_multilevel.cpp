@@ -1,7 +1,7 @@
 // Multilevel-engine microbench: V-cycle GA vs flat GA at equal wall-clock,
 // plus a million-vertex end-to-end partition + delta-repair row.
 //
-// Two question sets, emitted as JSON for the BENCH_multilevel.json
+// Four question sets, emitted as JSON for the BENCH_multilevel.json
 // trajectory:
 //
 //   equal_wallclock: on n x n grids, run the V-cycle engine to completion,
@@ -20,6 +20,12 @@
 //             (SessionConfig().deep_vcycle), at pool widths 1, 2 and 4 — the
 //             per-level GAs run their quotient combines on the pool, so the
 //             width changes the time and never the fitness.
+//
+//   coarsen:  coarsen_to of an n x n grid to the V-cycle's coarsening
+//             target at k = 8 (VcycleGaOptions().coarse_vertices_per_part
+//             per part), without and with a respected partition (k = 8
+//             column bands, as a deep-tier refinement coarsens); the levels,
+//             the coarsest size and the median seconds per call.
 //
 //   ./bench/micro_multilevel [--quick] > multilevel.json
 #include <algorithm>
@@ -40,6 +46,7 @@
 #include "core/init.hpp"
 #include "core/presets.hpp"
 #include "core/vcycle_ga.hpp"
+#include "graph/coarsen.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "service/session.hpp"
@@ -197,9 +204,47 @@ std::vector<PooledRefineRow> bench_pooled_refine(VertexId n, PartId k,
   return rows;
 }
 
+struct CoarsenRow {
+  const char* op = "";
+  VertexId n = 0;
+  PartId k = 0;
+  int levels = 0;
+  VertexId coarsest_vertices = 0;
+  int calls = 0;
+  double median_seconds = 0.0;
+};
+
+std::vector<CoarsenRow> bench_coarsen(VertexId n, PartId k, int calls) {
+  const Graph g = make_grid(n, n);
+  const Assignment bands = bench::column_bands(n, n, k);
+  const VertexId target = k * VcycleGaOptions().coarse_vertices_per_part;
+  std::vector<CoarsenRow> rows;
+  for (const Assignment* respect : {static_cast<const Assignment*>(nullptr),
+                                    &bands}) {
+    CoarsenRow row;
+    row.op = respect == nullptr ? "coarsen_to" : "coarsen_to_respect";
+    row.n = n;
+    row.k = k;
+    row.calls = calls;
+    std::vector<double> seconds;
+    for (int c = 0; c < calls; ++c) {
+      Rng rng(0xC0A2);  // every call builds the same hierarchy
+      WallTimer timer;
+      const CoarsenHierarchy h = coarsen_to(g, target, rng, respect);
+      seconds.push_back(timer.seconds());
+      row.levels = static_cast<int>(h.num_levels());
+      row.coarsest_vertices = h.coarsest(g).num_vertices();
+    }
+    row.median_seconds = median(seconds);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 void emit_json(const std::vector<WallclockRow>& wallclock,
                const std::vector<EndToEndRow>& end_to_end,
-               const std::vector<PooledRefineRow>& pooled_refine) {
+               const std::vector<PooledRefineRow>& pooled_refine,
+               const std::vector<CoarsenRow>& coarsen) {
   bool all_beat = true;
   for (const WallclockRow& r : wallclock) all_beat &= r.vcycle_beats_flat;
   std::printf("{\n");
@@ -248,6 +293,18 @@ void emit_json(const std::vector<WallclockRow>& wallclock,
         r.median_seconds, r.fitness,
         i + 1 < pooled_refine.size() ? "," : "");
   }
+  std::printf("  ],\n");
+  std::printf("  \"coarsen\": [\n");
+  for (std::size_t i = 0; i < coarsen.size(); ++i) {
+    const CoarsenRow& r = coarsen[i];
+    std::printf(
+        "    {\"op\": \"%s\", \"n\": %d, \"k\": %d, \"levels\": %d, "
+        "\"coarsest_vertices\": %d, \"calls\": %d, "
+        "\"median_seconds\": %.4f}%s\n",
+        r.op, static_cast<int>(r.n), static_cast<int>(r.k), r.levels,
+        static_cast<int>(r.coarsest_vertices), r.calls, r.median_seconds,
+        i + 1 < coarsen.size() ? "," : "");
+  }
   std::printf("  ]\n}\n");
 }
 
@@ -271,7 +328,15 @@ int main(int argc, char** argv) {
   const std::vector<PooledRefineRow> pooled_refine =
       bench_pooled_refine(quick ? 128 : 256, 8, /*calls=*/7);
 
-  emit_json(wallclock, end_to_end, pooled_refine);
+  std::vector<CoarsenRow> coarsen;
+  for (const VertexId n : quick ? std::vector<VertexId>{256}
+                                : std::vector<VertexId>{256, 1000}) {
+    for (const CoarsenRow& row : bench_coarsen(n, 8, quick ? 3 : 7)) {
+      coarsen.push_back(row);
+    }
+  }
+
+  emit_json(wallclock, end_to_end, pooled_refine, coarsen);
   for (const auto& unused : args.unused()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }

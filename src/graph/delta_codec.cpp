@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -105,7 +104,11 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
 // untouched survivors is block-copied from the predecessor with its offsets
 // shifted by a constant, and each recorded row — touched survivors, then the
 // appended range, both in vertex order — is appended from the record.
-// Graph befriends this class.
+// Edge weights are written only from the first entry that is not 1.0 (or
+// from the start, when the predecessor stores them), so a unit predecessor
+// and an unweighted record give a unit graph with no weight array; a result
+// whose weights all come out 1.0 drops its array (Graph::seal).  Graph
+// befriends this class.
 class GraphSplice {
  public:
   GraphSplice(const Graph& prev, const GraphDelta& delta, VertexId new_n,
@@ -115,14 +118,15 @@ class GraphSplice {
         old_n_(delta.old_num_vertices),
         new_n_(new_n),
         weighted_(weighted),
+        write_weights_(!prev.ewgt_.empty()),
         in_(in),
         mate_(touched_.size() + static_cast<std::size_t>(new_n - old_n_)) {}
 
   Graph splice() {
-    const std::size_t entries = count_entries();
+    entries_ = count_entries();
     g_.xadj_.reserve(static_cast<std::size_t>(new_n_) + 1);
-    g_.adjncy_.reserve(entries);
-    g_.ewgt_.reserve(entries);
+    g_.adjncy_.reserve(entries_);
+    if (write_weights_) g_.ewgt_.reserve(entries_);
     g_.vwgt_.reserve(static_cast<std::size_t>(new_n_));
     for (const VertexId t : touched_) {
       copy_survivors(t);
@@ -135,15 +139,7 @@ class GraphSplice {
     GAPART_REQUIRE(lower_listings_ == upper_listings_, "delta record lists ",
                    upper_listings_ - lower_listings_,
                    " edge(s) between recorded vertices from one end only");
-
-    // Summed in vertex order, as GraphBuilder::build does: rebind_grown
-    // takes the mean load from this total.
-    g_.total_vwgt_ = std::accumulate(g_.vwgt_.begin(), g_.vwgt_.end(), 0.0);
-    const auto is_one = [](double w) { return w == 1.0; };
-    g_.unit_weights_ =
-        (!weighted_ && prev_.unit_weights_) ||
-        (std::all_of(g_.vwgt_.begin(), g_.vwgt_.end(), is_one) &&
-         std::all_of(g_.ewgt_.begin(), g_.ewgt_.end(), is_one));
+    g_.seal(max_degree_);
     return std::move(g_);
   }
 
@@ -181,12 +177,19 @@ class GraphSplice {
     const auto to = xadj[static_cast<std::size_t>(end)];
     const auto shift = static_cast<std::int32_t>(g_.adjncy_.size()) - from;
     for (VertexId v = next_; v < end; ++v) {
-      g_.xadj_.push_back(xadj[static_cast<std::size_t>(v) + 1] + shift);
+      const auto next = xadj[static_cast<std::size_t>(v) + 1];
+      max_degree_ = std::max(max_degree_,
+                             next - xadj[static_cast<std::size_t>(v)]);
+      g_.xadj_.push_back(next + shift);
     }
     g_.adjncy_.insert(g_.adjncy_.end(), prev_.adjncy_.begin() + from,
                       prev_.adjncy_.begin() + to);
-    g_.ewgt_.insert(g_.ewgt_.end(), prev_.ewgt_.begin() + from,
-                    prev_.ewgt_.begin() + to);
+    if (write_weights_ && prev_.ewgt_.empty()) {
+      g_.ewgt_.insert(g_.ewgt_.end(), static_cast<std::size_t>(to - from), 1.0);
+    } else if (write_weights_) {
+      g_.ewgt_.insert(g_.ewgt_.end(), prev_.ewgt_.begin() + from,
+                      prev_.ewgt_.begin() + to);
+    }
     g_.vwgt_.insert(g_.vwgt_.end(), prev_.vwgt_.begin() + next_,
                     prev_.vwgt_.begin() + end);
     next_ = end;
@@ -210,7 +213,7 @@ class GraphSplice {
     GAPART_REQUIRE(vw > 0.0, "vertex ", r, " has weight ", vw);
     g_.vwgt_.push_back(vw);
     const auto deg = in_.get<std::uint32_t>();  // bounded by count_entries
-    std::size_t first_above = g_.adjncy_.size();
+    auto first_above = static_cast<std::int32_t>(g_.adjncy_.size());
     VertexId last = -1;
     for (std::uint32_t i = 0; i < deg; ++i) {
       const auto x32 = in_.get<std::uint32_t>();
@@ -222,8 +225,9 @@ class GraphSplice {
       GAPART_REQUIRE(x > last, "adjacency of ", r, " not sorted at ", x);
       GAPART_REQUIRE(w > 0.0, "edge (", r, ", ", x, ") has weight ", w);
       last = x;
+      if (w != 1.0 && !write_weights_) start_weights();
       g_.adjncy_.push_back(x);
-      g_.ewgt_.push_back(w);
+      if (write_weights_) g_.ewgt_.push_back(w);
       if (x < r) ++first_above;
       const std::ptrdiff_t row = row_of(x);
       if (row < 0) continue;
@@ -231,11 +235,13 @@ class GraphSplice {
         ++upper_listings_;
         continue;
       }
-      std::size_t& c = mate_[static_cast<std::size_t>(row)];
-      const auto end =
-          static_cast<std::size_t>(g_.xadj_[static_cast<std::size_t>(x) + 1]);
-      while (c < end && g_.adjncy_[c] < r) ++c;
-      GAPART_REQUIRE(c < end && g_.adjncy_[c] == r && g_.ewgt_[c] == w,
+      std::int32_t& c = mate_[static_cast<std::size_t>(row)];
+      const std::int32_t end = g_.xadj_[static_cast<std::size_t>(x) + 1];
+      while (c < end && g_.adjncy_[static_cast<std::size_t>(c)] < r) ++c;
+      GAPART_REQUIRE(c < end && g_.adjncy_[static_cast<std::size_t>(c)] == r &&
+                         (write_weights_
+                              ? g_.ewgt_[static_cast<std::size_t>(c)]
+                              : 1.0) == w,
                      "delta record lists edge (", r, ", ", x,
                      ") but not the same edge in the row of ", x);
       ++c;
@@ -243,18 +249,31 @@ class GraphSplice {
     }
     mate_[static_cast<std::size_t>(row_of(r))] = first_above;
     g_.xadj_.push_back(static_cast<std::int32_t>(g_.adjncy_.size()));
+    max_degree_ = std::max(max_degree_, static_cast<std::int32_t>(deg));
     next_ = r + 1;
+  }
+
+  /// The first edge weight other than 1.0: from here on the grown graph
+  /// stores weights, and every entry written so far weighs 1.0.
+  void start_weights() {
+    g_.ewgt_.reserve(entries_);
+    g_.ewgt_.assign(g_.adjncy_.size(), 1.0);
+    write_weights_ = true;
   }
 
   const Graph& prev_;
   const std::vector<VertexId>& touched_;
   const VertexId old_n_;
   const VertexId new_n_;
-  const bool weighted_;
+  const bool weighted_;  // the record carries weights
+  bool write_weights_;   // g_ stores edge weights (see Graph::seal)
   ByteReader& in_;
   Graph g_;
+  std::size_t entries_ = 0;        // adjacency entries of the grown graph
+  std::int32_t max_degree_ = 0;
   VertexId next_ = 0;              // first vertex not written yet
-  std::vector<std::size_t> mate_;  // per recorded row: next unmatched entry
+  // Per recorded row: its next unmatched entry (an int32 offset, as xadj_).
+  std::vector<std::int32_t> mate_;
   std::uint64_t lower_listings_ = 0;
   std::uint64_t upper_listings_ = 0;
 };

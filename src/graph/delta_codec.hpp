@@ -25,9 +25,11 @@
 // from the predecessor's arrays, and each recorded row is appended from the
 // record.  That is an O(V + E) sequential copy, no edge list is built, and
 // the result is the graph GraphBuilder would build from the same rows, bit
-// for bit.  The contract that makes the copy safe, checked on every decode
-// (gapart::Error otherwise, so a corrupt or inexact record never becomes a
-// silently wrong graph):
+// for bit, stored alike: a unit predecessor and an unweighted record write
+// no edge-weight array (graph/graph.hpp), so replaying a unit graph moves
+// only its offsets, neighbour ids and vertex weights.  The contract that
+// makes the copy safe, checked on every decode (gapart::Error otherwise, so
+// a corrupt or inexact record never becomes a silently wrong graph):
 //   * the delta is exact (diff_graphs exact): touched_old lists every
 //     survivor whose adjacency, edge weights or vertex weight changed, and
 //     the seam between recorded and untouched vertices agrees with the

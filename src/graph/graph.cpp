@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -45,10 +46,23 @@ std::string Graph::summary() const {
   return os.str();
 }
 
+void Graph::seal(std::int32_t max_degree) {
+  const auto is_one = [](double w) { return w == 1.0; };
+  if (std::all_of(ewgt_.begin(), ewgt_.end(), is_one)) {
+    std::vector<double>().swap(ewgt_);
+    ones_.assign(static_cast<std::size_t>(max_degree), 1.0);
+  }
+  // Summed in vertex order (rebind_grown takes the mean load from this
+  // total); n ones sum to exactly n.
+  const bool unit_vertices = std::all_of(vwgt_.begin(), vwgt_.end(), is_one);
+  total_vwgt_ = unit_vertices
+                    ? static_cast<double>(vwgt_.size())
+                    : std::accumulate(vwgt_.begin(), vwgt_.end(), 0.0);
+  unit_weights_ = unit_vertices && ewgt_.empty();
+}
+
 GraphBuilder::GraphBuilder(VertexId num_vertices)
-    : num_vertices_(num_vertices),
-      vwgt_(static_cast<std::size_t>(num_vertices), 1.0),
-      coords_(static_cast<std::size_t>(num_vertices)) {
+    : num_vertices_(num_vertices) {
   GAPART_REQUIRE(num_vertices >= 0, "negative vertex count ", num_vertices);
 }
 
@@ -59,19 +73,24 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, double weight) {
                  " out of range [0,", num_vertices_, ")");
   GAPART_REQUIRE(weight > 0.0, "edge weight must be positive, got ", weight);
   if (u == v) return;  // self-loops carry no cut information
-  edges_.push_back({u, v, weight});
+  if (weight != 1.0 || !wgts_.empty()) {
+    wgts_.resize(edges_.size(), 1.0);  // the unit edges added before it
+    wgts_.push_back(weight);
+  }
+  edges_.push_back({u, v});
 }
 
 void GraphBuilder::set_vertex_weight(VertexId v, double weight) {
   GAPART_REQUIRE(v >= 0 && v < num_vertices_, "vertex ", v, " out of range");
   GAPART_REQUIRE(weight > 0.0, "vertex weight must be positive, got ", weight);
+  if (vwgt_.empty()) vwgt_.assign(static_cast<std::size_t>(num_vertices_), 1.0);
   vwgt_[static_cast<std::size_t>(v)] = weight;
 }
 
 void GraphBuilder::set_coordinate(VertexId v, Point2 p) {
   GAPART_REQUIRE(v >= 0 && v < num_vertices_, "vertex ", v, " out of range");
+  if (coords_.empty()) coords_.resize(static_cast<std::size_t>(num_vertices_));
   coords_[static_cast<std::size_t>(v)] = p;
-  has_coords_ = true;
 }
 
 void GraphBuilder::set_coordinates(std::vector<Point2> coords) {
@@ -79,101 +98,151 @@ void GraphBuilder::set_coordinates(std::vector<Point2> coords) {
                  "coordinate count ", coords.size(), " != vertex count ",
                  num_vertices_);
   coords_ = std::move(coords);
-  has_coords_ = num_vertices_ > 0;
 }
+
+namespace {
+
+// Rows longer than this (hubs) are sorted in O(d log d) before the merge;
+// shorter ones are insertion-sorted by it.
+constexpr std::int32_t kInsertionSortMax = 32;
+
+/// Sorts a hub's scattered row by neighbour id, stably when its weights move
+/// with the ids, so duplicates keep the order they were added in.
+template <bool kWeighted>
+void sort_hub_row(VertexId* ids, double* w, std::size_t d,
+                  std::vector<std::pair<VertexId, double>>& scratch) {
+  if constexpr (!kWeighted) {
+    std::sort(ids, ids + d);  // equal unit entries are interchangeable
+  } else {
+    scratch.clear();
+    for (std::size_t i = 0; i < d; ++i) scratch.emplace_back(ids[i], w[i]);
+    std::stable_sort(
+        scratch.begin(), scratch.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < d; ++i) {
+      ids[i] = scratch[i].first;
+      w[i] = scratch[i].second;
+    }
+  }
+}
+
+/// Inserts a row's scattered entries [i, end), in the order added, into its
+/// sorted and merged output [row, out): each is appended, shifted into
+/// place, or merged into the entry with its id, adding its weight, so
+/// duplicates sum in the order added.  The output never overtakes the input
+/// (out <= i), so this compacts in place.  Without weights it stops at the
+/// first duplicate and returns its index, so that the caller can lay down
+/// unit weights and go on weighted; otherwise it returns `end`.
+template <bool kWeighted>
+std::int32_t insert_row(VertexId* adj, double* w, std::int32_t row,
+                        std::int32_t& out, std::int32_t i, std::int32_t end) {
+  for (; i < end; ++i) {
+    const VertexId x = adj[i];
+    const double wx = kWeighted ? w[i] : 1.0;
+    std::int32_t j = out;
+    while (j > row && adj[j - 1] > x) --j;
+    if (j > row && adj[j - 1] == x) {
+      if constexpr (!kWeighted) return i;
+      w[j - 1] += wx;
+      continue;
+    }
+    for (std::int32_t k = out; k > j; --k) {
+      adj[k] = adj[k - 1];
+      if constexpr (kWeighted) w[k] = w[k - 1];
+    }
+    adj[j] = x;
+    if constexpr (kWeighted) w[j] = wx;
+    ++out;
+  }
+  return end;
+}
+
+}  // namespace
 
 Graph GraphBuilder::build() {
   const auto n = static_cast<std::size_t>(num_vertices_);
+  // Offsets and cursors are int32 and count every stored direction of every
+  // added edge, duplicates included: refuse before allocating anything.
+  constexpr auto kMaxEntries =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  GAPART_REQUIRE(edges_.size() <= kMaxEntries / 2, "graph of ", edges_.size(),
+                 " added edges overflows its int32 offsets");
   const std::size_t m2 = edges_.size() * 2;
 
-  // Fully linear CSR construction, O(V + E): a radix pass over the
-  // (row, neighbour) key — two counting scatters, least-significant digit
-  // (neighbour) first — replaces the per-row comparison sort.  Every array is
-  // sized from the raw edge count up front, so building large benchmark
-  // meshes never reallocates mid-construction.
-
-  // Pass 1: raw per-vertex degrees (duplicates included) -> scatter offsets.
-  // A vertex appears as a source exactly as often as it appears as a
-  // neighbour (each undirected edge contributes one of each per endpoint),
-  // so one offset table serves both scatter passes.
-  std::vector<std::int32_t> cursor(n, 0);
-  for (const auto& e : edges_) {
-    ++cursor[static_cast<std::size_t>(e.u)];
-    ++cursor[static_cast<std::size_t>(e.v)];
-  }
-  std::vector<std::int32_t> offset(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    offset[v + 1] = offset[v] + cursor[v];
-  }
-
-  // Pass 2 (low digit): scatter both directions of every edge into buckets
-  // keyed by the NEIGHBOUR endpoint; the bucket id is implicit in the slot
-  // range, so only the source and weight are stored.
-  std::vector<VertexId> by_nbr_src(m2);
-  std::vector<double> by_nbr_wgt(m2);
-  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
-  for (const auto& e : edges_) {
-    auto& cv = cursor[static_cast<std::size_t>(e.v)];
-    by_nbr_src[static_cast<std::size_t>(cv)] = e.u;
-    by_nbr_wgt[static_cast<std::size_t>(cv)] = e.w;
-    ++cv;
-    auto& cu = cursor[static_cast<std::size_t>(e.u)];
-    by_nbr_src[static_cast<std::size_t>(cu)] = e.v;
-    by_nbr_wgt[static_cast<std::size_t>(cu)] = e.w;
-    ++cu;
-  }
-
-  // Pass 3 (high digit): walk the buckets in ascending neighbour order and
-  // stably scatter each entry into its source row — every row comes out with
-  // its neighbours already ascending, no per-row sort.
-  std::vector<VertexId> raw_adj(m2);
-  std::vector<double> raw_wgt(m2);
-  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
-  for (std::size_t nbr = 0; nbr < n; ++nbr) {
-    const auto begin = static_cast<std::size_t>(offset[nbr]);
-    const auto end = static_cast<std::size_t>(offset[nbr + 1]);
-    for (std::size_t i = begin; i < end; ++i) {
-      auto& cu = cursor[static_cast<std::size_t>(by_nbr_src[i])];
-      raw_adj[static_cast<std::size_t>(cu)] = static_cast<VertexId>(nbr);
-      raw_wgt[static_cast<std::size_t>(cu)] = by_nbr_wgt[i];
-      ++cu;
-    }
-  }
-
-  // Pass 4: merge duplicates (weights summed) row by row.
+  // One scatter: count degrees, write both directions of every edge once,
+  // in the order added, straight into adjncy_ (and ewgt_ for weighted
+  // input), then sort each row stably and merge its duplicates, compacting
+  // in place.  Degrees are counted two slots up, so after the prefix sum
+  // xadj[v + 1] is row v's start, and the scatter advances it to row v's
+  // end.
   Graph g;
-  g.xadj_.assign(n + 1, 0);
-  g.adjncy_.clear();
-  g.ewgt_.clear();
-  g.adjncy_.reserve(m2);
-  g.ewgt_.reserve(m2);
+  auto& xadj = g.xadj_;
+  xadj.assign(n + 2, 0);
+  for (const auto& [u, v] : edges_) {
+    ++xadj[static_cast<std::size_t>(u) + 2];
+    ++xadj[static_cast<std::size_t>(v) + 2];
+  }
+  std::partial_sum(xadj.begin(), xadj.end(), xadj.begin());
+  xadj.pop_back();
 
+  g.adjncy_.resize(m2);
+  if (!wgts_.empty()) g.ewgt_.resize(m2);
+  VertexId* adj = g.adjncy_.data();
+  double* w = g.ewgt_.empty() ? nullptr : g.ewgt_.data();
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const auto [u, v] = edges_[i];
+    const auto cu =
+        static_cast<std::size_t>(xadj[static_cast<std::size_t>(u) + 1]++);
+    const auto cv =
+        static_cast<std::size_t>(xadj[static_cast<std::size_t>(v) + 1]++);
+    adj[cu] = v;
+    adj[cv] = u;
+    if (w != nullptr) w[cu] = w[cv] = wgts_[i];
+  }
+
+  // Row by row: sort and merge duplicates, compacting in place.  Unit input
+  // gets a weight array at its first duplicate, all ones, so every slot not
+  // yet written holds its unit weight; a multiplicity is a sum of ones.
+  std::vector<std::pair<VertexId, double>> scratch;
+  std::int32_t out = 0;
+  std::int32_t begin = 0;
+  std::int32_t max_degree = 0;
   for (std::size_t u = 0; u < n; ++u) {
-    const auto begin = static_cast<std::size_t>(offset[u]);
-    const auto end = static_cast<std::size_t>(offset[u + 1]);
-    const std::size_t row_start = g.adjncy_.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      if (g.adjncy_.size() > row_start && g.adjncy_.back() == raw_adj[i]) {
-        g.ewgt_.back() += raw_wgt[i];
+    const std::int32_t end = xadj[u + 1];
+    const std::int32_t row = out;
+    if (end - begin > kInsertionSortMax) {
+      const auto d = static_cast<std::size_t>(end - begin);
+      if (w != nullptr) {
+        sort_hub_row<true>(adj + begin, w + begin, d, scratch);
       } else {
-        g.adjncy_.push_back(raw_adj[i]);
-        g.ewgt_.push_back(raw_wgt[i]);
+        sort_hub_row<false>(adj + begin, nullptr, d, scratch);
       }
     }
-    g.xadj_[u + 1] = static_cast<std::int32_t>(g.adjncy_.size());
+    std::int32_t i = begin;
+    if (w == nullptr) {
+      i = insert_row<false>(adj, nullptr, row, out, begin, end);
+      if (i < end) {
+        g.ewgt_.assign(m2, 1.0);
+        w = g.ewgt_.data();
+      }
+    }
+    if (w != nullptr) insert_row<true>(adj, w, row, out, i, end);
+    xadj[u + 1] = out;
+    max_degree = std::max(max_degree, out - row);
+    begin = end;
   }
+  g.adjncy_.resize(static_cast<std::size_t>(out));
+  if (w != nullptr) g.ewgt_.resize(static_cast<std::size_t>(out));
 
   // Copy (not move) so the builder stays usable: callers may add more edges
   // and build() again (e.g. connectivity stitching loops).
-  g.vwgt_ = vwgt_;
-  g.total_vwgt_ = std::accumulate(g.vwgt_.begin(), g.vwgt_.end(), 0.0);
-  if (has_coords_) g.coords_ = coords_;
-
-  g.unit_weights_ =
-      std::all_of(g.vwgt_.begin(), g.vwgt_.end(),
-                  [](double w) { return w == 1.0; }) &&
-      std::all_of(g.ewgt_.begin(), g.ewgt_.end(),
-                  [](double w) { return w == 1.0; });
+  if (vwgt_.empty()) {
+    g.vwgt_.assign(n, 1.0);
+  } else {
+    g.vwgt_ = vwgt_;
+  }
+  g.coords_ = coords_;
+  g.seal(max_degree);
   return g;
 }
 

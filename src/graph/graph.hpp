@@ -2,11 +2,16 @@
 //
 // This is the substrate every partitioner in gapart operates on.  The storage
 // is deliberately flat and contiguous (Per.16/Per.19 of the C++ Core
-// Guidelines: compact data structures, predictable access): one offset array
-// and parallel neighbour / edge-weight arrays.  Graphs are immutable after
+// Guidelines: compact data structures, predictable access): one offset array,
+// the neighbour array, and a parallel edge-weight array only when some edge
+// weight is not 1.0.  A graph whose edge weights are all 1.0 (the paper's
+// unit-weight meshes) stores no weight per edge: every row's weights are a
+// view of one run of 1.0 as long as the largest row.  The form is canonical,
+// so equal graphs are stored alike.  Graphs are immutable after
 // construction; use GraphBuilder (or the mesh generators) to create them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,11 +47,12 @@ class Graph {
     return {adjncy_.data() + begin, end - begin};
   }
 
-  /// Edge weights parallel to neighbors(v).
+  /// Edge weights parallel to neighbors(v).  When every edge weight is 1.0
+  /// the graph stores none, and each row's span views the same run of 1.0.
   std::span<const double> edge_weights(VertexId v) const {
     const auto begin = static_cast<std::size_t>(xadj_[static_cast<std::size_t>(v)]);
     const auto end = static_cast<std::size_t>(xadj_[static_cast<std::size_t>(v) + 1]);
-    return {ewgt_.data() + begin, end - begin};
+    return {ewgt_.empty() ? ones_.data() : ewgt_.data() + begin, end - begin};
   }
 
   double vertex_weight(VertexId v) const {
@@ -79,9 +85,16 @@ class Graph {
   friend class GraphBuilder;
   friend class GraphSplice;
 
+  /// Called by both writers once xadj_, adjncy_, ewgt_ and vwgt_ are
+  /// final: drops an edge-weight array that holds only 1.0, lays the run
+  /// of ones edge_weights() then serves (`max_degree` long), and derives
+  /// the vertex-weight total and unit_weights().
+  void seal(std::int32_t max_degree);
+
   std::vector<std::int32_t> xadj_ = {0};
   std::vector<VertexId> adjncy_;
-  std::vector<double> ewgt_;
+  std::vector<double> ewgt_;  // empty exactly when every edge weight is 1.0
+  std::vector<double> ones_;  // 1.0 x the largest degree, when ewgt_ is empty
   std::vector<double> vwgt_;
   std::vector<Point2> coords_;
   double total_vwgt_ = 0.0;
@@ -99,28 +112,26 @@ class GraphBuilder {
   VertexId num_vertices() const { return num_vertices_; }
 
   /// Adds undirected edge {u, v} with weight w.  Duplicate additions are
-  /// merged at build() time by summing weights.  Self-loops are ignored.
+  /// merged at build() time by summing weights in the order they were
+  /// added.  Self-loops are ignored.
   void add_edge(VertexId u, VertexId v, double weight = 1.0);
 
   void set_vertex_weight(VertexId v, double weight);
   void set_coordinate(VertexId v, Point2 p);
   void set_coordinates(std::vector<Point2> coords);
 
-  /// Validates, canonicalizes and builds the immutable Graph.
+  /// Validates, canonicalizes and builds the immutable Graph.  The builder
+  /// stays usable: more edges may be added and build() called again.
+  /// Throws gapart::Error, before allocating, when the edges added (both
+  /// directions, duplicates included) overflow the int32 offsets.
   Graph build();
 
  private:
-  struct RawEdge {
-    VertexId u;
-    VertexId v;
-    double w;
-  };
-
   VertexId num_vertices_;
-  std::vector<RawEdge> edges_;
-  std::vector<double> vwgt_;
-  std::vector<Point2> coords_;
-  bool has_coords_ = false;
+  std::vector<std::array<VertexId, 2>> edges_;
+  std::vector<double> wgts_;    // parallel to edges_ once a weight != 1.0 came
+  std::vector<double> vwgt_;    // empty until a vertex weight is set
+  std::vector<Point2> coords_;  // empty until a coordinate is set
 };
 
 }  // namespace gapart

@@ -105,6 +105,66 @@ TEST(WalCodecFuzz, DeltaRecordRejectsTruncationsAndSurvivesFlips) {
   }
 }
 
+// A unit graph stays weight-free through every decode: the splice of an
+// unweighted record onto a unit predecessor, and a session image's graph.
+TEST(WalCodecFuzz, UnitGraphsDecodeWithoutEdgeWeights) {
+  const Graph prev = fuzz_grid(6, false, false);
+  const Graph grown = fuzz_grid(8, false, true);
+  const Graph spliced =
+      decode_delta(prev, encode_delta(grown, diff_graphs(prev, grown))).grown;
+  testing::expect_graphs_identical(spliced, grown);
+  testing::expect_unit_edge_weights(spliced);
+
+  const SessionImage image = decode_session_image(encode_session_image(
+      testing::image_of(grown, Assignment(40, 0), 2, /*epoch=*/1)));
+  testing::expect_graphs_identical(*image.graph, grown);
+  testing::expect_unit_edge_weights(*image.graph);
+}
+
+/// rows x 5 grid with the diagonal (7, 13) at `diagonal` and the last
+/// vertex at weight `last_vertex`; every other weight is 1.0.
+Graph grid_with(VertexId rows, double diagonal, double last_vertex) {
+  GraphBuilder b(rows * 5);
+  for (VertexId v = 0; v < rows * 5; ++v) {
+    if (v % 5 != 4) b.add_edge(v, v + 1);
+    if (v + 5 < rows * 5) b.add_edge(v, v + 5);
+  }
+  b.add_edge(7, 13, diagonal);
+  b.set_vertex_weight(rows * 5 - 1, last_vertex);
+  return b.build();
+}
+
+// Mixed cases keep exact weights: the splice lands on the graph, and the
+// unit_weights(), that GraphBuilder builds from the same rows, including
+// weighted predecessors whose records leave every edge weight at 1.0.
+TEST(WalCodecFuzz, MixedWeightSplicesMatchTheBuilder) {
+  struct Case {
+    const char* name;
+    Graph prev;
+    Graph grown;
+  };
+  const Case cases[] = {
+      {"unit predecessor, weighted record", grid_with(6, 1.0, 1.0),
+       grid_with(8, 2.5, 1.0)},
+      {"weighted predecessor, weighted record", grid_with(6, 2.5, 1.0),
+       grid_with(8, 0.75, 1.0)},
+      {"weighted predecessor, unweighted record", grid_with(6, 2.5, 1.0),
+       grid_with(8, 1.0, 1.0)},
+      {"weighted predecessor, weighted record of unit edges",
+       grid_with(6, 2.5, 1.0), grid_with(8, 1.0, 3.0)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string record =
+        encode_delta(c.grown, diff_graphs(c.prev, c.grown));
+    const Graph spliced = decode_delta(c.prev, record).grown;
+    testing::expect_graphs_identical(spliced, c.grown);
+    if (c.grown.edge_weight(7, 13).value() == 1.0) {
+      testing::expect_unit_edge_weights(spliced);
+    }
+  }
+}
+
 TEST(WalCodecFuzz, OutcomeSectionRejectsTruncationsAndSurvivesFlips) {
   // The tail of a kDelta record with 3 appended vertices in a 40-vertex
   // graph, with 1-byte parts (k <= 256) and with 4-byte parts.

@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
@@ -251,15 +252,16 @@ TEST(GraphBuilder, CountingSortConstructionMatchesNaiveMerge) {
   }
 }
 
-// The radix (two counting scatters) construction must agree with a
-// per-row comparison sort — the implementation it replaced — on graphs with
-// heavy duplicate multiplicity and fractional weights.  Weight sums may
-// associate in a different order than the sorted-pair reference, hence the
-// near (not bitwise) comparison for the fractional case.
+// The one-scatter construction must agree bit for bit with a per-row
+// reference: each row's entries in the order their edges were added, stably
+// sorted by neighbour, duplicates summed in that order.  Heavy duplicate
+// multiplicity with integer, fractional and unit weights; from round 6 on,
+// a hub whose row outgrows the insertion sort.
 TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
   Rng rng(0xadd1);
-  for (int round = 0; round < 8; ++round) {
-    const bool fractional = round % 2 == 1;
+  for (int round = 0; round < 12; ++round) {
+    const int mode = round % 3;  // 0 integer, 1 fractional, 2 unit weights
+    const bool hub = round >= 6;
     const VertexId n = 2 + static_cast<VertexId>(rng.uniform_int(40));
     struct E {
       VertexId u, v;
@@ -269,17 +271,19 @@ TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
     GraphBuilder b(n);
     const int edges = rng.uniform_int(8 * n);
     for (int e = 0; e < edges; ++e) {
-      const auto u = static_cast<VertexId>(rng.uniform_int(n));
+      auto u = static_cast<VertexId>(rng.uniform_int(n));
+      if (hub && rng.bernoulli(0.5)) u = 0;
       auto v = static_cast<VertexId>(rng.uniform_int(n));
       if (rng.bernoulli(0.3)) v = (u + 1) % n;  // force duplicate pile-ups
       if (u == v) continue;
-      const double w = fractional ? 0.25 + rng.uniform() : 1.0 + rng.uniform_int(5);
+      const double w = mode == 1   ? 0.25 + rng.uniform()
+                       : mode == 0 ? 1.0 + rng.uniform_int(5)
+                                   : 1.0;
       b.add_edge(u, v, w);
       raw.push_back({u, v, w});
     }
     const Graph g = b.build();
 
-    // Reference: per-row (neighbour, weight) sort + duplicate merge.
     std::vector<std::vector<std::pair<VertexId, double>>> rows(
         static_cast<std::size_t>(n));
     for (const E& e : raw) {
@@ -288,7 +292,10 @@ TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
     }
     for (VertexId u = 0; u < n; ++u) {
       auto& row = rows[static_cast<std::size_t>(u)];
-      std::sort(row.begin(), row.end());
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
       std::vector<VertexId> expect_adj;
       std::vector<double> expect_wgt;
       for (const auto& [v, w] : row) {
@@ -301,16 +308,58 @@ TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
       }
       const auto nbrs = g.neighbors(u);
       ASSERT_EQ(std::vector<VertexId>(nbrs.begin(), nbrs.end()), expect_adj)
-          << "row " << u;
+          << "round " << round << " row " << u;
       const auto wgts = g.edge_weights(u);
-      ASSERT_EQ(wgts.size(), expect_wgt.size());
-      for (std::size_t i = 0; i < wgts.size(); ++i) {
-        if (fractional) {
-          ASSERT_NEAR(wgts[i], expect_wgt[i], 1e-12) << "row " << u;
-        } else {
-          ASSERT_EQ(wgts[i], expect_wgt[i]) << "row " << u;
-        }
-      }
+      ASSERT_EQ(std::vector<double>(wgts.begin(), wgts.end()), expect_wgt)
+          << "round " << round << " row " << u;
+    }
+  }
+}
+
+// A graph whose edge weights are all 1.0 stores none: every row, a hub's
+// included, views one shared run of ones.  Vertex weights do not enter it.
+TEST(GraphBuilder, UnitGraphServesItsWeightsFromOneRun) {
+  GraphBuilder b(40);
+  for (VertexId v = 1; v < 40; ++v) b.add_edge(0, v, 1.0);
+  for (VertexId v = 1; v + 1 < 40; ++v) b.add_edge(v + 1, v);
+  const Graph unit = b.build();
+  EXPECT_TRUE(unit.unit_weights());
+  testing::expect_unit_edge_weights(unit);
+
+  b.set_vertex_weight(3, 2.0);
+  const Graph heavy_vertex = b.build();
+  EXPECT_FALSE(heavy_vertex.unit_weights());
+  testing::expect_unit_edge_weights(heavy_vertex);
+  EXPECT_EQ(heavy_vertex.total_vertex_weight(), 41.0);
+}
+
+// Unit input with duplicates: each merged edge weighs its multiplicity,
+// whether the first duplicate comes in the first row or the last, in a short
+// row or in a hub's.
+TEST(GraphBuilder, UnitDuplicatesWeighTheirMultiplicity) {
+  for (const bool hub : {true, false}) {
+    SCOPED_TRACE(hub ? "hub row first" : "last row only");
+    const VertexId n = 60;
+    GraphBuilder b(n);
+    std::map<std::pair<VertexId, VertexId>, double> count;
+    const auto add = [&](VertexId u, VertexId v) {
+      b.add_edge(u, v);
+      count[{std::min(u, v), std::max(u, v)}] += 1.0;
+    };
+    for (VertexId v = 0; v + 1 < n; ++v) add(v, v + 1);
+    if (hub) {
+      for (VertexId v = 1; v < n; ++v) add(0, v);
+      for (VertexId v = 20; v < 50; v += 3) add(v, 0);
+    }
+    add(n - 1, n - 2);
+    add(n - 2, n - 1);
+    const Graph g = b.build();
+
+    EXPECT_FALSE(g.unit_weights());
+    EXPECT_EQ(g.num_edges(), static_cast<std::int64_t>(count.size()));
+    for (const auto& [uv, c] : count) {
+      EXPECT_EQ(g.edge_weight(uv.first, uv.second).value(), c);
+      EXPECT_EQ(g.edge_weight(uv.second, uv.first).value(), c);
     }
   }
 }

@@ -84,6 +84,23 @@ inline void expect_graphs_identical(const Graph& a, const Graph& b) {
   EXPECT_EQ(a.total_vertex_weight(), b.total_vertex_weight());
 }
 
+/// Asserts `g` stores no edge weights: every row's weights are degree(v)
+/// ones, all viewed from one shared run, and every edge weighs 1.0.
+inline void expect_unit_edge_weights(const Graph& g) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto w = g.edge_weights(v);
+    ASSERT_EQ(w.size(), static_cast<std::size_t>(g.degree(v)));
+    EXPECT_EQ(w.data(), g.edge_weights(0).data()) << "vertex " << v;
+    EXPECT_EQ(std::vector(w.begin(), w.end()),
+              std::vector<double>(w.size(), 1.0))
+        << "vertex " << v;
+    for (const VertexId x : g.neighbors(v)) {
+      EXPECT_EQ(g.edge_weight(v, x).value(), 1.0) << "edge " << v << "-" << x;
+    }
+    EXPECT_EQ(g.weighted_degree(v), g.degree(v)) << "vertex " << v;
+  }
+}
+
 /// FNV-1a hash of an assignment's parts, in vertex order: what the golden
 /// tests pin a partition by.
 inline std::uint64_t fnv1a(const Assignment& a) {
