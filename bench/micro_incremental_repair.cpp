@@ -33,8 +33,9 @@
 //   image:    the whole-image passes of a compaction and a recovery on the
 //             n x n grid (k = 8 column bands): snapshot_image (the content
 //             digest), encode_session_image, read_file of the written
-//             image and decode_session_image, with the image's bytes and
-//             median seconds per call.
+//             image, decode_session_image and the crc32 both encode and
+//             decode run over the image, with the image's bytes and median
+//             seconds per call.
 //
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
 #include <algorithm>
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/checksum.hpp"
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
@@ -289,6 +291,9 @@ std::vector<ReplayRow> bench_image(VertexId n, double budget) {
                 [&](const std::string&) { read_file(path); }, budget),
       time_call("decode_session_image", n, bytes,
                 [](const std::string& b) { decode_session_image(b); },
+                budget),
+      time_call("crc32", n, bytes,
+                [](const std::string& b) { crc32(b.data(), b.size()); },
                 budget)};
   std::filesystem::remove(path);
   return rows;

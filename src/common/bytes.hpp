@@ -2,7 +2,9 @@
 // session images, WAL and replication frames).  Values are memcpy'd in host
 // byte order, little-endian on every supported target.  ByteReader throws
 // gapart::Error on any read past the end, so truncated input becomes a
-// typed error, never an out-of-bounds read.
+// typed error, never an out-of-bounds read.  put_at and get_at are the raw
+// cursors of the whole-graph passes (graph/delta_codec.cpp), which check
+// a region's size once up front instead of per value.
 #pragma once
 
 #include <bit>
@@ -25,6 +27,26 @@ void put(std::string& out, T value) {
   char buf[sizeof(T)];
   std::memcpy(buf, &value, sizeof(T));
   out.append(buf, sizeof(T));
+}
+
+/// Writes `value` at `at` and returns the byte after it, with no bounds
+/// check: for a writer that sized its buffer exactly before the first byte.
+template <typename T>
+char* put_at(char* at, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(at, &value, sizeof(T));
+  return at + sizeof(T);
+}
+
+/// Reads the value at `at` and moves `at` past it, with no bounds check:
+/// for a reader that has already proven the bytes present.
+template <typename T>
+T get_at(const char*& at) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value;
+  std::memcpy(&value, at, sizeof(T));
+  at += sizeof(T);
+  return value;
 }
 
 /// Sequential reader over a byte range it does not own.

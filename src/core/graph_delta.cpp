@@ -63,6 +63,7 @@ void check_delta_seam(const Graph& prev, const Graph& grown,
                    "survivors; got ", v);
     last = v;
   }
+  if (n_old == 0) return;  // no survivor, so no seam (a whole graph)
   // Every edge (r, x) of r's row in `from` that leads to an unrecorded
   // survivor x must sit, with the same weight, in the row `find` reads.
   // Rows are sorted, so the survivors come first.

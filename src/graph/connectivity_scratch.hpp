@@ -93,6 +93,9 @@ class EpochFlags {
     if (num_slots > stamp_.size()) stamp_.resize(num_slots, 0);
   }
 
+  /// Room for num_slots slots, so grow() up to there does not reallocate.
+  void reserve(std::size_t num_slots) { stamp_.reserve(num_slots); }
+
   /// All flags become logically false.
   void clear() { ++epoch_; }
 

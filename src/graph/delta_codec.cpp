@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -18,26 +17,22 @@ constexpr std::uint8_t kWeightedRows = 0x01;        // the one header flag
 // magic u32 + flags u8 + old_n u32 + new_n u32 + touched count u32
 constexpr std::size_t kHeaderBytes = 17;
 
-// An id's int32 bytes are its u32 wire value (common/bytes.hpp: host byte
-// order, little-endian), so a unit-weight row's neighbours go out as one
-// block.
-static_assert(std::is_same_v<VertexId, std::int32_t>);
-
-void append_vertex_row(std::string& out, const Graph& g, VertexId v,
-                       bool weighted) {
+/// Writes vertex v's row at `at` and returns the byte after it.
+char* write_row(char* at, const Graph& g, VertexId v, bool weighted) {
   const auto nbrs = g.neighbors(v);
+  if (weighted) at = put_at(at, g.vertex_weight(v));
+  at = put_at(at, static_cast<std::uint32_t>(nbrs.size()));
   if (!weighted) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
-    out.append(reinterpret_cast<const char*>(nbrs.data()), nbrs.size_bytes());
-    return;
+    // Id by id: a mesh row is a few ids, too short for a memcpy call.
+    for (const VertexId x : nbrs) at = put_at(at, static_cast<std::uint32_t>(x));
+    return at;
   }
-  put<double>(out, g.vertex_weight(v));
   const auto wgts = g.edge_weights(v);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs[i]));
-    put<double>(out, wgts[i]);
+    at = put_at(at, static_cast<std::uint32_t>(nbrs[i]));
+    at = put_at(at, wgts[i]);
   }
+  return at;
 }
 
 void check_encodable(const Graph& grown, const GraphDelta& delta) {
@@ -64,46 +59,48 @@ std::size_t encoded_delta_size(const Graph& grown, const GraphDelta& delta) {
   for (const VertexId v : delta.touched_old) {
     size += 4 + slot * (1 + static_cast<std::size_t>(grown.degree(v)));
   }
-  for (VertexId v = delta.old_num_vertices; v < grown.num_vertices(); ++v) {
-    size += slot * (1 + static_cast<std::size_t>(grown.degree(v)));
-  }
-  return size;
+  const auto appended =
+      static_cast<std::size_t>(grown.num_vertices() - delta.old_num_vertices);
+  return size + slot * (appended + static_cast<std::size_t>(grown.degree_from(
+                                       delta.old_num_vertices)));
 }
 
-void encode_delta(std::string& out, const Graph& grown,
-                  const GraphDelta& delta) {
+char* encode_delta(char* out, const Graph& grown, const GraphDelta& delta) {
   check_encodable(grown, delta);
   const VertexId n_new = grown.num_vertices();
   const bool weighted = !grown.unit_weights();
-  put<std::uint32_t>(out, kCodecMagic);
-  put<std::uint8_t>(out, weighted ? kWeightedRows : 0);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(delta.old_num_vertices));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(n_new));
-  put<std::uint32_t>(out,
-                     static_cast<std::uint32_t>(delta.touched_old.size()));
+  out = put_at(out, kCodecMagic);
+  out = put_at(out, weighted ? kWeightedRows : std::uint8_t{0});
+  out = put_at(out, static_cast<std::uint32_t>(delta.old_num_vertices));
+  out = put_at(out, static_cast<std::uint32_t>(n_new));
+  out = put_at(out, static_cast<std::uint32_t>(delta.touched_old.size()));
   for (const VertexId v : delta.touched_old) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(v));
+    out = put_at(out, static_cast<std::uint32_t>(v));
   }
   for (const VertexId v : delta.touched_old) {
-    append_vertex_row(out, grown, v, weighted);
+    out = write_row(out, grown, v, weighted);
   }
   for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
-    append_vertex_row(out, grown, v, weighted);
+    out = write_row(out, grown, v, weighted);
   }
+  return out;
 }
 
 std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
-  // Sized exactly, so the appends never reallocate.
-  std::string out;
-  out.reserve(encoded_delta_size(grown, delta));
-  encode_delta(out, grown, delta);
+  std::string out(encoded_delta_size(grown, delta), '\0');
+  const char* end = encode_delta(out.data(), grown, delta);
+  GAPART_ASSERT(end == out.data() + out.size(), "delta record wrote ",
+                end - out.data(), " of its ", out.size(), " bytes");
   return out;
 }
 
 // Writes the grown graph's arrays in one ascending pass: each run of
 // untouched survivors is block-copied from the predecessor with its offsets
 // shifted by a constant, and each recorded row — touched survivors, then the
-// appended range, both in vertex order — is appended from the record.
+// appended range, both in vertex order — is read from the record through a
+// raw cursor, once count_entries has proven every row's bytes present.
+// A touched row is sized on its own; the appended range, which is the whole
+// graph for an image, is sized once and written by index.
 // Edge weights are written only from the first entry that is not 1.0 (or
 // from the start, when the predecessor stores them), so a unit predecessor
 // and an unweighted record give a unit graph with no weight array; a result
@@ -119,8 +116,7 @@ class GraphSplice {
         new_n_(new_n),
         weighted_(weighted),
         write_weights_(!prev.ewgt_.empty()),
-        in_(in),
-        mate_(touched_.size() + static_cast<std::size_t>(new_n - old_n_)) {}
+        in_(in) {}
 
   Graph splice() {
     entries_ = count_entries();
@@ -130,10 +126,14 @@ class GraphSplice {
     g_.vwgt_.reserve(static_cast<std::size_t>(new_n_));
     for (const VertexId t : touched_) {
       copy_survivors(t);
-      read_row(t);
+      const char* head = cursor_ + (weighted_ ? sizeof(double) : 0);
+      size_to(t + 1, static_cast<std::size_t>(pos_) +
+                         get_at<std::uint32_t>(head));  // t's degree
+      read_rows(t, t + 1);
     }
     copy_survivors(old_n_);
-    for (VertexId v = old_n_; v < new_n_; ++v) read_row(v);
+    size_to(new_n_, entries_);
+    read_rows(old_n_, new_n_);
     // Each lower listing matched a distinct upper one, so equal counts
     // leave no upper listing unmatched.
     GAPART_REQUIRE(lower_listings_ == upper_listings_, "delta record lists ",
@@ -147,14 +147,17 @@ class GraphSplice {
   /// Entries of the grown adjacency: the predecessor's, less the touched
   /// survivors' old rows, plus every recorded degree.  Walks the rows on a
   /// copy of the reader, so every row's bytes are known to be there before
-  /// anything is allocated from its degree.
-  std::size_t count_entries() const {
+  /// anything is allocated from its degree, then takes them all for the
+  /// cursor.
+  std::size_t count_entries() {
     ByteReader rows = in_;
     std::uint64_t entries = prev_.adjncy_.size();
     for (const VertexId t : touched_) {
       entries -= static_cast<std::uint64_t>(prev_.degree(t));
     }
-    for (std::size_t i = 0; i < mate_.size(); ++i) {
+    const std::size_t num_rows =
+        touched_.size() + static_cast<std::size_t>(new_n_ - old_n_);
+    for (std::size_t i = 0; i < num_rows; ++i) {
       if (weighted_) rows.take(sizeof(double));
       const auto deg = rows.get<std::uint32_t>();
       GAPART_REQUIRE(deg < static_cast<std::uint32_t>(new_n_), "row ", i,
@@ -167,21 +170,38 @@ class GraphSplice {
                                   std::numeric_limits<std::int32_t>::max()),
                    "grown graph of ", entries,
                    " adjacency entries overflows its int32 offsets");
+    cursor_ = in_.take(in_.remaining() - rows.remaining()).data();
     return static_cast<std::size_t>(entries);
   }
 
-  /// Untouched survivors [next_, end): the predecessor's rows verbatim.
-  void copy_survivors(VertexId end) {
-    const auto& xadj = prev_.xadj_;
-    const auto from = xadj[static_cast<std::size_t>(next_)];
-    const auto to = xadj[static_cast<std::size_t>(end)];
-    const auto shift = static_cast<std::int32_t>(g_.adjncy_.size()) - from;
-    for (VertexId v = next_; v < end; ++v) {
-      const auto next = xadj[static_cast<std::size_t>(v) + 1];
-      max_degree_ = std::max(max_degree_,
-                             next - xadj[static_cast<std::size_t>(v)]);
-      g_.xadj_.push_back(next + shift);
+  /// Sizes the arrays for vertices [0, vertices) and `entries` adjacency
+  /// entries, where they are shorter: the slots a row is written into.
+  void size_to(VertexId vertices, std::size_t entries) {
+    const auto n = static_cast<std::size_t>(vertices);
+    if (g_.xadj_.size() < n + 1) g_.xadj_.resize(n + 1);
+    if (g_.vwgt_.size() < n) g_.vwgt_.resize(n);
+    if (g_.adjncy_.size() < entries) {
+      g_.adjncy_.resize(entries);
+      if (write_weights_) g_.ewgt_.resize(entries, 1.0);
     }
+  }
+
+  /// Untouched survivors [next_, end): the predecessor's rows verbatim,
+  /// their offsets shifted in one block.
+  void copy_survivors(VertexId end) {
+    const auto first = static_cast<std::size_t>(next_);
+    const auto last = static_cast<std::size_t>(end);
+    const auto& xadj = prev_.xadj_;
+    const auto from = xadj[first];
+    const auto to = xadj[last];
+    const auto shift = pos_ - from;
+    g_.xadj_.resize(last + 1);
+    std::int32_t max_degree = max_degree_;
+    for (std::size_t v = first; v < last; ++v) {
+      g_.xadj_[v + 1] = xadj[v + 1] + shift;
+      max_degree = std::max(max_degree, xadj[v + 1] - xadj[v]);
+    }
+    max_degree_ = max_degree;
     g_.adjncy_.insert(g_.adjncy_.end(), prev_.adjncy_.begin() + from,
                       prev_.adjncy_.begin() + to);
     if (write_weights_ && prev_.ewgt_.empty()) {
@@ -192,65 +212,80 @@ class GraphSplice {
     }
     g_.vwgt_.insert(g_.vwgt_.end(), prev_.vwgt_.begin() + next_,
                     prev_.vwgt_.begin() + end);
+    pos_ += to - from;
     next_ = end;
   }
 
-  /// Index of x among the recorded rows, or -1 for an unrecorded survivor.
-  std::ptrdiff_t row_of(VertexId x) const {
-    if (x >= old_n_) {
-      return static_cast<std::ptrdiff_t>(touched_.size()) + (x - old_n_);
+  void read_rows(VertexId first, VertexId end) {
+    if (weighted_) {
+      read_rows<true>(first, end);
+    } else {
+      read_rows<false>(first, end);
     }
-    const auto it = std::lower_bound(touched_.begin(), touched_.end(), x);
-    return it != touched_.end() && *it == x ? it - touched_.begin() : -1;
   }
 
-  /// Recorded vertex r's row, from the record.  An edge to an unrecorded
-  /// survivor is left to check_delta_seam; one to a recorded vertex x < r
-  /// must match the next unmatched entry above x in x's row, which
-  /// mate_[row_of(x)] tracks as r ascends.
-  void read_row(VertexId r) {
-    const double vw = weighted_ ? in_.get<double>() : 1.0;
-    GAPART_REQUIRE(vw > 0.0, "vertex ", r, " has weight ", vw);
-    g_.vwgt_.push_back(vw);
-    const auto deg = in_.get<std::uint32_t>();  // bounded by count_entries
-    auto first_above = static_cast<std::int32_t>(g_.adjncy_.size());
-    VertexId last = -1;
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      const auto x32 = in_.get<std::uint32_t>();
-      const double w = weighted_ ? in_.get<double>() : 1.0;
-      GAPART_REQUIRE(x32 < static_cast<std::uint32_t>(new_n_), "neighbour ",
-                     x32, " out of range");
-      const auto x = static_cast<VertexId>(x32);
-      GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
-      GAPART_REQUIRE(x > last, "adjacency of ", r, " not sorted at ", x);
-      GAPART_REQUIRE(w > 0.0, "edge (", r, ", ", x, ") has weight ", w);
-      last = x;
-      if (w != 1.0 && !write_weights_) start_weights();
-      g_.adjncy_.push_back(x);
-      if (write_weights_) g_.ewgt_.push_back(w);
-      if (x < r) ++first_above;
-      const std::ptrdiff_t row = row_of(x);
-      if (row < 0) continue;
-      if (x > r) {
-        ++upper_listings_;
-        continue;
+  /// Recorded rows [first, end), from the record, into slots size_to made.
+  /// An edge to an unrecorded survivor is left to check_delta_seam; one to
+  /// a recorded vertex x < r must sit, with the same weight, in x's row,
+  /// which is written and strictly ascending, so a binary search finds it.
+  template <bool kWeighted>
+  void read_rows(VertexId first, VertexId end) {
+    // Locals: the rows' int32 stores could otherwise alias these members.
+    const char* at = cursor_;
+    auto pos = static_cast<std::size_t>(pos_);
+    std::int32_t max_degree = max_degree_;
+    const VertexId new_n = new_n_;
+    const VertexId old_n = old_n_;
+    for (VertexId r = first; r < end; ++r) {
+      const double vw = kWeighted ? get_at<double>(at) : 1.0;
+      GAPART_REQUIRE(vw > 0.0, "vertex ", r, " has weight ", vw);
+      g_.vwgt_[static_cast<std::size_t>(r)] = vw;
+      const auto deg = get_at<std::uint32_t>(at);  // by count_entries
+      VertexId last = -1;
+      for (std::uint32_t i = 0; i < deg; ++i) {
+        const auto x32 = get_at<std::uint32_t>(at);
+        const double w = kWeighted ? get_at<double>(at) : 1.0;
+        GAPART_REQUIRE(x32 < static_cast<std::uint32_t>(new_n), "neighbour ",
+                       x32, " out of range");
+        const auto x = static_cast<VertexId>(x32);
+        GAPART_REQUIRE(x != r, "self-loop on vertex ", r);
+        GAPART_REQUIRE(x > last, "adjacency of ", r, " not sorted at ", x);
+        GAPART_REQUIRE(w > 0.0, "edge (", r, ", ", x, ") has weight ", w);
+        last = x;
+        if (kWeighted && w != 1.0 && !write_weights_) start_weights();
+        g_.adjncy_[pos] = x;
+        if (write_weights_) g_.ewgt_[pos] = w;
+        ++pos;
+        const bool recorded =
+            x >= old_n ||
+            std::binary_search(touched_.begin(), touched_.end(), x);
+        if (!recorded) continue;
+        if (x > r) {
+          ++upper_listings_;
+          continue;
+        }
+        const auto row =
+            g_.adjncy_.begin() + g_.xadj_[static_cast<std::size_t>(x)];
+        const auto row_end =
+            g_.adjncy_.begin() + g_.xadj_[static_cast<std::size_t>(x) + 1];
+        const auto mate = std::lower_bound(row, row_end, r);
+        GAPART_REQUIRE(
+            mate != row_end && *mate == r &&
+                (write_weights_ ? g_.ewgt_[static_cast<std::size_t>(
+                                      mate - g_.adjncy_.begin())]
+                                : 1.0) == w,
+            "delta record lists edge (", r, ", ", x,
+            ") but not the same edge in the row of ", x);
+        ++lower_listings_;
       }
-      std::int32_t& c = mate_[static_cast<std::size_t>(row)];
-      const std::int32_t end = g_.xadj_[static_cast<std::size_t>(x) + 1];
-      while (c < end && g_.adjncy_[static_cast<std::size_t>(c)] < r) ++c;
-      GAPART_REQUIRE(c < end && g_.adjncy_[static_cast<std::size_t>(c)] == r &&
-                         (write_weights_
-                              ? g_.ewgt_[static_cast<std::size_t>(c)]
-                              : 1.0) == w,
-                     "delta record lists edge (", r, ", ", x,
-                     ") but not the same edge in the row of ", x);
-      ++c;
-      ++lower_listings_;
+      g_.xadj_[static_cast<std::size_t>(r) + 1] =
+          static_cast<std::int32_t>(pos);
+      max_degree = std::max(max_degree, static_cast<std::int32_t>(deg));
     }
-    mate_[static_cast<std::size_t>(row_of(r))] = first_above;
-    g_.xadj_.push_back(static_cast<std::int32_t>(g_.adjncy_.size()));
-    max_degree_ = std::max(max_degree_, static_cast<std::int32_t>(deg));
-    next_ = r + 1;
+    cursor_ = at;
+    pos_ = static_cast<std::int32_t>(pos);
+    max_degree_ = max_degree;
+    next_ = end;
   }
 
   /// The first edge weight other than 1.0: from here on the grown graph
@@ -268,59 +303,86 @@ class GraphSplice {
   const bool weighted_;  // the record carries weights
   bool write_weights_;   // g_ stores edge weights (see Graph::seal)
   ByteReader& in_;
+  const char* cursor_ = nullptr;   // the next recorded row's first byte
   Graph g_;
   std::size_t entries_ = 0;        // adjacency entries of the grown graph
   std::int32_t max_degree_ = 0;
   VertexId next_ = 0;              // first vertex not written yet
-  // Per recorded row: its next unmatched entry (an int32 offset, as xadj_).
-  std::vector<std::int32_t> mate_;
+  std::int32_t pos_ = 0;           // first adjacency entry not written yet
   std::uint64_t lower_listings_ = 0;
   std::uint64_t upper_listings_ = 0;
 };
 
-DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
+namespace {
+
+struct RecordHeader {
+  bool weighted = false;
+  VertexId old_n = 0;
+  VertexId new_n = 0;
+  std::uint32_t touched_count = 0;
+};
+
+/// Reads and checks a record's header against a `prev_n`-vertex
+/// predecessor, including that the bytes after it can hold the touched ids
+/// and a head per row, so no count it returns sizes an allocation the
+/// bytes cannot back.
+RecordHeader read_header(ByteReader& in, VertexId prev_n) {
   GAPART_REQUIRE(in.get<std::uint32_t>() == kCodecMagic,
                  "delta record has wrong magic");
   const auto flags = in.get<std::uint8_t>();
   GAPART_REQUIRE((flags & ~kWeightedRows) == 0, "delta record has unknown ",
                  "flags ", static_cast<int>(flags));
-  const bool weighted = (flags & kWeightedRows) != 0;
+  RecordHeader h;
+  h.weighted = (flags & kWeightedRows) != 0;
   const auto old_n32 = in.get<std::uint32_t>();
   const auto new_n32 = in.get<std::uint32_t>();
-  GAPART_REQUIRE(old_n32 == static_cast<std::uint32_t>(prev.num_vertices()),
+  GAPART_REQUIRE(old_n32 == static_cast<std::uint32_t>(prev_n),
                  "delta record expects a ", old_n32,
-                 "-vertex predecessor, got ", prev.num_vertices());
+                 "-vertex predecessor, got ", prev_n);
   GAPART_REQUIRE(new_n32 >= old_n32 &&
                      new_n32 <= static_cast<std::uint32_t>(
                                     std::numeric_limits<VertexId>::max()),
                  "implausible grown vertex count ", new_n32);
-  const auto old_n = static_cast<VertexId>(old_n32);
-  const auto new_n = static_cast<VertexId>(new_n32);
-
-  const auto touched_count = in.get<std::uint32_t>();
-  GAPART_REQUIRE(touched_count <= old_n32, "touched count ", touched_count,
+  h.old_n = static_cast<VertexId>(old_n32);
+  h.new_n = static_cast<VertexId>(new_n32);
+  h.touched_count = in.get<std::uint32_t>();
+  GAPART_REQUIRE(h.touched_count <= old_n32, "touched count ", h.touched_count,
                  " exceeds survivor count ", old_n32);
   // Ids take 4 bytes and rows at least a head: reject counts the bytes
-  // cannot hold before they size any allocation below.
-  const std::uint64_t rows = std::uint64_t{touched_count} + (new_n32 - old_n32);
+  // cannot hold before they size any allocation.
+  const std::uint64_t rows =
+      std::uint64_t{h.touched_count} + (new_n32 - old_n32);
   GAPART_REQUIRE(
-      4 * std::uint64_t{touched_count} + rows * (weighted ? 12 : 4) <=
+      4 * std::uint64_t{h.touched_count} + rows * (h.weighted ? 12 : 4) <=
           in.remaining(),
       "delta record claims ", rows, " rows in ", in.remaining(), " bytes");
+  return h;
+}
+
+}  // namespace
+
+VertexId delta_grown_vertices(VertexId prev_n, std::string_view record) {
+  ByteReader in(record);
+  return read_header(in, prev_n).new_n;
+}
+
+DecodedDelta decode_delta(const Graph& prev, ByteReader& in) {
+  const RecordHeader h = read_header(in, prev.num_vertices());
   DecodedDelta out;
-  out.delta.old_num_vertices = old_n;
-  out.delta.touched_old.reserve(touched_count);
+  out.delta.old_num_vertices = h.old_n;
+  out.delta.touched_old.reserve(h.touched_count);
   VertexId prev_id = -1;
-  for (std::uint32_t i = 0; i < touched_count; ++i) {
+  for (std::uint32_t i = 0; i < h.touched_count; ++i) {
     const auto v32 = in.get<std::uint32_t>();
-    GAPART_REQUIRE(v32 < old_n32, "touched vertex ", v32, " not a survivor");
+    GAPART_REQUIRE(v32 < static_cast<std::uint32_t>(h.old_n), "touched vertex ",
+                   v32, " not a survivor");
     const auto v = static_cast<VertexId>(v32);
     GAPART_REQUIRE(v > prev_id, "touched list not sorted ascending at ", v);
     prev_id = v;
     out.delta.touched_old.push_back(v);
   }
 
-  out.grown = GraphSplice(prev, out.delta, new_n, weighted, in).splice();
+  out.grown = GraphSplice(prev, out.delta, h.new_n, h.weighted, in).splice();
   check_delta_seam(prev, out.grown, out.delta);
   return out;
 }

@@ -58,11 +58,11 @@ namespace gapart {
 /// O(damage * degree) bytes.  `delta` must be exact for `grown` (see file
 /// comment); old_num_vertices must not exceed |grown|.
 std::string encode_delta(const Graph& grown, const GraphDelta& delta);
-/// As above, appending the record to `out`: a caller that embeds it in a
-/// larger buffer (the session image) reserves room with encoded_delta_size
-/// and writes every section in place.
-void encode_delta(std::string& out, const Graph& grown,
-                  const GraphDelta& delta);
+/// As above, writing the record's encoded_delta_size(grown, delta) bytes
+/// at `out` through one cursor and returning the byte after them: a caller
+/// that embeds the record in a larger buffer (the session image) sizes it
+/// with encoded_delta_size first.
+char* encode_delta(char* out, const Graph& grown, const GraphDelta& delta);
 /// Byte length of encode_delta(grown, delta); throws as encode_delta does.
 std::size_t encoded_delta_size(const Graph& grown, const GraphDelta& delta);
 
@@ -79,5 +79,11 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes);
 /// As above, reading one record from `in` and leaving the bytes after it
 /// (a WAL record's outcome section) unread.
 DecodedDelta decode_delta(const Graph& prev, ByteReader& in);
+
+/// The vertex count of the graph a record grows a `prev_n`-vertex
+/// predecessor to (its header's new_n), without splicing: what replay will
+/// reach, so recovery can size for it up front.  Throws gapart::Error on a
+/// header decode_delta would reject.
+VertexId delta_grown_vertices(VertexId prev_n, std::string_view record);
 
 }  // namespace gapart

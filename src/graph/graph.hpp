@@ -40,6 +40,12 @@ class Graph {
     return xadj_[static_cast<std::size_t>(v) + 1] - xadj_[static_cast<std::size_t>(v)];
   }
 
+  /// Summed degree of vertices [first, num_vertices()): rows are stored
+  /// back to back, so O(1).
+  std::int64_t degree_from(VertexId first) const {
+    return xadj_.back() - xadj_[static_cast<std::size_t>(first)];
+  }
+
   /// Neighbours of v, sorted ascending, no duplicates, no self-loops.
   std::span<const VertexId> neighbors(VertexId v) const {
     const auto begin = static_cast<std::size_t>(xadj_[static_cast<std::size_t>(v)]);

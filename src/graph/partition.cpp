@@ -1,6 +1,7 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -15,6 +16,15 @@ constexpr std::uint32_t kLoSeed = 0x9e3779b9u;
 constexpr std::uint32_t kHiSeed = 0x85ebca6bu;
 constexpr std::size_t kItemBytes = 12;
 
+template <typename A, typename B>
+std::uint32_t item_crc(A a, B b) {
+  static_assert(sizeof(A) + sizeof(B) == kItemBytes);
+  char buf[kItemBytes];
+  std::memcpy(buf, &a, sizeof(a));
+  std::memcpy(buf + sizeof(a), &b, sizeof(b));
+  return crc32(buf, kItemBytes, kLoSeed);
+}
+
 /// crc32(d, 12, kHiSeed) ^ crc32(d, 12, kLoSeed), the same for every 12-byte
 /// d: at a fixed length a CRC is affine in its seed, so that XOR does not
 /// depend on the data and equals the one over 12 zero bytes.
@@ -23,19 +33,13 @@ std::uint32_t hi_seed_offset() {
   return crc32(zeros, kItemBytes, kLoSeed) ^ crc32(zeros, kItemBytes, kHiSeed);
 }
 
-// One content-hash item: two differently-seeded CRC32s over the item's 12
-// raw bytes (the second derived from the first, see hi_seed_offset) widened
-// to 64 bits, then scrambled through a SplitMix64-style finalizer.  CRC
-// alone is linear over GF(2); the finalizer breaks that linearity so the
-// commutative (wrapping-add) combination below cannot be cancelled by a
-// second coordinated change.
-template <typename A, typename B>
-std::uint64_t hash_item(A a, B b, std::uint32_t hi_offset) {
-  static_assert(sizeof(A) + sizeof(B) == kItemBytes);
-  char buf[kItemBytes];
-  std::memcpy(buf, &a, sizeof(a));
-  std::memcpy(buf + sizeof(a), &b, sizeof(b));
-  const std::uint32_t lo = crc32(buf, kItemBytes, kLoSeed);
+// One content-hash item from its low CRC: the two differently-seeded CRC32s
+// of the item's 12 raw bytes (the second derived from the first, see
+// hi_seed_offset) widened to 64 bits, then scrambled through a
+// SplitMix64-style finalizer.  CRC alone is linear over GF(2); the
+// finalizer breaks that linearity so the commutative (wrapping-add)
+// combination below cannot be cancelled by a second coordinated change.
+std::uint64_t finish_item(std::uint32_t lo, std::uint32_t hi_offset) {
   std::uint64_t z = (static_cast<std::uint64_t>(lo ^ hi_offset) << 32) | lo;
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
@@ -43,6 +47,36 @@ std::uint64_t hash_item(A a, B b, std::uint32_t hi_offset) {
   z *= 0x94d049bb133111ebULL;
   z ^= z >> 31;
   return z;
+}
+
+// The low CRC of vertex item (v, p), whose bytes are v as a u64 and p as an
+// i32, takes four table lookups: at a fixed length a CRC is affine in its
+// bytes, so crc(item(v, p)) is crc(item(0, p)), which holds the seed and the
+// all-zero message, XORed with what each of v's four id bytes adds at its
+// place (v < 2^31, so the other four are zero).  id_byte_terms()[i][b] is
+// that addition for byte b at place i.
+using IdByteTerms = std::array<std::array<std::uint32_t, 256>, 4>;
+
+const IdByteTerms& id_byte_terms() {
+  static const IdByteTerms terms = [] {
+    IdByteTerms t{};
+    const std::uint32_t zero = item_crc(std::uint64_t{0}, std::int32_t{0});
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      for (std::uint64_t b = 0; b < 256; ++b) {
+        t[i][b] = item_crc(b << (8 * i), std::int32_t{0}) ^ zero;
+      }
+    }
+    return t;
+  }();
+  return terms;
+}
+
+/// crc(item(v, p)) from part_crc = crc(item(0, p)).
+std::uint32_t vertex_item_crc(const IdByteTerms& t, std::uint32_t part_crc,
+                              VertexId v) {
+  const auto id = static_cast<std::uint32_t>(v);
+  return part_crc ^ t[0][id & 0xffu] ^ t[1][(id >> 8) & 0xffu] ^
+         t[2][(id >> 16) & 0xffu] ^ t[3][id >> 24];
 }
 
 /// The content digest: (n, k), every (vertex, part) pair, and the part
@@ -54,18 +88,30 @@ std::uint64_t content_hash_of(const Graph& g, const Assignment& a,
                               PartId num_parts) {
   const std::uint32_t hi_offset = hi_seed_offset();
   const VertexId n = g.num_vertices();
-  std::uint64_t h = hash_item(static_cast<std::uint64_t>(n),
-                              static_cast<std::int32_t>(num_parts), hi_offset);
-  std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
+  std::uint64_t h = finish_item(item_crc(static_cast<std::uint64_t>(n),
+                                         static_cast<std::int32_t>(num_parts)),
+                                hi_offset);
+  // Per part: item(0, p)'s low CRC, and the weight the assignment gives it.
+  struct PartTerms {
+    std::uint32_t vertex_crc = 0;
+    double weight = 0.0;
+  };
+  std::vector<PartTerms> parts(static_cast<std::size_t>(num_parts));
+  for (PartId q = 0; q < num_parts; ++q) {
+    parts[static_cast<std::size_t>(q)].vertex_crc =
+        item_crc(std::uint64_t{0}, static_cast<std::int32_t>(q));
+  }
+  const IdByteTerms& t = id_byte_terms();
   for (VertexId v = 0; v < n; ++v) {
-    const PartId p = a[static_cast<std::size_t>(v)];
-    h += hash_item(static_cast<std::uint64_t>(v), static_cast<std::int32_t>(p),
-                   hi_offset);
-    weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
+    PartTerms& part =
+        parts[static_cast<std::size_t>(a[static_cast<std::size_t>(v)])];
+    h += finish_item(vertex_item_crc(t, part.vertex_crc, v), hi_offset);
+    part.weight += g.vertex_weight(v);
   }
   for (PartId q = 0; q < num_parts; ++q) {
-    h += hash_item(static_cast<std::int32_t>(q),
-                   weight[static_cast<std::size_t>(q)], hi_offset);
+    h += finish_item(item_crc(static_cast<std::int32_t>(q),
+                              parts[static_cast<std::size_t>(q)].weight),
+                     hi_offset);
   }
   return h;
 }
@@ -307,6 +353,14 @@ void PartitionState::move(VertexId v, PartId to) {
       }
     }
   }
+}
+
+void PartitionState::reserve(VertexId n) {
+  const auto size = static_cast<std::size_t>(n);
+  assign_.reserve(size);
+  ext_deg_.reserve(size);
+  frontier_pos_.reserve(size);
+  visit_flags_.reserve(size);
 }
 
 void PartitionState::rebind_grown(const Graph& grown,
@@ -577,6 +631,16 @@ std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
   GAPART_REQUIRE(is_valid_assignment(g, a, num_parts),
                  "invalid assignment for ", num_parts, " parts");
   return content_hash_of(g, a, num_parts);
+}
+
+std::uint64_t content_hash_vertex_item(VertexId v, PartId p) {
+  GAPART_REQUIRE(v >= 0 && p >= 0, "no digest item for vertex ", v,
+                 " in part ", p);
+  return finish_item(
+      vertex_item_crc(id_byte_terms(),
+                      item_crc(std::uint64_t{0}, static_cast<std::int32_t>(p)),
+                      v),
+      hi_seed_offset());
 }
 
 }  // namespace gapart

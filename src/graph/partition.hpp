@@ -70,6 +70,10 @@ double evaluate_fitness(const Graph& g, const Assignment& a, PartId num_parts,
 std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
                                       PartId num_parts);
 
+/// What the content hash adds for vertex v in part p, through the same
+/// tables it sums them with: lets tests reach ids no test graph holds.
+std::uint64_t content_hash_vertex_item(VertexId v, PartId p);
+
 /// One migration as a log records it: vertex `v` moved to part `to`.
 struct PartMove {
   VertexId v = 0;
@@ -168,6 +172,11 @@ class PartitionState {
   /// afterwards the state references `grown`, which must outlive it.
   void rebind_grown(const Graph& grown, std::span<const VertexId> touched_old,
                     std::span<const PartId> new_parts);
+
+  /// Room for a graph of n vertices in every per-vertex array, so rebinds
+  /// up to that size do not reallocate: a replay that knows where its log
+  /// ends copies no array while it grows.  Changes no value.
+  void reserve(VertexId n);
 
   /// Single-scan gain kernel: the best part to move v into among all parts
   /// adjacent to v, with ties broken toward the lowest part id (matching the

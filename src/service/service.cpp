@@ -147,6 +147,17 @@ std::vector<RecoveryReport> PartitionService::recover(
     rep.torn_tail = rec.torn_tail;
     auto session = session_from_image(std::move(rec.image), base, "recover");
 
+    // The state rebuilt from the image is sized exactly: size it for the
+    // vertex count the last delta record reaches, or the first replayed
+    // record regrows and copies every per-vertex array.
+    VertexId reach = session->snapshot()->graph->num_vertices();
+    for (const WalRecord& record : rec.records) {
+      if (record.type == WalRecordType::kDelta) {
+        reach = delta_grown_vertices(reach, record.payload);
+      }
+    }
+    session->reserve_vertices(reach);
+
     // Replay applies each record's logged outcome; the session's repair
     // config plays no part.  The same core drives the replication follower
     // (log_locally=true there).

@@ -190,6 +190,11 @@ void PartitionSession::apply_logged(const WalRecord& record,
   publish(log_locally ? "replicate" : "recover");
 }
 
+void PartitionSession::reserve_vertices(VertexId n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  state_.reserve(n);
+}
+
 void PartitionSession::publish(const char* source) {
   auto snap = std::make_shared<SessionSnapshot>();
   snap->update_epoch = update_epoch_;

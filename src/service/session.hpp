@@ -272,6 +272,11 @@ class PartitionSession {
   /// replay to a diverged state after the follower's next restart.
   void apply_logged(const WalRecord& record, bool log_locally);
 
+  /// Sizes the state for an n-vertex graph before a replay that will reach
+  /// it (PartitionState::reserve), so applying the records copies no
+  /// per-vertex array.  Changes no value.
+  void reserve_vertices(VertexId n);
+
   /// Follower-side lockstep compaction, triggered by the leader's shipped
   /// snapshot boundary rather than the local policy.  Checkpoints the
   /// current state (with its digest) and truncates the local log.  Returns

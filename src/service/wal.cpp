@@ -357,7 +357,9 @@ std::string encode_session_image(const SessionImage& image) {
   put<std::uint64_t>(out, image.epoch);
   put<std::uint64_t>(out, image.digest);
   put<std::uint64_t>(out, graph_bytes);
-  encode_delta(out, *image.graph, whole);
+  const std::size_t graph_at = out.size();
+  out.resize(graph_at + graph_bytes);
+  encode_delta(out.data() + graph_at, *image.graph, whole);
   encode_assignment(out, image.assignment);
   for (const double w : image.sums.part_weight) put<double>(out, w);
   for (const double c : image.sums.part_cut) put<double>(out, c);

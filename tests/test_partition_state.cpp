@@ -688,6 +688,24 @@ TEST(PartitionStateContentHash, MatchesItsTwoCrcDefinition) {
     EXPECT_EQ(assignment_content_hash(g, a, k), reference_content_hash(g, a, k))
         << k << " parts";
   }
+  // The graph's ids stop at 436, so its digest never sets an id's bytes 2
+  // and 3: check single (vertex, part) items at ids that do.
+  std::vector<VertexId> ids = {0x10000, 0xff0000, 0x1000000, 0x1020304,
+                               0x7f00ff00, 0x7fffffff};
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(static_cast<VertexId>(rng.uniform_u64(std::uint64_t{1} << 31)));
+  }
+  for (const VertexId v : ids) {
+    for (const PartId p : {PartId{0}, PartId{5}, PartId{299}, PartId{0x12345}}) {
+      char item[12];
+      const auto v64 = static_cast<std::uint64_t>(v);
+      const auto p32 = static_cast<std::int32_t>(p);
+      std::memcpy(item, &v64, sizeof(v64));
+      std::memcpy(item + sizeof(v64), &p32, sizeof(p32));
+      EXPECT_EQ(content_hash_vertex_item(v, p), reference_item_hash(item))
+          << "vertex " << v << ", part " << p;
+    }
+  }
 }
 
 }  // namespace

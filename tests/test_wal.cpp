@@ -62,7 +62,7 @@ TEST(WalChecksum, SensitiveToEveryByte) {
 }
 
 /// The bytewise table-driven CRC-32 that the sliced kernel replaced, kept as
-/// its oracle.
+/// the oracle of both kernels.
 std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t len,
                              std::uint32_t seed) {
   static const std::array<std::uint32_t, 256> table = [] {
@@ -87,29 +87,40 @@ TEST(WalChecksum, SlicedKernelMatchesBytewiseReference) {
   Rng rng(0xc3c32);
   std::vector<unsigned char> buf(std::size_t{1} << 20);
   for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
-  // Every head, 8-byte body and tail split, at every alignment, under the
-  // seeds in use: frames and images chain from 0, the content digest seeds
-  // its two halves with the other two.
+  // crc32 folds 64-byte blocks, then 16-byte steps, and slices the rest;
+  // crc32_sliced slices everything.  Lengths to 1,100 cover several folds,
+  // every 16-byte step count and every tail, at every 16-byte alignment,
+  // under the seeds in use: frames and images chain from 0, the content
+  // digest seeds its two halves with the other two.
   for (const std::uint32_t seed : {0u, 0x9e3779b9u, 0x85ebca6bu}) {
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      for (std::size_t len = 0; len <= 130; ++len) {
-        ASSERT_EQ(crc32(buf.data() + offset, len, seed),
-                  crc32_bytewise(buf.data() + offset, len, seed))
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        const std::uint32_t want = crc32_bytewise(p, len, seed);
+        ASSERT_EQ(crc32_sliced(p, len, seed), want)
+            << "sliced: seed " << seed << ", offset " << offset << ", length "
+            << len;
+        ASSERT_EQ(crc32(p, len, seed), want)
             << "seed " << seed << ", offset " << offset << ", length " << len;
       }
     }
   }
-  // The whole buffer, in one call and chained at random split points.
+  // The whole buffer, in one call and chained at split points: pieces up
+  // to 16 KB, then pieces of 1-300 bytes, whose splits land inside 64-byte
+  // blocks and leave tails of every length.
   const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size(), 0);
   EXPECT_EQ(crc32(buf.data(), buf.size()), whole);
-  std::uint32_t chained = 0;
-  for (std::size_t pos = 0; pos < buf.size();) {
-    const std::size_t len = std::min<std::size_t>(
-        buf.size() - pos, rng.uniform_u64(std::size_t{1} << 14));
-    chained = crc32(buf.data() + pos, len, chained);
-    pos += len;
+  EXPECT_EQ(crc32_sliced(buf.data(), buf.size()), whole);
+  for (const std::size_t max_piece : {std::size_t{1} << 14, std::size_t{300}}) {
+    std::uint32_t chained = 0;
+    for (std::size_t pos = 0; pos < buf.size();) {
+      const std::size_t len = std::min<std::size_t>(
+          buf.size() - pos, 1 + rng.uniform_u64(max_piece));
+      chained = crc32(buf.data() + pos, len, chained);
+      pos += len;
+    }
+    EXPECT_EQ(chained, whole) << "pieces up to " << max_piece << " bytes";
   }
-  EXPECT_EQ(chained, whole);
 }
 
 // ---------------------------------------------------------------------------
