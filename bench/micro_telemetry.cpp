@@ -4,10 +4,12 @@
 //
 // Two sections:
 //
-//   micro:      ns/op for counter add, gauge set, sharded-histogram record,
-//               plain LogHistogram record, a scoped span with the tracer
-//               disabled (two clock reads + histogram record) and enabled
-//               (+ ring append), plus the raw steady_clock read for scale.
+//   micro:      ns/op for counter add, gauge set, registry (locked)
+//               histogram record on one thread and on each of four threads
+//               recording into one histogram at once, plain LogHistogram
+//               record, a scoped span with the tracer disabled (two clock
+//               reads + histogram record) and enabled (+ ring append), plus
+//               the raw steady_clock read for scale.
 //
 //   end_to_end: a PartitionSession repair loop on a growth trace (one
 //               appended grid row per update) run twice — tracer off,
@@ -20,11 +22,13 @@
 //               BENCH_telemetry.json).
 //
 //   ./bench/micro_telemetry [--quick] > telemetry.json
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,6 +58,27 @@ double time_ns_per_op(std::int64_t iters, F&& body) {
   return timer.seconds() * 1e9 / static_cast<double>(iters);
 }
 
+/// ns per call of `body` on each of `threads` threads that each run it
+/// `iters` times, all at once: the wall time of the concurrent phase over
+/// one thread's call count.
+template <typename F>
+double concurrent_ns_per_op(int threads, std::int64_t iters, F&& body) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::int64_t i = 0; i < iters; ++i) body(i);
+    });
+  }
+  WallTimer timer;
+  go.store(true, std::memory_order_release);
+  for (auto& th : pool) th.join();
+  return timer.seconds() * 1e9 / static_cast<double>(iters);
+}
+
 struct MicroRow {
   std::string name;
   double ns_per_op = 0.0;
@@ -78,11 +103,14 @@ std::vector<MicroRow> run_micro(std::int64_t iters) {
                     GAPART_GAUGE_SET("bench.micro.gauge", i);
                   })});
 
+  const auto record_hist = [](std::int64_t i) {
+    GAPART_HISTOGRAM_RECORD("bench.micro.hist",
+                            1e-6 * static_cast<double>(1 + (i & 1023)));
+  };
   rows.push_back(
-      {"sharded_histogram_record", time_ns_per_op(iters, [](std::int64_t i) {
-         GAPART_HISTOGRAM_RECORD("bench.micro.hist",
-                                 1e-6 * static_cast<double>(1 + (i & 1023)));
-       })});
+      {"locked_histogram_record", time_ns_per_op(iters, record_hist)});
+  rows.push_back({"locked_histogram_record_4_threads",
+                  concurrent_ns_per_op(4, iters / 4, record_hist)});
 
   LogHistogram plain;
   rows.push_back(
@@ -186,8 +214,8 @@ int main(int argc, char** argv) {
   const VertexId n = quick ? 64 : 128;
   const int updates = quick ? 20 : 60;
 
-  // Warm up the per-thread shard/ring registrations so the micro loops time
-  // the steady state, not first-touch setup.
+  // Warm up the metric and ring registrations so the micro loops time the
+  // steady state, not first-touch setup.
   GAPART_COUNTER_ADD("bench.micro.counter", 0);
   GAPART_HISTOGRAM_RECORD("bench.micro.hist", 1.0);
 

@@ -3,72 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <ostream>
 
 namespace gapart {
 
 namespace {
-
-/// CAS-loop add/min/max on atomic<double> (portable to pre-C++20 atomic
-/// floating fetch_add; relaxed is enough — these are statistics, ordered
-/// by the reader's lock).
-void atomic_add(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-/// Process-wide thread slot ids, recycled on thread exit so long-lived
-/// processes with thread churn keep hitting the wait-free shard array.
-/// Intentionally leaked: thread_local destructors may run after static
-/// destruction, and the pool must still be there.
-struct SlotPool {
-  std::mutex mu;
-  std::vector<int> free_list;
-  int next = 0;
-};
-SlotPool& slot_pool() {
-  static SlotPool* pool = new SlotPool();
-  return *pool;
-}
-
-struct SlotHolder {
-  int slot;
-  SlotHolder() {
-    SlotPool& p = slot_pool();
-    std::lock_guard<std::mutex> lk(p.mu);
-    if (!p.free_list.empty()) {
-      slot = p.free_list.back();
-      p.free_list.pop_back();
-    } else {
-      slot = p.next++;
-    }
-  }
-  ~SlotHolder() {
-    SlotPool& p = slot_pool();
-    std::lock_guard<std::mutex> lk(p.mu);
-    p.free_list.push_back(slot);
-  }
-};
-
-int thread_slot() {
-  thread_local SlotHolder holder;
-  return holder.slot;
-}
 
 /// Minimal JSON string escaping (metric/span names are identifiers, but a
 /// malformed dump must never be possible).
@@ -185,129 +124,21 @@ double LogHistogram::quantile(double q) const {
   return max_;  // pos beyond the last bucket (count drift in snapshots)
 }
 
-// ------------------------------------------------------------- ShardedHistogram
+// ------------------------------------------------------------- LockedHistogram
 
-struct ShardedHistogram::Shard {
-  std::array<std::atomic<std::uint64_t>, LogHistogram::kNumBuckets> buckets{};
-  std::atomic<std::uint64_t> zero_count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-};
-
-ShardedHistogram::ShardedHistogram() = default;
-ShardedHistogram::~ShardedHistogram() = default;
-
-ShardedHistogram::Shard* ShardedHistogram::local_shard() {
-  const int slot = thread_slot();
-  if (slot < kMaxShards) {
-    Shard* s = slots_[slot].load(std::memory_order_acquire);
-    if (s != nullptr) return s;
-    std::lock_guard<std::mutex> lk(mu_);
-    s = slots_[slot].load(std::memory_order_relaxed);
-    if (s == nullptr) {
-      owned_.push_back(std::make_unique<Shard>());
-      s = owned_.back().get();
-      slots_[slot].store(s, std::memory_order_release);
-    }
-    return s;
-  }
-  // More live threads than slots: share one overflow shard.  Publication
-  // via the slots_ array trick doesn't apply, so double-checked under mu_
-  // with an acquire load through a dedicated atomic would be needed; keep
-  // it simple and take the lock only until the shard exists.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (overflow_ == nullptr) {
-      owned_.push_back(std::make_unique<Shard>());
-      overflow_ = owned_.back().get();
-    }
-    return overflow_;
-  }
-}
-
-void ShardedHistogram::record(double v) {
-  Shard& s = *local_shard();
-  double eff = v;
-  if (v > 0.0) {
-    s.buckets[LogHistogram::bucket_index(v)].fetch_add(
-        1, std::memory_order_relaxed);
-    atomic_add(s.sum, v);
-  } else {
-    s.zero_count.fetch_add(1, std::memory_order_relaxed);
-    eff = 0.0;
-  }
-  atomic_min(s.min, eff);
-  atomic_max(s.max, eff);
-}
-
-LogHistogram ShardedHistogram::merged() const {
-  LogHistogram out;
-  bool saw_min = false;
-  bool saw_max = false;
+void LockedHistogram::record(double v) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& sp : owned_) {
-    const Shard& s = *sp;
-    std::uint64_t shard_count = 0;
-    for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
-      const std::uint64_t c = s.buckets[i].load(std::memory_order_relaxed);
-      if (c != 0) {
-        out.buckets_[i] += c;
-        shard_count += c;
-      }
-    }
-    const std::uint64_t z = s.zero_count.load(std::memory_order_relaxed);
-    out.zero_count_ += z;
-    shard_count += z;
-    if (shard_count == 0) continue;
-    out.sum_ += s.sum.load(std::memory_order_relaxed);
-    // A concurrent first record can be caught between its bucket increment
-    // and its min/max update, leaving the sentinels (+inf / -inf) in place;
-    // skip those so a racing snapshot never reports an inverted range.
-    const double mn = s.min.load(std::memory_order_relaxed);
-    const double mx = s.max.load(std::memory_order_relaxed);
-    if (std::isfinite(mn)) out.min_ = saw_min ? std::min(out.min_, mn) : mn;
-    saw_min = saw_min || std::isfinite(mn);
-    if (std::isfinite(mx)) out.max_ = saw_max ? std::max(out.max_, mx) : mx;
-    saw_max = saw_max || std::isfinite(mx);
-    out.count_ += shard_count;
-  }
-  if (out.count_ > 0 && (!saw_min || !saw_max)) {
-    // Every sample's exact value was still in flight: fall back to bucket
-    // bounds (conservative, and well-formed: min <= max always holds).
-    int lo = -1;
-    int hi = -1;
-    for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
-      if (out.buckets_[i] != 0) {
-        if (lo < 0) lo = i;
-        hi = i;
-      }
-    }
-    if (!saw_min) {
-      out.min_ = (out.zero_count_ > 0 || lo < 0)
-                     ? 0.0
-                     : LogHistogram::bucket_lower(lo);
-    }
-    if (!saw_max) {
-      out.max_ = hi < 0 ? 0.0 : LogHistogram::bucket_upper(hi);
-    }
-    if (out.min_ > out.max_) out.min_ = out.max_;
-  }
-  return out;
+  hist_.record(v);
 }
 
-void ShardedHistogram::reset() {
+LogHistogram LockedHistogram::merged() const {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& sp : owned_) {
-    Shard& s = *sp;
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.zero_count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-    s.min.store(std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-    s.max.store(-std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-  }
+  return hist_;
+}
+
+void LockedHistogram::reset() {
+  std::lock_guard<std::mutex> lk(mu_);
+  hist_.clear();
 }
 
 // ------------------------------------------------------------ TelemetryRegistry
@@ -337,12 +168,12 @@ Gauge& TelemetryRegistry::gauge(const std::string& name) {
   return *gauges_.back().second;
 }
 
-ShardedHistogram& TelemetryRegistry::histogram(const std::string& name) {
+LockedHistogram& TelemetryRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& [n, h] : histograms_) {
     if (n == name) return *h;
   }
-  histograms_.emplace_back(name, std::make_unique<ShardedHistogram>());
+  histograms_.emplace_back(name, std::make_unique<LockedHistogram>());
   return *histograms_.back().second;
 }
 
@@ -396,18 +227,18 @@ void TelemetryRegistry::write_json(std::ostream& os) const {
 }
 
 void TelemetryRegistry::reset_for_tests() {
-  // Collect pointers under the lock, reset outside it: ShardedHistogram
+  // Collect pointers under the lock, reset outside it: LockedHistogram
   // reset takes its own lock and the order registry-then-histogram is the
   // only order anyone takes them in.
   std::vector<Counter*> counters;
-  std::vector<ShardedHistogram*> hists;
+  std::vector<LockedHistogram*> hists;
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (auto& [n, c] : counters_) counters.push_back(c.get());
     for (auto& [n, h] : histograms_) hists.push_back(h.get());
   }
   for (Counter* c : counters) c->reset();
-  for (ShardedHistogram* h : hists) h->reset();
+  for (LockedHistogram* h : hists) h->reset();
 }
 
 // ------------------------------------------------------------------- Tracer
@@ -543,7 +374,7 @@ SpanSite& SpanSite::site(const char* name) {
   static std::mutex* mu = new std::mutex();
   static std::vector<std::unique_ptr<SpanSite>>* sites =
       new std::vector<std::unique_ptr<SpanSite>>();
-  ShardedHistogram& hist =
+  LockedHistogram& hist =
       TelemetryRegistry::instance().histogram(std::string("span.") + name);
   std::lock_guard<std::mutex> lk(*mu);
   sites->push_back(std::make_unique<SpanSite>(SpanSite{name, &hist}));

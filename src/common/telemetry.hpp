@@ -1,6 +1,6 @@
-// Process-wide telemetry: a wait-free metrics registry (counters, gauges,
-// mergeable log-bucketed histograms) and a span tracer (per-thread ring
-// buffers exported as Chrome trace_event JSON).
+// Process-wide telemetry: a metrics registry (counters, gauges, mergeable
+// log-bucketed histograms) and a span tracer (per-thread ring buffers
+// exported as Chrome trace_event JSON).
 //
 // Two layers with different compile-time stories:
 //
@@ -25,10 +25,9 @@
 // mergeable: merge() is associative and exact (unlike merging quantiles),
 // so per-session histograms compose into service-wide p50/p99.
 //
-// Recording is wait-free on the hot path: each thread owns a shard (a plain
-// array of relaxed atomics) registered once per thread per histogram;
-// record() is an array index plus a relaxed fetch_add.  Readers merge shards
-// under a lock into a plain LogHistogram snapshot.
+// A registry histogram is one LogHistogram behind a leaf mutex: record() is
+// a bucket index and an increment under a lock held for nanoseconds, and
+// readers copy the histogram under the same lock.
 #pragma once
 
 #include <array>
@@ -45,7 +44,7 @@
 namespace gapart {
 
 // ------------------------------------------------------------------------
-// LogHistogram — plain, copyable, mergeable.  Not thread-safe; the sharded
+// LogHistogram — plain, copyable, mergeable.  Not thread-safe; the locked
 // wrapper below provides the concurrent write path.
 // ------------------------------------------------------------------------
 class LogHistogram {
@@ -94,7 +93,6 @@ class LogHistogram {
   std::uint64_t zero_count() const { return zero_count_; }
 
  private:
-  friend class ShardedHistogram;  // merges raw shard buckets directly
   std::array<std::uint64_t, kNumBuckets> buckets_{};
   std::uint64_t zero_count_ = 0;
   std::uint64_t count_ = 0;
@@ -125,44 +123,22 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Concurrent histogram: per-thread wait-free shards, merged on read.
-///
-/// Each recording thread claims a process-wide small slot id once; the shard
-/// for (histogram, slot) is created on first use (mutex'd slow path) and
-/// published through a lock-free pointer array, so the steady state is: load
-/// slot, load shard pointer, relaxed fetch_add — no locks, no CAS loops.
-/// Shards outlive their threads (a finished worker's samples stay merged).
-/// Threads beyond kMaxShards share one overflow shard (still atomic, still
-/// correct, merely contended).
-class ShardedHistogram {
+/// Concurrent histogram: one LogHistogram behind a leaf mutex.  Nothing is
+/// acquired while the lock is held, and the registry takes it under its own
+/// lock only to snapshot, so it cannot join a lock cycle.
+class LockedHistogram {
  public:
-  static constexpr int kMaxShards = 128;
-
-  ShardedHistogram();
-  ~ShardedHistogram();
-  ShardedHistogram(const ShardedHistogram&) = delete;
-  ShardedHistogram& operator=(const ShardedHistogram&) = delete;
-
-  /// Wait-free after the calling thread's first record().
   void record(double v);
 
-  /// Sums every shard with relaxed loads into a plain snapshot.  Concurrent
-  /// writers may or may not have their in-flight sample included, but
-  /// nothing tears and nothing is double-counted.
+  /// A copy of everything recorded so far.
   LogHistogram merged() const;
 
-  /// Test hook: zeroes every shard.  Callers must ensure no concurrent
-  /// writers (as for any reset).
+  /// Test hook: forgets every sample.
   void reset();
 
  private:
-  struct Shard;
-  Shard* local_shard();
-
-  std::array<std::atomic<Shard*>, kMaxShards> slots_{};
-  mutable std::mutex mu_;                        // shard creation + reset
-  std::vector<std::unique_ptr<Shard>> owned_;    // guarded by mu_
-  Shard* overflow_ = nullptr;                    // lazily created under mu_
+  mutable std::mutex mu_;
+  LogHistogram hist_;  // guarded by mu_
 };
 
 // ------------------------------------------------------------------------
@@ -177,7 +153,7 @@ class TelemetryRegistry {
   /// in a function-local static (the GAPART_* macros do this).
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  ShardedHistogram& histogram(const std::string& name);
+  LockedHistogram& histogram(const std::string& name);
 
   struct HistogramSnapshot {
     std::string name;
@@ -208,7 +184,7 @@ class TelemetryRegistry {
   // Deques-of-unique_ptr keep addresses stable across growth.
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
-  std::vector<std::pair<std::string, std::unique_ptr<ShardedHistogram>>>
+  std::vector<std::pair<std::string, std::unique_ptr<LockedHistogram>>>
       histograms_;
 };
 
@@ -280,7 +256,7 @@ class Tracer {
 /// on every execution, traced or not).
 struct SpanSite {
   const char* name;
-  ShardedHistogram* hist;
+  LockedHistogram* hist;
 
   /// Registers (once) and returns the site for `name`.  Call through a
   /// function-local static — see GAPART_SPAN.
@@ -354,7 +330,7 @@ inline constexpr bool kTelemetryCompiledIn = false;
 
 #define GAPART_HISTOGRAM_RECORD(name, value)                         \
   do {                                                               \
-    static ::gapart::ShardedHistogram& gapart_hist_ =                \
+    static ::gapart::LockedHistogram& gapart_hist_ =                 \
         ::gapart::TelemetryRegistry::instance().histogram(name);     \
     gapart_hist_.record(static_cast<double>(value));                 \
   } while (0)

@@ -9,7 +9,6 @@
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
-#include "common/stats.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 
@@ -24,7 +23,9 @@ constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
 // CRC covers header bytes [4, kRepCrcOffset) chained with the payload.
 constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
 
-constexpr std::size_t kLagWindow = 4096;
+/// Lag samples per histogram generation: percentiles cover the last 4,096
+/// to 8,192 samples, so p99 shows a current stall within 82 of them.
+constexpr std::uint64_t kLagGeneration = 4096;
 /// Cap on log bytes read per session per pump (keeps one pump bounded).
 constexpr std::uint64_t kMaxReadBytesPerPump = 4ull << 20;
 
@@ -348,12 +349,11 @@ int ReplicationShipper::pump() {
     // a recovered or promoted leader, its epochs do not.
     const std::uint64_t lag =
         epoch >= ship.acked_epoch ? epoch - ship.acked_epoch : 0;
-    if (lag_samples_.size() < kLagWindow) {
-      lag_samples_.push_back(static_cast<double>(lag));
-    } else {
-      lag_samples_[lag_next_] = static_cast<double>(lag);
-      lag_next_ = (lag_next_ + 1) % kLagWindow;
+    if (lag_recent_.count() == kLagGeneration) {
+      lag_previous_ = lag_recent_;
+      lag_recent_.clear();
     }
+    lag_recent_.record(static_cast<double>(lag));
   }
   return sent;
 }
@@ -387,8 +387,10 @@ ShipperStats ReplicationShipper::stats() const {
     if (ship.attached) ++out.sessions_attached;
     out.frames_unacked += ship.queue.size();
   }
-  out.lag_epochs_p50 = quantile(lag_samples_, 0.50);
-  out.lag_epochs_p99 = quantile(lag_samples_, 0.99);
+  LogHistogram lag = lag_previous_;
+  lag.merge(lag_recent_);
+  out.lag_epochs_p50 = lag.quantile(0.50);
+  out.lag_epochs_p99 = lag.quantile(0.99);
   return out;
 }
 

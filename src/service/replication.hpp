@@ -148,7 +148,8 @@ struct ShipperStats {
   /// has stopped shipping (its WAL keeps growing locally; operator decides).
   bool deposed = false;
   /// Replication lag in epochs (leader epoch - acked epoch), sampled once
-  /// per session per pump over a sliding window.
+  /// per session per pump; percentiles over the last 4,096 to 8,192 samples,
+  /// bucketed (relative error <= 12.5%, see common/telemetry.hpp).
   double lag_epochs_p50 = 0.0;
   double lag_epochs_p99 = 0.0;
 };
@@ -229,8 +230,10 @@ class ReplicationShipper {
   mutable std::mutex mu_;
   std::unordered_map<SessionId, SessionShip> ships_;
   ShipperStats stats_;
-  std::vector<double> lag_samples_;
-  std::size_t lag_next_ = 0;
+  // Two generations of lag samples; pump() retires the recent one into
+  // the previous one when it fills.
+  LogHistogram lag_recent_;
+  LogHistogram lag_previous_;
 };
 
 // --- Follower side ----------------------------------------------------------

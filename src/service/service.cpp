@@ -9,7 +9,6 @@
 #include "common/assert.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "graph/delta_codec.hpp"
 
@@ -248,8 +247,7 @@ void PartitionService::maybe_schedule_refinement(
           RefineOutcome out =
               run_refinement(job, session->config(), rng, pool);
           session->complete_refinement(job, std::move(out.assignment),
-                                       out.fitness, out.full_evaluations,
-                                       out.delta_evaluations);
+                                       out.fitness);
         } catch (...) {
           session->abandon_refinement();
         }
@@ -287,17 +285,11 @@ ServiceStats PartitionService::stats() const {
 
   ServiceStats out;
   out.sessions = static_cast<int>(sessions.size());
+  LogHistogram repair_latency;
   for (const auto& s : sessions) {
     const SessionStats st = s->stats();
-    out.max_repair_seconds =
-        std::max(out.max_repair_seconds, st.max_repair_seconds);
-    out.repair_latency.merge(st.repair_latency);
+    repair_latency.merge(st.repair_latency);
     out.updates += st.updates;
-    out.total_damage += st.total_damage;
-    out.repair_moves += st.repair_moves;
-    out.examined += st.examined;
-    out.full_evaluations += st.full_evaluations;
-    out.delta_evaluations += st.delta_evaluations;
     out.refinements_planned += st.refinements_planned;
     out.refinements_applied += st.refinements_applied;
     out.refinements_stale += st.refinements_stale;
@@ -305,16 +297,12 @@ ServiceStats PartitionService::stats() const {
     if (st.durable) {
       ++out.durable_sessions;
       out.failed_sessions += st.wal_failed ? 1 : 0;
-      out.wal_appends += st.wal.appends;
-      out.wal_append_retries += st.wal.append_retries;
       out.wal_fsyncs += st.wal.fsyncs;
-      out.wal_bytes_appended += st.wal.bytes_appended;
       out.wal_compactions += st.wal.compactions;
-      out.wal_compaction_failures += st.wal.compaction_failures;
     }
   }
-  out.p50_repair_seconds = out.repair_latency.quantile(0.50);
-  out.p99_repair_seconds = out.repair_latency.quantile(0.99);
+  out.p50_repair_seconds = repair_latency.quantile(0.50);
+  out.p99_repair_seconds = repair_latency.quantile(0.99);
   out.pool_backlog = executor_->pending();
   GAPART_GAUGE_SET("executor.pending", out.pool_backlog);
   out.refine_start_failures =

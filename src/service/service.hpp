@@ -54,23 +54,15 @@ struct ServiceConfig {
 struct ServiceStats {
   int sessions = 0;
   std::uint64_t updates = 0;
-  std::uint64_t total_damage = 0;
-  std::int64_t repair_moves = 0;
-  std::int64_t examined = 0;
-  std::int64_t full_evaluations = 0;
-  std::int64_t delta_evaluations = 0;
   int refinements_planned = 0;
   int refinements_applied = 0;
   int refinements_stale = 0;
   int refinements_no_better = 0;
-  /// From `repair_latency` below: bucketed service-wide percentiles
-  /// (relative error <= 12.5%; see common/telemetry.hpp).
+  /// Every session's repair-latency histogram merged — exact composition
+  /// (histogram merge is associative), so these are bucketed service-wide
+  /// percentiles (relative error <= 12.5%; see common/telemetry.hpp).
   double p50_repair_seconds = 0.0;
   double p99_repair_seconds = 0.0;
-  double max_repair_seconds = 0.0;  ///< exact
-  /// Every session's repair-latency histogram merged — exact composition
-  /// (histogram merge is associative), bounded memory, no raw samples.
-  LogHistogram repair_latency;
   /// Pool tasks queued or executing at sampling time (refinement backlog
   /// gauge; racy by nature).
   int pool_backlog = 0;
@@ -78,12 +70,8 @@ struct ServiceStats {
   // Durability (summed over durable sessions' WalStats).
   int durable_sessions = 0;
   int failed_sessions = 0;  ///< fail-stopped by an unrecoverable WAL append
-  std::uint64_t wal_appends = 0;
-  std::uint64_t wal_append_retries = 0;
   std::uint64_t wal_fsyncs = 0;
-  std::uint64_t wal_bytes_appended = 0;
   std::uint64_t wal_compactions = 0;
-  std::uint64_t wal_compaction_failures = 0;
 
   std::int64_t refine_start_failures = 0;  ///< task-start faults absorbed
 };

@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/fault_injection.hpp"
-#include "common/stats.hpp"
 #include "core/dpga.hpp"
 #include "core/eval.hpp"
 #include "core/hill_climb.hpp"
@@ -50,7 +49,6 @@ PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
       state_(require_graph(graph_), std::move(initial), config_.num_parts) {
   // num_parts is validated by the PartitionState member initializer.
   std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
-  stats_.full_evaluations = 1;  // the state construction
   baseline_fitness_ = state_.fitness(config_.fitness);
   publish(origin);
 }
@@ -62,7 +60,6 @@ PartitionSession::PartitionSession(SessionImage image, SessionConfig config,
       state_(require_graph(graph_), std::move(image.assignment),
              config_.num_parts, image.sums) {
   std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
-  stats_.full_evaluations = 1;  // the state construction
   baseline_fitness_ = state_.fitness(config_.fitness);
   update_epoch_ = image.epoch;
   publish(origin);
@@ -97,16 +94,12 @@ void PartitionSession::log_or_fail_stop(WalRecordType type,
   }
 }
 
-void PartitionSession::count_update(VertexId damage,
-                                    const RepairOutcome& outcome) {
+void PartitionSession::count_update(VertexId damage) {
   ++update_epoch_;
   ++updates_since_refine_;
   damage_since_refine_ += damage;
   damage_since_deep_ += damage;
   ++stats_.updates;
-  stats_.total_damage += static_cast<std::uint64_t>(damage);
-  stats_.extend_moves += static_cast<std::int64_t>(outcome.new_parts.size());
-  stats_.repair_moves += static_cast<std::int64_t>(outcome.moves.size());
 }
 
 RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
@@ -122,10 +115,9 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
                                  config_.repair_max_verify_rounds,
                                  config_.repair_budget_seconds);
   graph_ = std::move(grown);
-  count_update(rep.damage, rep.outcome);
+  count_update(rep.damage);
   rep.update_epoch = update_epoch_;
   stats_.examined += rep.examined;
-  stats_.delta_evaluations += rep.repair_moves;  // one delta per move
   stats_.repair_latency.record(rep.seconds);
   GAPART_COUNTER_ADD("repair.updates", 1);
   GAPART_COUNTER_ADD("repair.damage", rep.damage);
@@ -180,7 +172,7 @@ void PartitionSession::apply_logged(const WalRecord& record,
   if (is_delta) {
     state_.rebind_grown(*grown, delta.touched_old, outcome.new_parts);
     graph_ = std::move(grown);
-    count_update(damage, outcome);
+    count_update(damage);
   }
   for (const PartMove& m : outcome.moves) state_.move(m.v, m.to);
   if (!is_delta) {
@@ -205,14 +197,6 @@ void PartitionSession::publish(const char* source) {
   snap->fitness = state_.fitness(config_.fitness);
   snap->total_cut = state_.total_cut();
   snap->sums = state_.metrics();
-  stats_.version = snap->version;
-  if (cut_trajectory_.size() < SessionStats::kMaxHistory) {
-    cut_trajectory_.emplace_back(update_epoch_, snap->total_cut);
-  } else {  // sliding window: overwrite the oldest entry
-    cut_trajectory_[cut_trajectory_next_] = {update_epoch_, snap->total_cut};
-    cut_trajectory_next_ =
-        (cut_trajectory_next_ + 1) % SessionStats::kMaxHistory;
-  }
   std::lock_guard<std::mutex> lock(snap_mu_);
   snapshot_ = std::move(snap);
 }
@@ -253,9 +237,7 @@ std::optional<PartitionSession::RefineJob> PartitionSession::plan_refinement() {
 
 bool PartitionSession::complete_refinement(const RefineJob& job,
                                            Assignment refined,
-                                           double refined_fitness,
-                                           std::int64_t full_evaluations,
-                                           std::int64_t delta_evaluations) {
+                                           double refined_fitness) {
   // Diff the refined assignment against the captured one OUTSIDE the
   // session lock (the one O(V) step of adoption); a delta racing us just
   // makes the moves dead weight.
@@ -276,8 +258,6 @@ bool PartitionSession::complete_refinement(const RefineJob& job,
   refine_in_flight_ = false;
   refine_cancel_.reset();
   refine_done_cv_.notify_all();
-  stats_.full_evaluations += full_evaluations;
-  stats_.delta_evaluations += delta_evaluations;
 
   if (closed_) return false;  // close() is draining: never adopt into it
 
@@ -321,7 +301,6 @@ bool PartitionSession::complete_refinement(const RefineJob& job,
     }
   }
   for (const PartMove& m : adopted.moves) state_.move(m.v, m.to);
-  stats_.delta_evaluations += static_cast<std::int64_t>(adopted.moves.size());
   ++stats_.refinements_applied;
   GAPART_COUNTER_ADD("refine.applied", 1);
   GAPART_COUNTER_ADD("refine.moves", adopted.moves.size());
@@ -412,21 +391,6 @@ SessionStats PartitionSession::stats() const {
   SessionStats out = stats_;
   out.p50_repair_seconds = out.repair_latency.quantile(0.50);
   out.p99_repair_seconds = out.repair_latency.quantile(0.99);
-  out.max_repair_seconds = out.repair_latency.max();
-  // Unroll the trajectory ring into chronological order.
-  out.cut_trajectory.clear();
-  out.cut_trajectory.reserve(cut_trajectory_.size());
-  out.cut_trajectory.insert(
-      out.cut_trajectory.end(),
-      cut_trajectory_.begin() +
-          static_cast<std::ptrdiff_t>(cut_trajectory_next_),
-      cut_trajectory_.end());
-  out.cut_trajectory.insert(
-      out.cut_trajectory.end(), cut_trajectory_.begin(),
-      cut_trajectory_.begin() +
-          static_cast<std::ptrdiff_t>(cut_trajectory_next_));
-  out.current_fitness = state_.fitness(config_.fitness);
-  out.current_total_cut = state_.total_cut();
   out.durable = wal_ != nullptr;
   out.wal_failed = wal_failed_;
   if (wal_ != nullptr) out.wal = wal_->stats();
@@ -474,8 +438,6 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
       vo.cancel = job.cancel.get();
       const VcycleGaResult res =
           vcycle_ga_refine(g, out.assignment, vo, rng, executor);
-      out.full_evaluations += res.full_evaluations;
-      out.delta_evaluations += res.delta_evaluations;
       if (res.fitness > out.fitness) {
         out.assignment = res.assignment;
         out.fitness = res.fitness;
@@ -489,17 +451,12 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
           out.assignment, dc.ga.population_size, /*swap_fraction=*/0.08, rng);
       const DpgaResult res =
           run_dpga(g, dc, std::move(initial), rng.split(), executor);
-      out.full_evaluations += res.full_evaluations;
-      out.delta_evaluations += res.delta_evaluations;
       if (res.best_fitness > out.fitness) {
         out.assignment = res.best;
         out.fitness = res.best_fitness;
       }
     }
   }
-
-  out.full_evaluations += eval.full_evaluations();
-  out.delta_evaluations += eval.delta_evaluations();
   return out;
 }
 

@@ -100,17 +100,12 @@ struct SessionSnapshot {
 };
 
 /// Point-in-time statistics copy (see PartitionService for aggregation).
+/// The snapshot holds the version, fitness and cut; the registry's
+/// `repair.damage` / `repair.moves` and each RepairReport hold the repair
+/// counts.
 struct SessionStats {
   std::uint64_t updates = 0;
-  std::uint64_t version = 0;
-  std::uint64_t total_damage = 0;
-  std::int64_t extend_moves = 0;
-  std::int64_t repair_moves = 0;
   std::int64_t examined = 0;
-  /// Evaluation accounting in EvalContext units: every accepted move /
-  /// mutation delta is a delta evaluation, every O(V+E) pass a full one.
-  std::int64_t full_evaluations = 0;
-  std::int64_t delta_evaluations = 0;
   int refinements_planned = 0;
   int refinements_applied = 0;
   /// Completed but raced by a newer delta (captured epoch went stale).
@@ -126,17 +121,11 @@ struct SessionStats {
   /// <= 12.5% — one histogram bucket; see common/telemetry.hpp).
   double p50_repair_seconds = 0.0;
   double p99_repair_seconds = 0.0;
-  double max_repair_seconds = 0.0;  ///< exact (histogram tracks true max)
-  /// Mergeable log-bucketed repair-latency histogram (lifetime, bounded
-  /// memory).  The service composes sessions into honest service-wide
+  /// Mergeable log-bucketed histogram of RepairReport::seconds (lifetime,
+  /// bounded memory).  The service composes sessions into service-wide
   /// percentiles by merging these — merge is exact and associative, unlike
-  /// merging quantiles, and replaces the old unbounded raw-sample vectors.
+  /// merging quantiles.
   LogHistogram repair_latency;
-  double current_fitness = 0.0;
-  double current_total_cut = 0.0;
-  /// (update_epoch, total_cut) at the last kMaxHistory publishes — the
-  /// recent cut trajectory.
-  std::vector<std::pair<std::uint64_t, double>> cut_trajectory;
 
   /// Durability (zeros when the session runs without a WAL).
   bool durable = false;
@@ -145,11 +134,6 @@ struct SessionStats {
   /// log never diverges from the acknowledged history.
   bool wal_failed = false;
   WalStats wal;
-
-  /// History cap: the cut trajectory is a sliding window of this many
-  /// entries.  (Latency percentiles moved to the fixed-size histogram above,
-  /// so they cover the session lifetime at bounded memory.)
-  static constexpr std::size_t kMaxHistory = 4096;
 };
 
 class PartitionSession {
@@ -196,8 +180,7 @@ class PartitionSession {
 
   /// The WAL's counters (SessionStats::wal), or nullopt without a WAL.  Only
   /// an O(1) copy under the lock — what a per-pump poller should read
-  /// instead of stats(), which also copies the latency histogram and
-  /// unrolls the cut trajectory.
+  /// instead of stats(), which also copies the latency histogram.
   std::optional<WalStats> wal_stats() const;
 
   // --- Asynchronous refinement protocol (driven by PartitionService) ------
@@ -229,9 +212,7 @@ class PartitionSession {
   /// if the append fails the refinement is dropped (refinements_unlogged)
   /// so log and state never diverge.  Returns true when adopted.
   bool complete_refinement(const RefineJob& job, Assignment refined,
-                           double refined_fitness,
-                           std::int64_t full_evaluations,
-                           std::int64_t delta_evaluations);
+                           double refined_fitness);
 
   /// Clears the in-flight mark after a failed refinement attempt.
   void abandon_refinement();
@@ -314,9 +295,9 @@ class PartitionSession {
   /// wal_ set).
   void log_or_fail_stop(WalRecordType type, std::uint64_t epoch,
                         const std::string& payload, VertexId damage);
-  /// Advances the epoch, the policy accumulators and the update stats for
+  /// Advances the epoch, the policy accumulators and the update count for
   /// one absorbed delta (mu_ held).
-  void count_update(VertexId damage, const RepairOutcome& outcome);
+  void count_update(VertexId damage);
   /// Checkpoints the latest snapshot into the WAL (mu_ held, wal_ set).
   /// False when that failed: the log is intact and the next trigger retries.
   bool compact_wal();
@@ -348,11 +329,8 @@ class PartitionSession {
 
   // Statistics.  Repair latencies accumulate into a fixed-size log-bucketed
   // histogram (stats_.repair_latency — bounded memory over an unbounded
-  // stream, O(buckets) to scrape); cut_trajectory_ is a ring of the last
-  // kMaxHistory entries (stats() unrolls it chronologically).
+  // stream, O(buckets) to scrape).
   SessionStats stats_;
-  std::vector<std::pair<std::uint64_t, double>> cut_trajectory_;
-  std::size_t cut_trajectory_next_ = 0;
 
   mutable std::mutex snap_mu_;  ///< guards snapshot_ only (reader-facing)
   std::shared_ptr<const SessionSnapshot> snapshot_;
@@ -362,12 +340,10 @@ class PartitionSession {
 /// verified gain-ordered frontier hill-climb rounds; kDeep additionally runs
 /// a DPGA burst seeded with the climbed solution.  Deterministic for a given
 /// rng; `executor` (optional) parallelizes the DPGA burst.  Returns the
-/// refined assignment, its fitness, and the evaluation counts to charge.
+/// refined assignment and its fitness.
 struct RefineOutcome {
   Assignment assignment;
   double fitness = 0.0;
-  std::int64_t full_evaluations = 0;
-  std::int64_t delta_evaluations = 0;
 };
 RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
                              const SessionConfig& config, Rng rng,

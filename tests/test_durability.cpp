@@ -735,9 +735,8 @@ TEST(Durability, RefineRecordHoldsOnlyItsMoves) {
       moves += out.assignment[v] != job->assignment[v] ? 1 : 0;
     }
     const std::uint64_t before = service.session_stats(id).wal.bytes_appended;
-    ASSERT_TRUE(session->complete_refinement(*job, out.assignment, out.fitness,
-                                             out.full_evaluations,
-                                             out.delta_evaluations));
+    ASSERT_TRUE(session->complete_refinement(*job, out.assignment,
+                                             out.fitness));
     const std::uint64_t record =
         service.session_stats(id).wal.bytes_appended - before;
     // Frame header, move count, then 5 B per move: no per-vertex bytes.
@@ -790,9 +789,8 @@ TEST(Durability, RefinementAtTheSnapshotEpochIsReplayed) {
       const auto job = session->plan_refinement();
       ASSERT_TRUE(job.has_value());
       const RefineOutcome out = run_refinement(*job, cfg, Rng(1), nullptr);
-      ASSERT_TRUE(session->complete_refinement(
-          *job, out.assignment, out.fitness, out.full_evaluations,
-          out.delta_evaluations));
+      ASSERT_TRUE(
+          session->complete_refinement(*job, out.assignment, out.fitness));
       if (snapshot_holds_it) {
         service.save_session(id, dir + "/session-1/snap-1");
       }
@@ -1079,9 +1077,8 @@ TEST(Durability, FailedRefinementFsyncLeavesNoRecord) {
     const auto log_bytes = fs::file_size(log);
     {
       ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
-      EXPECT_FALSE(session->complete_refinement(
-          *job, out.assignment, out.fitness, out.full_evaluations,
-          out.delta_evaluations));
+      EXPECT_FALSE(
+          session->complete_refinement(*job, out.assignment, out.fitness));
     }
     EXPECT_EQ(service.session_stats(id).refinements_unlogged, 1);
     EXPECT_EQ(fs::file_size(log), log_bytes);

@@ -238,6 +238,10 @@ TEST_P(FrontierRefineFuzz, VcycleRefineIndependentOfPoolWidth) {
     EXPECT_EQ(res.assignment, ref.assignment) << threads << " threads";
     EXPECT_EQ(res.fitness, ref.fitness) << threads << " threads";
     EXPECT_EQ(res.levels, ref.levels) << threads << " threads";
+    EXPECT_EQ(res.full_evaluations, ref.full_evaluations)
+        << threads << " threads";
+    EXPECT_EQ(res.delta_evaluations, ref.delta_evaluations)
+        << threads << " threads";
   }
 }
 
@@ -278,10 +282,6 @@ TEST_P(FrontierRefineFuzz, SessionRefinementIndependentOfPoolWidth) {
       EXPECT_EQ(out.assignment, ref.assignment)
           << tier.label << ", " << threads << " threads";
       EXPECT_EQ(out.fitness, ref.fitness)
-          << tier.label << ", " << threads << " threads";
-      EXPECT_EQ(out.full_evaluations, ref.full_evaluations)
-          << tier.label << ", " << threads << " threads";
-      EXPECT_EQ(out.delta_evaluations, ref.delta_evaluations)
           << tier.label << ", " << threads << " threads";
     }
   }

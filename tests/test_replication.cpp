@@ -846,6 +846,28 @@ TEST(Replication, ShipLagCountsEpochsAfterLeaderRestart) {
   EXPECT_GE(rig.shipper->stats().lag_epochs_p99, 1.0);
 }
 
+// Ship-lag percentiles cover recent pumps, not the shipper's lifetime: a
+// stall that starts after a long healthy run shows in p99 within 82 samples.
+TEST(Replication, ShipLagPercentilesShowAStallAfterALongHealthyRun) {
+  const PartId k = 3;
+  Rig rig("lag_window");
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  rig.settle();
+  ASSERT_TRUE(rig.shipper->drained());
+  for (int i = 0; i < 16384; ++i) rig.shipper->pump();  // lag 0 each
+  EXPECT_EQ(rig.shipper->stats().lag_epochs_p99, 0.0);
+
+  // The follower stops acking: 120 pumps at lag 1, under 1% of all the
+  // samples ever taken but well over 1% of the last 8,192.
+  auto next = shared_grid(13, 12);
+  rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+  for (int i = 0; i < 120; ++i) rig.shipper->pump();
+  EXPECT_EQ(rig.shipper->acked_epoch(id), 0u);
+  EXPECT_GE(rig.shipper->stats().lag_epochs_p99, 1.0);
+}
+
 TEST(Replication, FollowerRestartResumesFromItsOwnDisk) {
   const PartId k = 3;
   const std::string follower_dir = fresh_dir("restart_follower");

@@ -217,7 +217,7 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
 
   const SessionStats st = session.stats();
   EXPECT_EQ(st.updates, 8u);
-  EXPECT_EQ(st.cut_trajectory.size(), 9u);  // open + 8 repairs
+  EXPECT_EQ(session.snapshot()->version, 9u);  // open + 8 repairs
   EXPECT_GT(st.examined, 0);
 }
 
@@ -367,8 +367,7 @@ TEST(PartitionSession, RefinementJobLifecycle) {
 
   Assignment refined = out.assignment;
   EXPECT_TRUE(session.complete_refinement(*job, std::move(refined),
-                                          out.fitness, out.full_evaluations,
-                                          out.delta_evaluations));
+                                          out.fitness));
   const auto snap = session.snapshot();
   EXPECT_STREQ(snap->source, "refine");
   expect_snapshot_consistent(*snap, k);
@@ -411,8 +410,7 @@ TEST(PartitionSession, RefinementImprovesAndIsPoolWidthIndependent) {
 
   Assignment refined = out.assignment;
   EXPECT_TRUE(session.complete_refinement(*job, std::move(refined),
-                                          out.fitness, out.full_evaluations,
-                                          out.delta_evaluations));
+                                          out.fitness));
   expect_snapshot_consistent(*session.snapshot(), k);
 }
 
@@ -438,8 +436,7 @@ TEST(PartitionSession, StaleRefinementIsDiscarded) {
   const RefineOutcome out = run_refinement(*job, cfg, Rng(2), nullptr);
   Assignment refined = out.assignment;
   EXPECT_FALSE(session.complete_refinement(*job, std::move(refined),
-                                           out.fitness, out.full_evaluations,
-                                           out.delta_evaluations));
+                                           out.fitness));
   EXPECT_EQ(session.stats().refinements_stale, 1);
   EXPECT_EQ(session.stats().refinements_no_better, 0);
   EXPECT_STREQ(session.snapshot()->source, "repair");
@@ -555,6 +552,7 @@ TEST(PartitionService, BackgroundRefinementPublishesBetterSnapshots) {
   auto g17 = shared_grid(17, 16);
   const RepairReport rep =
       service.submit_update(id, g17, diff_graphs(*g, *g17));
+  std::int64_t repair_moves = rep.repair_moves;
   service.quiesce();
   {
     const SessionStats st = service.session_stats(id);
@@ -571,7 +569,9 @@ TEST(PartitionService, BackgroundRefinementPublishesBetterSnapshots) {
   std::shared_ptr<const Graph> prev = g17;
   for (VertexId rows = 18; rows <= 21; ++rows) {
     auto grown = shared_grid(rows, 16);
-    service.submit_update(id, grown, diff_graphs(*prev, *grown));
+    repair_moves +=
+        service.submit_update(id, grown, diff_graphs(*prev, *grown))
+            .repair_moves;
     prev = grown;
   }
   service.quiesce();
@@ -593,7 +593,7 @@ TEST(PartitionService, BackgroundRefinementPublishesBetterSnapshots) {
   for (std::size_t i = 0; i < at_open.size(); ++i) {
     added.push_back(counter(kCounters[i]) - at_open[i]);
   }
-  EXPECT_EQ(added[0], static_cast<std::uint64_t>(agg.repair_moves));
+  EXPECT_EQ(added[0], static_cast<std::uint64_t>(repair_moves));
   EXPECT_GE(added[1], static_cast<std::uint64_t>(st.refinements_applied));
   EXPECT_EQ(added[2], static_cast<std::uint64_t>(st.refinements_applied));
   EXPECT_EQ(added[3], static_cast<std::uint64_t>(st.refinements_stale));

@@ -1,7 +1,7 @@
 // Unit coverage for common/telemetry: the log-bucketed histogram (bucket
 // math, merge associativity, the documented <= 12.5% quantile error bound vs
-// exact quantile() on fuzzed sample sets), the wait-free thread shards under
-// concurrent writers (TSan covers the races), the registry snapshot/dump
+// exact quantile() on fuzzed sample sets), the locked registry histogram
+// under concurrent writers (TSan covers the races), the registry snapshot/dump
 // formats, and the span tracer (cross-thread nesting, schema-valid JSON,
 // ring overflow dropping oldest events into telemetry.dropped_events).
 #include "common/telemetry.hpp"
@@ -161,12 +161,12 @@ TEST(LogHistogram, MergeIsAssociativeAndExact) {
   EXPECT_DOUBLE_EQ(a2.quantile(0.5), a.quantile(0.5));
 }
 
-// ------------------------------------------------------- ShardedHistogram --
+// -------------------------------------------------------- LockedHistogram --
 
-TEST(ShardedHistogram, ConcurrentWritersMergeToTheFullCount) {
+TEST(LockedHistogram, ConcurrentWritersMergeToTheFullCount) {
   // TSan-covered: N threads hammer one histogram; the merged snapshot must
   // account for every sample with sane moments.
-  ShardedHistogram h;
+  LockedHistogram h;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -191,10 +191,10 @@ TEST(ShardedHistogram, ConcurrentWritersMergeToTheFullCount) {
   EXPECT_NEAR(p50, 50.5, 50.5 * 0.125);
 }
 
-TEST(ShardedHistogram, MergedWhileWritersRunStaysWellFormed) {
+TEST(LockedHistogram, MergedWhileWritersRunStaysWellFormed) {
   // A reader snapshotting mid-write must see a consistent-enough histogram:
   // monotone quantiles, count <= total eventually written, no crash.
-  ShardedHistogram h;
+  LockedHistogram h;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {

@@ -233,15 +233,19 @@ TEST(WalCodec, RejectsAsymmetricRecordedRows) {
   // endpoints touched.  A record whose rows disagree on the diagonal has no
   // one graph it describes.
   const Graph prev = make_grid(4, 4);
+  // `nine_touched`: survivor 9 is recorded too, with its grid row, and 5's
+  // row drops 9.
   const auto record = [&prev](bool five_lists_ten, bool ten_lists_five,
-                               bool five_lists_four = true) {
+                               bool five_lists_four = true,
+                               bool nine_touched = false) {
     std::string out;
     put<std::uint32_t>(out, 0x32434447u);  // "GDC2"
     put<std::uint8_t>(out, 0);             // unit weights: no weight fields
     put<std::uint32_t>(out, 16);           // old_n
     put<std::uint32_t>(out, 16);           // new_n
-    put<std::uint32_t>(out, 2);            // touched survivors 5 and 10
+    put<std::uint32_t>(out, nine_touched ? 3 : 2);  // touched survivors
     put<std::uint32_t>(out, 5);
+    if (nine_touched) put<std::uint32_t>(out, 9);
     put<std::uint32_t>(out, 10);
     const auto row = [&](VertexId v, VertexId mate, bool lists_mate) {
       std::vector<VertexId> nbrs(prev.neighbors(v).begin(),
@@ -250,10 +254,12 @@ TEST(WalCodec, RejectsAsymmetricRecordedRows) {
         nbrs.insert(std::upper_bound(nbrs.begin(), nbrs.end(), mate), mate);
       }
       if (v == 5 && !five_lists_four) std::erase(nbrs, 4);
+      if (v == 5 && nine_touched) std::erase(nbrs, 9);
       put<std::uint32_t>(out, static_cast<std::uint32_t>(nbrs.size()));
       for (const VertexId x : nbrs) put<std::uint32_t>(out, x);
     };
     row(5, 10, five_lists_ten);
+    if (nine_touched) row(9, 5, false);
     row(10, 5, ten_lists_five);
     return out;
   };
@@ -275,6 +281,10 @@ TEST(WalCodec, RejectsAsymmetricRecordedRows) {
   // Untouched 4 keeps its row, copied verbatim; only 5's new row shows the
   // edge (4, 5) dropped.
   EXPECT_THROW(decode_delta(prev, record(true, true, false)), Error);
+  // 5's row is 1, 4, 6, 10.  Its upper listing 5 -> 10 and 9's 9 -> 10
+  // balance the lower listings 9 -> 5 and 10 -> 9, so only the search for
+  // 9 in 5's row, which lands on 10, sees that 5 does not list 9.
+  EXPECT_THROW(decode_delta(prev, record(true, false, true, true)), Error);
 }
 
 // ---------------------------------------------------------------------------
