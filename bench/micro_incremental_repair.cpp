@@ -27,8 +27,9 @@
 //   build:    what a client pays to build the grown graph, as e2ebench's
 //             grow adapter does: GraphBuilder::build of the n x n grid's
 //             edges plus one appended row (builder filled once), the same
-//             with the add_edge loop timed too, and make_grid of the n x n
-//             grid, with the edge count and median seconds per call.
+//             with the add_edge loop timed too, make_grid of the n x n
+//             grid, and diff_graphs of the grid against the grown graph,
+//             with the edge count and median seconds per call.
 //
 //   image:    the whole-image passes of a compaction and a recovery on the
 //             n x n grid (k = 8 column bands): snapshot_image (the content
@@ -245,9 +246,10 @@ std::vector<BuildRow> bench_build(VertexId n, double budget) {
   const Graph grid = make_grid(n, n);
   GraphBuilder filled(n * n + n);
   fill_grown_grid(filled, grid, n);
-  const std::int64_t grown_edges = filled.build().num_edges();
+  const Graph grown = filled.build();
+  const std::int64_t grown_edges = grown.num_edges();
 
-  std::vector<BuildRow> rows(3);
+  std::vector<BuildRow> rows(4);
   rows[0] = {"build", n, grown_edges, 0, 0.0};
   rows[0].seconds_per_call =
       median_seconds([&] { filled.build(); }, budget, rows[0].calls);
@@ -262,6 +264,9 @@ std::vector<BuildRow> bench_build(VertexId n, double budget) {
   rows[2] = {"make_grid", n, grid.num_edges(), 0, 0.0};
   rows[2].seconds_per_call =
       median_seconds([&] { make_grid(n, n); }, budget, rows[2].calls);
+  rows[3] = {"diff_graphs", n, grown_edges, 0, 0.0};
+  rows[3].seconds_per_call = median_seconds(
+      [&] { diff_graphs(grid, grown); }, budget, rows[3].calls);
   return rows;
 }
 

@@ -30,20 +30,15 @@ GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown) {
                  "old graph larger than grown graph");
   GraphDelta delta;
   delta.old_num_vertices = n_old;
-  // Every weight of a unit graph is 1.0, so two unit graphs' rows differ
-  // only in their ids.
-  const bool unit = old_graph.unit_weights() && grown.unit_weights();
-  for (VertexId v = 0; v < n_old; ++v) {
-    const auto a = old_graph.neighbors(v);
-    const auto b = grown.neighbors(v);
-    bool same = std::equal(a.begin(), a.end(), b.begin(), b.end());
-    if (same && !unit) {
-      const auto wa = old_graph.edge_weights(v);
-      const auto wb = grown.edge_weights(v);
-      same = std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()) &&
-             old_graph.vertex_weight(v) == grown.vertex_weight(v);
+  // Most blocks of rows are untouched and compare whole; only a block that
+  // differs is compared row by row.
+  constexpr VertexId kBlockRows = 4096;
+  for (VertexId begin = 0, end = 0; begin < n_old; begin = end) {
+    end = begin + std::min(kBlockRows, n_old - begin);
+    if (old_graph.same_rows(grown, begin, end)) continue;
+    for (VertexId v = begin; v < end; ++v) {
+      if (!old_graph.same_rows(grown, v, v + 1)) delta.touched_old.push_back(v);
     }
-    if (!same) delta.touched_old.push_back(v);
   }
   return delta;
 }

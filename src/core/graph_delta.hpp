@@ -45,7 +45,8 @@ GraphDelta appended_delta(const Graph& grown, VertexId old_num_vertices);
 
 /// Exact delta between two snapshots: requires |old| <= |grown|; a surviving
 /// vertex is touched iff its neighbour list, edge weights, or vertex weight
-/// differ between the snapshots.  O(V + E) span comparisons.
+/// differ between the snapshots.  O(V + E): blocks of rows compare whole
+/// (Graph::same_rows), and only a block that differs compares row by row.
 GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown);
 
 /// The input check a delta passes before anything is mutated or logged:

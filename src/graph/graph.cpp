@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -46,6 +48,49 @@ std::string Graph::summary() const {
   return os.str();
 }
 
+bool Graph::same_rows(const Graph& other, VertexId begin, VertexId end) const {
+  GAPART_REQUIRE(0 <= begin && begin <= end && end <= num_vertices() &&
+                     end <= other.num_vertices(),
+                 "rows [", begin, ", ", end, ") out of range for |V| = ",
+                 num_vertices(), " and ", other.num_vertices());
+  const auto b = static_cast<std::size_t>(begin);
+  const auto e = static_cast<std::size_t>(end);
+  const std::int32_t* xa = xadj_.data();
+  const std::int32_t* xb = other.xadj_.data();
+  // Every degree is equal exactly when every offset of the block differs by
+  // the same shift.  Accumulated without an early exit, so it vectorizes.
+  const std::int32_t shift = xb[b] - xa[b];
+  std::int32_t mismatch = 0;
+  for (std::size_t v = b + 1; v <= e; ++v) mismatch |= (xb[v] - xa[v]) ^ shift;
+  if (mismatch != 0) return false;
+
+  const auto first = static_cast<std::size_t>(xa[b]);
+  const auto other_first = static_cast<std::size_t>(xb[b]);
+  const auto len = static_cast<std::size_t>(xa[e]) - first;
+  if (!std::equal(adjncy_.data() + first, adjncy_.data() + first + len,
+                  other.adjncy_.data() + other_first)) {
+    return false;
+  }
+  if (unit_weights_ && other.unit_weights_) return true;
+  // Weights are positive and finite, so equal values have equal bits.  A
+  // graph without an edge-weight array has only 1.0 there.
+  const auto same_bits = [](const double* x, const double* y, std::size_t k) {
+    return k == 0 || std::memcmp(x, y, k * sizeof(double)) == 0;
+  };
+  const double* wa = ewgt_.empty() ? nullptr : ewgt_.data() + first;
+  const double* wb =
+      other.ewgt_.empty() ? nullptr : other.ewgt_.data() + other_first;
+  if (wa != nullptr && wb != nullptr) {
+    if (!same_bits(wa, wb, len)) return false;
+  } else if (wa != nullptr || wb != nullptr) {
+    const double* w = wa != nullptr ? wa : wb;
+    if (!std::all_of(w, w + len, [](double x) { return x == 1.0; })) {
+      return false;
+    }
+  }
+  return same_bits(vwgt_.data() + b, other.vwgt_.data() + b, e - b);
+}
+
 void Graph::seal(std::int32_t max_degree) {
   const auto is_one = [](double w) { return w == 1.0; };
   if (std::all_of(ewgt_.begin(), ewgt_.end(), is_one)) {
@@ -66,7 +111,7 @@ GraphBuilder::GraphBuilder(VertexId num_vertices)
   GAPART_REQUIRE(num_vertices >= 0, "negative vertex count ", num_vertices);
 }
 
-void GraphBuilder::add_edge(VertexId u, VertexId v, double weight) {
+void GraphBuilder::add_checked_edge(VertexId u, VertexId v, double weight) {
   GAPART_REQUIRE(u >= 0 && u < num_vertices_, "edge endpoint ", u,
                  " out of range [0,", num_vertices_, ")");
   GAPART_REQUIRE(v >= 0 && v < num_vertices_, "edge endpoint ", v,
@@ -210,23 +255,34 @@ Graph GraphBuilder::build() {
   for (std::size_t u = 0; u < n; ++u) {
     const std::int32_t end = xadj[u + 1];
     const std::int32_t row = out;
-    if (end - begin > kInsertionSortMax) {
-      const auto d = static_cast<std::size_t>(end - begin);
-      if (w != nullptr) {
-        sort_hub_row<true>(adj + begin, w + begin, d, scratch);
-      } else {
-        sort_hub_row<false>(adj + begin, nullptr, d, scratch);
+    if (std::adjacent_find(adj + begin, adj + end,
+                           std::greater_equal<VertexId>()) == adj + end) {
+      // Strictly ascending, so sorted with nothing to merge: read only, and
+      // stored again only where earlier merges compacted the output.
+      if (out < begin) {
+        std::copy(adj + begin, adj + end, adj + out);
+        if (w != nullptr) std::copy(w + begin, w + end, w + out);
       }
-    }
-    std::int32_t i = begin;
-    if (w == nullptr) {
-      i = insert_row<false>(adj, nullptr, row, out, begin, end);
-      if (i < end) {
-        g.ewgt_.assign(m2, 1.0);
-        w = g.ewgt_.data();
+      out += end - begin;
+    } else {
+      if (end - begin > kInsertionSortMax) {
+        const auto d = static_cast<std::size_t>(end - begin);
+        if (w != nullptr) {
+          sort_hub_row<true>(adj + begin, w + begin, d, scratch);
+        } else {
+          sort_hub_row<false>(adj + begin, nullptr, d, scratch);
+        }
       }
+      std::int32_t i = begin;
+      if (w == nullptr) {
+        i = insert_row<false>(adj, nullptr, row, out, begin, end);
+        if (i < end) {
+          g.ewgt_.assign(m2, 1.0);
+          w = g.ewgt_.data();
+        }
+      }
+      if (w != nullptr) insert_row<true>(adj, w, row, out, i, end);
     }
-    if (w != nullptr) insert_row<true>(adj, w, row, out, i, end);
     xadj[u + 1] = out;
     max_degree = std::max(max_degree, out - row);
     begin = end;

@@ -85,6 +85,13 @@ class Graph {
   /// Human-readable one-line summary ("|V|=144 |E|=395 ...").
   std::string summary() const;
 
+  /// True when rows [begin, end) of this graph and of `other` hold the same
+  /// neighbour ids, edge weights and vertex weights.  Rows are stored back
+  /// to back, so a block of rows with equal degrees is one comparison of
+  /// contiguous ids (and weights, when either graph is weighted).  Requires
+  /// 0 <= begin <= end <= both vertex counts.
+  bool same_rows(const Graph& other, VertexId begin, VertexId end) const;
+
  private:
   // The only writers of the arrays: the builder, and the delta decoder's
   // splice (graph/delta_codec.cpp), which copies untouched rows verbatim.
@@ -110,6 +117,13 @@ class Graph {
 /// Accumulates edges / weights / coordinates and produces a canonical Graph:
 /// symmetric, sorted adjacency, duplicate edges merged (weights summed),
 /// self-loops dropped.
+///
+/// build() writes both directions of every edge into each row in the order
+/// added.  A row that arrives strictly ascending (every edge added from its
+/// lower end, in row order, as read_graph, make_grid, subgraph and a
+/// client copying a graph's rows do) is already canonical: build() only
+/// reads it, and moves it down in one block when earlier merges compacted
+/// the output.  Any other row is sorted and merged in place.
 class GraphBuilder {
  public:
   /// `num_vertices` fixes |V| up front; vertices are 0..n-1.
@@ -120,7 +134,20 @@ class GraphBuilder {
   /// Adds undirected edge {u, v} with weight w.  Duplicate additions are
   /// merged at build() time by summing weights in the order they were
   /// added.  Self-loops are ignored.
-  void add_edge(VertexId u, VertexId v, double weight = 1.0);
+  void add_edge(VertexId u, VertexId v, double weight = 1.0) {
+    // Inline: a unit edge between two distinct vertices in range while no
+    // other weight has come (the unsigned compares also reject negative
+    // ids; num_vertices_ >= 0).  Everything else, throws included, takes
+    // the checked path.
+    const auto n = static_cast<std::uint32_t>(num_vertices_);
+    if (weight == 1.0 && wgts_.empty() && u != v &&
+        static_cast<std::uint32_t>(u) < n &&
+        static_cast<std::uint32_t>(v) < n) {
+      edges_.push_back({u, v});
+    } else {
+      add_checked_edge(u, v, weight);
+    }
+  }
 
   void set_vertex_weight(VertexId v, double weight);
   void set_coordinate(VertexId v, Point2 p);
@@ -133,6 +160,8 @@ class GraphBuilder {
   Graph build();
 
  private:
+  void add_checked_edge(VertexId u, VertexId v, double weight);
+
   VertexId num_vertices_;
   std::vector<std::array<VertexId, 2>> edges_;
   std::vector<double> wgts_;    // parallel to edges_ once a weight != 1.0 came

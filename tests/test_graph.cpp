@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -256,40 +257,27 @@ TEST(GraphBuilder, CountingSortConstructionMatchesNaiveMerge) {
 // reference: each row's entries in the order their edges were added, stably
 // sorted by neighbour, duplicates summed in that order.  Heavy duplicate
 // multiplicity with integer, fractional and unit weights; from round 6 on,
-// a hub whose row outgrows the insertion sort.
+// a hub whose row outgrows the insertion sort.  Then the arrival orders of
+// the builder's callers, whose rows mostly come in ascending: every edge
+// from its lower end in row order, alone or followed by out-of-order edits
+// (duplicates among them, so later ascending rows move down), an ascending
+// run ending in a repeated or a smaller id, and a hub that arrives
+// ascending or shuffled, each built once and again after the tail's edges.
 TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
-  Rng rng(0xadd1);
-  for (int round = 0; round < 12; ++round) {
-    const int mode = round % 3;  // 0 integer, 1 fractional, 2 unit weights
-    const bool hub = round >= 6;
-    const VertexId n = 2 + static_cast<VertexId>(rng.uniform_int(40));
-    struct E {
-      VertexId u, v;
-      double w;
-    };
-    std::vector<E> raw;
-    GraphBuilder b(n);
-    const int edges = rng.uniform_int(8 * n);
-    for (int e = 0; e < edges; ++e) {
-      auto u = static_cast<VertexId>(rng.uniform_int(n));
-      if (hub && rng.bernoulli(0.5)) u = 0;
-      auto v = static_cast<VertexId>(rng.uniform_int(n));
-      if (rng.bernoulli(0.3)) v = (u + 1) % n;  // force duplicate pile-ups
-      if (u == v) continue;
-      const double w = mode == 1   ? 0.25 + rng.uniform()
-                       : mode == 0 ? 1.0 + rng.uniform_int(5)
-                                   : 1.0;
-      b.add_edge(u, v, w);
-      raw.push_back({u, v, w});
-    }
-    const Graph g = b.build();
-
+  struct E {
+    VertexId u, v;
+    double w;
+  };
+  const auto expect_reference = [](const Graph& g, VertexId n,
+                                   const std::vector<E>& raw,
+                                   const std::string& what) {
     std::vector<std::vector<std::pair<VertexId, double>>> rows(
         static_cast<std::size_t>(n));
     for (const E& e : raw) {
       rows[static_cast<std::size_t>(e.u)].emplace_back(e.v, e.w);
       rows[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.w);
     }
+    ASSERT_EQ(g.num_vertices(), n) << what;
     for (VertexId u = 0; u < n; ++u) {
       auto& row = rows[static_cast<std::size_t>(u)];
       std::stable_sort(row.begin(), row.end(),
@@ -308,11 +296,112 @@ TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
       }
       const auto nbrs = g.neighbors(u);
       ASSERT_EQ(std::vector<VertexId>(nbrs.begin(), nbrs.end()), expect_adj)
-          << "round " << round << " row " << u;
+          << what << " row " << u;
       const auto wgts = g.edge_weights(u);
       ASSERT_EQ(std::vector<double>(wgts.begin(), wgts.end()), expect_wgt)
-          << "round " << round << " row " << u;
+          << what << " row " << u;
     }
+  };
+  const auto weight = [](Rng& rng, int mode) {  // 0 int, 1 fractional, 2 unit
+    return mode == 1   ? 0.25 + rng.uniform()
+           : mode == 0 ? 1.0 + rng.uniform_int(5)
+                       : 1.0;
+  };
+
+  Rng rng(0xadd1);
+  for (int round = 0; round < 12; ++round) {
+    const int mode = round % 3;
+    const bool hub = round >= 6;
+    const VertexId n = 2 + static_cast<VertexId>(rng.uniform_int(40));
+    std::vector<E> raw;
+    GraphBuilder b(n);
+    const int edges = rng.uniform_int(8 * n);
+    for (int e = 0; e < edges; ++e) {
+      auto u = static_cast<VertexId>(rng.uniform_int(n));
+      if (hub && rng.bernoulli(0.5)) u = 0;
+      auto v = static_cast<VertexId>(rng.uniform_int(n));
+      if (rng.bernoulli(0.3)) v = (u + 1) % n;  // force duplicate pile-ups
+      if (u == v) continue;
+      const double w = weight(rng, mode);
+      b.add_edge(u, v, w);
+      raw.push_back({u, v, w});
+    }
+    expect_reference(b.build(), n, raw, "round " + std::to_string(round));
+  }
+
+  enum class Base { kInOrder, kHubAscending, kHubShuffled };
+  enum class Tail { kNone, kEdits, kSeamRepeat, kSeamSmaller };
+  const std::pair<Base, Tail> orders[] = {
+      {Base::kInOrder, Tail::kNone},
+      {Base::kInOrder, Tail::kEdits},
+      {Base::kInOrder, Tail::kSeamRepeat},
+      {Base::kInOrder, Tail::kSeamSmaller},
+      {Base::kHubAscending, Tail::kEdits},
+      {Base::kHubShuffled, Tail::kSeamRepeat},
+  };
+  Rng order_rng(0xa5c3);
+  for (int round = 0; round < 18; ++round) {
+    const int mode = round % 3;
+    const auto [base, tail] = orders[round / 3];
+    const std::string what = "order round " + std::to_string(round);
+    const VertexId n = 40 + static_cast<VertexId>(order_rng.uniform_int(30));
+    GraphBuilder b(n);
+    std::vector<E> raw;
+    const auto add = [&](VertexId u, VertexId v) {
+      const double w = weight(order_rng, mode);
+      b.add_edge(u, v, w);
+      raw.push_back({u, v, w});
+    };
+
+    // A simple graph whose edges all come from their lower end, in row
+    // order.  With a hub, vertex 0 links to every other vertex, its edges
+    // ascending or shuffled.
+    std::vector<std::pair<VertexId, VertexId>> hub, rest;
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        if (u == 0 && base != Base::kInOrder) {
+          hub.emplace_back(u, v);
+        } else if (order_rng.bernoulli(0.08)) {
+          rest.emplace_back(u, v);
+        }
+      }
+    }
+    if (base == Base::kHubShuffled) order_rng.shuffle(hub);
+    for (const auto& [u, v] : hub) add(u, v);
+    for (const auto& [u, v] : rest) add(u, v);
+    expect_reference(b.build(), n, raw, what + " base");
+
+    // The tail goes into the same builder, after build().
+    if (tail == Tail::kNone) continue;
+    const int extra = 4 + order_rng.uniform_int(8);
+    for (int e = 0; e < extra; ++e) {
+      VertexId u = static_cast<VertexId>(order_rng.uniform_int(n));
+      VertexId v = static_cast<VertexId>(order_rng.uniform_int(n));
+      if (tail == Tail::kEdits) {
+        // Half re-add an edge (merged at build), half are fresh.
+        if (order_rng.bernoulli(0.5)) {
+          const E& old = raw[static_cast<std::size_t>(
+              order_rng.uniform_int(static_cast<int>(raw.size())))];
+          u = old.u;
+          v = old.v;
+        }
+      } else {
+        // Row u's largest neighbour again, or an id below it.
+        VertexId last = -1;
+        for (const E& r : raw) {
+          if (r.u == u) last = std::max(last, r.v);
+          if (r.v == u) last = std::max(last, r.u);
+        }
+        if (last < 0) continue;
+        v = tail == Tail::kSeamRepeat
+                ? last
+                : static_cast<VertexId>(order_rng.uniform_int(last + 1));
+      }
+      if (u == v) continue;
+      if (order_rng.bernoulli(0.5)) std::swap(u, v);
+      add(u, v);
+    }
+    expect_reference(b.build(), n, raw, what + " with tail");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,162 @@ TEST(GraphDelta, DiffGraphsOnRetriangulatedMesh) {
         << "vertex " << v << " adjacent to new range but not in exact diff";
   }
   EXPECT_LT(exact.damage(grown.graph), grown.graph.num_vertices() / 2);
+}
+
+// diff_graphs compares whole blocks of rows first; it must still agree with
+// the per-row definition on graphs that span several blocks: changes in the
+// first and the last row of a block, two degree changes within one block
+// that leave its ids unchanged as one run, weight-only and
+// vertex-weight-only changes, mixed unit and weighted snapshots, appended
+// rows, an empty old graph, and random edits near the block seams.
+TEST(GraphDelta, DiffGraphsMatchesPerRowDefinitionAcrossBlocks) {
+  struct Snapshot {
+    VertexId n = 0;
+    std::map<std::pair<VertexId, VertexId>, double> edges;
+    std::vector<double> vwgt;  // empty: every vertex weighs 1
+    Graph build() const {
+      GraphBuilder b(n);
+      for (const auto& [e, w] : edges) b.add_edge(e.first, e.second, w);
+      for (std::size_t v = 0; v < vwgt.size(); ++v) {
+        b.set_vertex_weight(static_cast<VertexId>(v), vwgt[v]);
+      }
+      return b.build();
+    }
+  };
+  const auto per_row = [](const Graph& old_g, const Graph& grown) {
+    const auto vec = [](auto row) {
+      return std::vector(row.begin(), row.end());
+    };
+    std::vector<VertexId> touched;
+    for (VertexId v = 0; v < old_g.num_vertices(); ++v) {
+      if (vec(old_g.neighbors(v)) != vec(grown.neighbors(v)) ||
+          vec(old_g.edge_weights(v)) != vec(grown.edge_weights(v)) ||
+          old_g.vertex_weight(v) != grown.vertex_weight(v)) {
+        touched.push_back(v);
+      }
+    }
+    return touched;
+  };
+  const auto expect_diff = [&](const Snapshot& a, const Snapshot& b,
+                               const std::string& what) {
+    const Graph old_g = a.build();
+    const Graph grown = b.build();
+    const GraphDelta d = diff_graphs(old_g, grown);
+    EXPECT_EQ(d.old_num_vertices, old_g.num_vertices()) << what;
+    EXPECT_EQ(d.touched_old, per_row(old_g, grown)) << what;
+    return d.touched_old;
+  };
+
+  const VertexId side = 130;  // 16,900 rows: several blocks of rows
+  Snapshot grid;
+  grid.n = side * side;
+  for (VertexId u = 0; u < grid.n; ++u) {
+    if ((u + 1) % side != 0) grid.edges[{u, u + 1}] = 1.0;
+    if (u + side < grid.n) grid.edges[{u, u + side}] = 1.0;
+  }
+  const auto unlink = [](Snapshot& s, VertexId v) {
+    std::erase_if(s.edges, [v](const auto& e) {
+      return e.first.first == v || e.first.second == v;
+    });
+  };
+
+  // The first and the last row of a block (4096 rows each).
+  Snapshot seam = grid;
+  seam.edges[{4096, 8191}] = 1.0;
+  EXPECT_EQ(expect_diff(grid, seam, "block seam"),
+            (std::vector<VertexId>{4096, 8191}));
+  Snapshot ends = grid;
+  ends.edges[{0, grid.n - 1}] = 1.0;
+  EXPECT_EQ(expect_diff(grid, ends, "first and last row"),
+            (std::vector<VertexId>{0, grid.n - 1}));
+
+  // Rows a and a + 1 trade neighbour p from another block: both degrees
+  // change, but the block's total length and its ids read as one run stay
+  // the same, so only a per-degree check tells them apart.
+  const VertexId a = 5000;
+  const VertexId p = 9000;
+  Snapshot before = grid;
+  unlink(before, a);
+  unlink(before, a + 1);
+  before.edges[{a - 1, a}] = 1.0;
+  before.edges[{a + 1, p + 500}] = 1.0;
+  Snapshot after = before;
+  before.edges[{a, p}] = 1.0;
+  after.edges[{a + 1, p}] = 1.0;
+  EXPECT_EQ(expect_diff(before, after, "cancelling degrees"),
+            (std::vector<VertexId>{a, a + 1, p}));
+
+  // Weight-only and vertex-weight-only changes, between weighted
+  // snapshots and between a unit and a weighted one.
+  Rng rng(0xb10c);
+  Snapshot weighted = grid;
+  for (auto& [e, w] : weighted.edges) w = 1.0 + rng.uniform_int(4);
+  weighted.vwgt.assign(static_cast<std::size_t>(grid.n), 1.0);
+  for (double& w : weighted.vwgt) w = 1.0 + rng.uniform_int(3);
+  Snapshot reweighted = weighted;
+  reweighted.edges[{8191, 8192}] += 0.5;
+  EXPECT_EQ(expect_diff(weighted, reweighted, "edge weight"),
+            (std::vector<VertexId>{8191, 8192}));
+  Snapshot heavier = weighted;
+  heavier.vwgt[12287] += 1.0;
+  EXPECT_EQ(expect_diff(weighted, heavier, "vertex weight"),
+            (std::vector<VertexId>{12287}));
+  Snapshot one_heavy_edge = grid;
+  one_heavy_edge.edges[{4095, 4096}] = 2.0;
+  EXPECT_EQ(expect_diff(grid, one_heavy_edge, "unit to weighted"),
+            (std::vector<VertexId>{4095, 4096}));
+  EXPECT_EQ(expect_diff(one_heavy_edge, grid, "weighted to unit"),
+            (std::vector<VertexId>{4095, 4096}));
+  Snapshot one_heavy_vertex = grid;
+  one_heavy_vertex.vwgt.assign(static_cast<std::size_t>(grid.n), 1.0);
+  one_heavy_vertex.vwgt[16383] = 2.0;
+  EXPECT_EQ(expect_diff(grid, one_heavy_vertex, "unit vertex weights"),
+            (std::vector<VertexId>{16383}));
+
+  // Appended rows, and an empty old graph.
+  Snapshot grown = grid;
+  grown.n += side;
+  for (VertexId j = 0; j < side; ++j) {
+    grown.edges[{grid.n - side + j, grid.n + j}] = 1.0;
+  }
+  EXPECT_EQ(expect_diff(grid, grown, "appended row").size(),
+            static_cast<std::size_t>(side));
+  EXPECT_TRUE(expect_diff(Snapshot{}, grid, "empty old graph").empty());
+
+  // Random edits near the block seams, on unit and weighted snapshots.
+  const VertexId seams[] = {0, 4095, 4096, 8191, 8192, 12287, 12288, 16383,
+                            16384, grid.n - 1};
+  const auto pick = [&] {
+    if (rng.bernoulli(0.3)) return rng.uniform_int(grid.n);
+    const VertexId v = seams[rng.uniform_int(10)] + rng.uniform_int(-2, 2);
+    return std::clamp<VertexId>(v, 0, grid.n - 1);
+  };
+  for (int round = 0; round < 40; ++round) {
+    const Snapshot& from = round % 2 == 0 ? grid : weighted;
+    Snapshot to = from;
+    const int edits = 1 + rng.uniform_int(6);
+    for (int e = 0; e < edits; ++e) {
+      const VertexId u = pick();
+      const VertexId v = pick();
+      const int kind = rng.uniform_int(5);
+      const auto at_u = to.edges.lower_bound({u, 0});  // an edge near u
+      if (kind == 0 && at_u != to.edges.end()) {
+        to.edges.erase(at_u);
+      } else if (kind == 1 && u != v) {
+        to.edges[{std::min(u, v), std::max(u, v)}] = 1.0;
+      } else if (kind == 2 && at_u != to.edges.end()) {
+        at_u->second += 1.0;
+      } else if (kind == 3) {
+        to.vwgt.resize(static_cast<std::size_t>(to.n), 1.0);
+        to.vwgt[static_cast<std::size_t>(u)] += 1.0;
+      } else if (kind == 4) {
+        to.edges[{u, to.n}] = 1.0;
+        ++to.n;
+        if (!to.vwgt.empty()) to.vwgt.push_back(1.0);
+      }
+    }
+    expect_diff(from, to, "random round " + std::to_string(round));
+  }
 }
 
 TEST(GraphDelta, RepairSeedsCoverDamageAndOneHop) {
